@@ -1,9 +1,9 @@
 """Walkthrough: the James-tree norm and the two branch embeddings.
 
 The norm maximizes the l_2 sum of segment sums over disjoint vertical
-segments.  Witness families come back with every norm; the spider and
-exhaustive solvers certify each other; and the branch embeddings carry exact
-Lipschitz and separation certificates.
+segments.  Witness families come back with every norm; the exact solver is
+certified by a brute-force enumeration of segment families; and the branch
+embeddings carry exact Lipschitz and separation certificates.
 """
 
 import math
@@ -18,11 +18,12 @@ from interlace import (
     g_separation,
     itup,
     jt_family_value,
+    jt_norm_bruteforce,
     jt_norm_exact,
 )
 
-def show(label, x, mode="auto"):
-    norm, witness = jt_norm_exact(x, mode=mode)
+def show(label, x):
+    norm, witness = jt_norm_exact(x)
     fam = " + ".join(f"[{s.lo or 'root'}..{s.hi or 'root'}]" for s in witness) or "(empty)"
     print(f"  {label:<28} norm={norm:.6f}  witness: {fam}")
 
@@ -32,19 +33,17 @@ show("two incomparable units", TreeVec({"0": 1.0, "1": 1.0}))
 show("half chain  0 -> 00", TreeVec({"0": 0.5, "00": 0.5}))
 show("alternating chain", TreeVec({"": 1.0, "0": -1.0, "00": 1.0}))
 
-print("\n== the two solvers certify each other ==")
+print("\n== the brute-force oracle certifies the solver ==")
 rng = random.Random(9)
 worst = 0.0
 for _ in range(100):
-    a = "".join(rng.choice("01") for _ in range(3))
-    b = "".join(rng.choice("01") for _ in range(3))
+    leaves = ["".join(rng.choice("01") for _ in range(4)) for _ in range(3)]
     x = TreeVec(
-        {nd[:j]: rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0]) for nd in (a, b) for j in range(4)}
+        {nd[:j]: rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0]) for nd in leaves for j in (1, 3, 4)}
     )
-    ve, we = jt_norm_exact(x, mode="exhaustive")
-    vs, _ = jt_norm_exact(x, mode="spider")
-    worst = max(worst, abs(ve - vs), abs(jt_family_value(x, we) - ve))
-print(f"  100 random two-branch vectors: worst discrepancy {worst:.2e}")
+    val, wit = jt_norm_exact(x)
+    worst = max(worst, abs(val - jt_norm_bruteforce(x)), abs(jt_family_value(x, wit) - val))
+print(f"  100 random three-leaf vectors: worst discrepancy {worst:.2e}")
 
 print("\n== branch embedding g (into the tree space) ==")
 sigma, tau = Branch("0" * 10), Branch("1" * 10)

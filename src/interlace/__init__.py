@@ -5,13 +5,13 @@ Subpackage map:
 * graphs     -- interlaced tuples, exact graph metric, BFS oracle, geodesics
 * sequences  -- finite-support sequences, sup/James variation norms, summing embedding
 * orlicz     -- Orlicz and iterated N-norms, delta transform, l_p comparisons
-* tree       -- dyadic tree, exact James-tree norm solvers, branch embeddings
+* tree       -- dyadic tree, exact James-tree norm and its oracle, branch embeddings
 * moduli     -- empirical compression/expansion moduli, probes, report tables
 * acceptance -- the certificate suite run by pytest and by `interlace suite`
 * cli        -- argparse front end
 """
 
-from .errors import InvalidInput, ResourceLimit, UnsupportedInstance
+from .errors import InvalidInput, ResourceLimit
 from .graphs import (
     InterlacedTuple,
     WalkProfile,
@@ -67,10 +67,10 @@ from .tree import (
     g_embed,
     g_separation,
     jt_family_value,
+    jt_norm_bruteforce,
     jt_norm_exact,
     pair,
     segment_functional,
-    segment_nodes,
 )
 
 __version__ = "0.1.0"

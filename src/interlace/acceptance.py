@@ -58,6 +58,7 @@ from .tree import (
     g_embed,
     g_separation,
     jt_family_value,
+    jt_norm_bruteforce,
     jt_norm_exact,
 )
 
@@ -308,14 +309,13 @@ def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
         rng = random.Random(seed + 11)
         for _ in range(300):
             x = _random_two_branch(rng)
-            ve, we = jt_norm_exact(x, mode="exhaustive")
-            vs, ws = jt_norm_exact(x, mode="spider")
-            assert abs(ve - vs) <= 1e-12 * max(1.0, ve), (
-                f"solver mismatch {ve!r} vs {vs!r} on {x.entries}"
+            val, wit = jt_norm_exact(x)
+            oracle = jt_norm_bruteforce(x)
+            assert abs(val - oracle) <= 1e-12 * max(1.0, val), (
+                f"solver {val!r} vs oracle {oracle!r} on {x.entries}"
             )
-            assert abs(jt_family_value(x, we) - ve) <= 1e-12 * max(1.0, ve)
-            assert abs(jt_family_value(x, ws) - vs) <= 1e-12 * max(1.0, vs)
-        return "300 two-branch vectors: exhaustive = spider, witnesses check out"
+            assert abs(jt_family_value(x, wit) - val) <= 1e-12 * max(1.0, val)
+        return "300 two-branch vectors: exact solver = brute-force oracle, witnesses check out"
 
     return _timed("11", "James-tree solvers agree and return sound witnesses", body)
 
@@ -330,7 +330,7 @@ def criterion_12(seed: int = DEFAULT_SEED) -> CriterionResult:
                 if not is_adjacent(n, m):
                     continue
                 diff = g_embed(sigma, k, n) - g_embed(sigma, k, m)
-                norm, _ = jt_norm_exact(diff, mode="spider")
+                norm, _ = jt_norm_exact(diff)
                 assert norm <= 1.0 + 1e-9, f"Lipschitz bound fails at {n}, {m}: {norm!r}"
                 lips += 1
             for n in verts[: min(8, len(verts))]:

@@ -7,9 +7,9 @@ defaults to $INTERLACE_OUT or the working directory.  Floats are rounded to 12
 significant digits before serialization and all randomness is seed-driven, so
 outputs are bit-identical across runs with the same flags.
 
-Exit codes: 0 success, 2 invalid input, 3 resource/unsupported instance,
-4 suite found failing checks, 1 unexpected error.  Failures print a JSON
-object {"error": {"kind": ..., "message": ...}}.
+Exit codes: 0 success, 2 invalid input (including unreadable or malformed
+JSON input), 3 resource cap, 4 suite found failing checks, 1 unexpected
+error.  Failures print a JSON object {"error": {"kind": ..., "message": ...}}.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import acceptance
-from .errors import InvalidInput, ResourceLimit, UnsupportedInstance
+from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, dist, enumerate_tuples, geodesic_path
 from .moduli import (
     compute_moduli,
@@ -135,9 +135,23 @@ def _write_csv(
             writer.writerow(cells)
 
 
+def _load_json(path: str | None, text: str | None = None) -> Any:
+    """Parse JSON from a file (when `path` is given) or from inline text."""
+    try:
+        if path:
+            text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path!r}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"malformed JSON: {exc}") from None
+
+
 def _load_finseq(args: argparse.Namespace) -> FinSeq:
     if args.input:
-        obj = json.loads(Path(args.input).read_text(encoding="utf-8"))
+        obj = _load_json(args.input)
+        if not isinstance(obj, dict):
+            raise InvalidInput("sequence files are JSON objects with \"coeffs\" and \"tail\"")
         return FinSeq(tuple(obj.get("coeffs", ())), float(obj.get("tail", 0.0)))
     if args.coeffs is None:
         raise InvalidInput("provide --coeffs or --input")
@@ -228,19 +242,11 @@ def _cmd_orlicz(args: argparse.Namespace) -> dict:
 
 
 def _cmd_jt_norm(args: argparse.Namespace) -> dict:
-    if args.input:
-        obj = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    elif args.entries:
-        obj = json.loads(args.entries)
-    else:
+    if not (args.input or args.entries):
         raise InvalidInput("provide --input or --entries")
-    x = TreeVec.from_json_dict(obj, depth_cap=args.depth_cap)
-    norm, witness = jt_norm_exact(x, mode=args.mode)
-    return {
-        "norm": norm,
-        "witness": [[seg.lo, seg.hi] for seg in witness],
-        "mode": args.mode,
-    }
+    x = TreeVec.from_json_dict(_load_json(args.input, args.entries), depth_cap=args.depth_cap)
+    norm, witness = jt_norm_exact(x)
+    return {"norm": norm, "witness": [[seg.lo, seg.hi] for seg in witness]}
 
 
 def _cmd_jt_embed(args: argparse.Namespace) -> dict:
@@ -251,12 +257,12 @@ def _cmd_jt_embed(args: argparse.Namespace) -> dict:
     if args.map == "g":
         vec = g_embed(sigma, k, n)
         doc["vector"] = vec.to_json_dict()
-        doc["norm"] = jt_norm_exact(vec, mode="spider")[0]
+        doc["norm"] = jt_norm_exact(vec)[0]
         if args.m:
             m = _parse_tuple(args.m)
             diff = vec - g_embed(sigma, k, m)
             doc["pair_distance"] = dist(n, m)
-            doc["difference_norm"] = jt_norm_exact(diff, mode="spider")[0]
+            doc["difference_norm"] = jt_norm_exact(diff)[0]
         if args.tau:
             doc["separation"] = g_separation(sigma, Branch(args.tau), k, n)
     else:
@@ -436,7 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jt-norm", help="exact James-tree norm with witness")
     p.add_argument("--input", help="JSON file mapping bit-strings to numbers")
     p.add_argument("--entries", help="inline JSON, e.g. '{\"0\": 0.5, \"00\": 0.5}'")
-    p.add_argument("--mode", choices=["auto", "exhaustive", "spider"], default="auto")
     p.add_argument("--depth-cap", type=int, default=8)
     common(p)
     p.set_defaults(handler=_cmd_jt_norm)
@@ -482,9 +487,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidInput as exc:
         print(json.dumps({"error": {"kind": "invalid-input", "message": str(exc)}}))
         return 2
-    except (ResourceLimit, UnsupportedInstance) as exc:
-        kind = "resource" if isinstance(exc, ResourceLimit) else "unsupported-instance"
-        print(json.dumps({"error": {"kind": kind, "message": str(exc)}}))
+    except ResourceLimit as exc:
+        print(json.dumps({"error": {"kind": "resource", "message": str(exc)}}))
         return 3
     except Exception as exc:  # pragma: no cover - defensive
         print(json.dumps({"error": {"kind": "internal", "message": f"{type(exc).__name__}: {exc}"}}))

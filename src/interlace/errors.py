@@ -11,7 +11,3 @@ class InvalidInput(ValueError):
 
 class ResourceLimit(RuntimeError):
     """The instance exceeds a hard size cap of an exhaustive algorithm."""
-
-
-class UnsupportedInstance(RuntimeError):
-    """The instance is outside every exact solving mode (no silent approximation)."""

@@ -48,8 +48,7 @@ EXHAUSTIVE_PROBE_CAP = 12
 class MapSample:
     """A finite map sample: source points and their images, with both metrics.
 
-    Metric callbacks must be safe for concurrent invocation; pair enumeration
-    treats them as pure functions.
+    Pair enumeration treats the metric callbacks as pure functions.
     """
 
     points: Sequence[Any]
@@ -281,7 +280,7 @@ def summing_map_sample(k: int, max_entry: int) -> MapSample:
 
 
 def g_map_sample(k: int, max_entry: int, branch_bits: str | None = None) -> MapSample:
-    """Branch embedding into the James-tree space, measured by the exact spider norm."""
+    """Branch embedding into the James-tree space, measured by jt_norm_exact."""
     bits = "0" * max_entry if branch_bits is None else branch_bits
     sigma = Branch(bits)
     pts = enumerate_tuples(range(1, max_entry + 1), k)
@@ -290,7 +289,7 @@ def g_map_sample(k: int, max_entry: int, branch_bits: str | None = None) -> MapS
         pts,
         lambda a, b: float(dist(a, b)),
         imgs,
-        lambda x, y: jt_norm_exact(x - y, mode="spider")[0],
+        lambda x, y: jt_norm_exact(x - y)[0],
     )
 
 

@@ -56,8 +56,7 @@ class OrliczSpec:
     """A scalar function [0, inf) -> [0, inf) with declared structural flags.
 
     The flags record what the supplier claims; validate_orlicz checks the
-    claims on a grid.  n_norm requires both flags to be declared.  Callables
-    must be safe to invoke concurrently.
+    claims on a grid.  n_norm requires both flags to be declared.
     """
 
     fn: Callable[[float], float]

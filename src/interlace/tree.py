@@ -6,41 +6,41 @@ a finitely supported x: T -> R the James-tree norm is
 
     ||x||_JT = sup ( sum_i (sum_{s in S_i} x(s))^2 )^(1/2)
 
-over families of pairwise node-disjoint segments S_1, ..., S_n.  Two exact
-solvers are provided and certify each other:
+over families of pairwise node-disjoint segments S_1, ..., S_n.  One exact
+solver handles every finite support, and one independent oracle certifies it:
 
-* exhaustive mode (support depth <= 3): depth-first enumeration over per-node
-  choices -- skip the node, start a new segment, or extend the segment open at
-  the parent into exactly one child -- scoring (sum)^2 at segment closure.
-  Values of segment-free subtrees are cached; caching only avoids re-walking
-  independent subtrees and does not change what is enumerated.
-* spider mode (support inside at most two root branches, any depth): segments
-  meeting both legs would have to share the fork node, so at most one segment
-  crosses the fork and it continues into at most one leg.  Every family thus
-  splits into a family on stem+leg_a plus a family on leg_b (or vice versa),
-  and each path instance is solved by interval dynamic programming
-  best(i) = max(best(i-1), max_j best(j-1) + (sum_{j..i})^2).
-
-Inputs outside both modes are rejected rather than silently approximated.
+* jt_norm_exact -- dynamic programming on the virtual tree: the support plus
+  its branch points (common prefixes of lexicographic neighbours).  Every
+  other prefix of the support holds 0 and has one child among those
+  prefixes, so a segment may be trimmed at it or extended through it without
+  changing its sum or its disjointness from the others.  For a virtual node
+  v at virtual depth d and j = 0..d, G_v[j] is the best value inside v's
+  subtree when a segment topped by v's j-th virtual ancestor is open at v;
+  it closes at v (scoring its squared sum) or continues into one child.
+  With F(v) = max(sum of F over the children, G_v[d]) the norm is
+  sqrt(F(root)).
+* jt_norm_bruteforce -- enumeration of disjoint families of raw segments as
+  bitmasks over every prefix of the support, capped by support size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import InvalidInput, UnsupportedInstance
+from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, is_adjacent
 
 __all__ = [
     "Segment",
     "TreeVec",
     "Branch",
-    "segment_nodes",
     "segment_functional",
     "jt_family_value",
     "jt_norm_exact",
+    "jt_norm_bruteforce",
     "pair",
     "g_embed",
     "f_embed",
@@ -48,11 +48,11 @@ __all__ = [
     "g_separation",
     "f_difference_segments",
     "DEFAULT_DEPTH_CAP",
-    "EXHAUSTIVE_DEPTH_CAP",
+    "BRUTE_FORCE_SUPPORT_CAP",
 ]
 
 DEFAULT_DEPTH_CAP = 8
-EXHAUSTIVE_DEPTH_CAP = 3
+BRUTE_FORCE_SUPPORT_CAP = 12
 
 
 def _check_bits(s: str) -> str:
@@ -78,28 +78,25 @@ class Segment:
         return [self.hi[:j] for j in range(len(self.lo), len(self.hi) + 1)]
 
 
-def segment_nodes(seg: Segment) -> list[str]:
-    """The chain lo, ..., hi (|hi| - |lo| + 1 nodes)."""
-    return seg.nodes()
-
-
 @dataclass(frozen=True)
 class TreeVec:
     """Finitely supported function on the dyadic tree; zero entries are dropped."""
 
     entries: Mapping[str, float]
-    depth_cap: int = field(default=DEFAULT_DEPTH_CAP, compare=False)
 
     def __post_init__(self) -> None:
         clean = {}
         for key, val in self.entries.items():
             _check_bits(key)
-            v = float(val)
+            try:
+                v = float(val)
+            except (TypeError, ValueError):
+                raise InvalidInput(f"entry at {key!r} is not a number: {val!r}") from None
+            if not math.isfinite(v):
+                raise InvalidInput(f"entry at {key!r} is not finite: {v!r}")
             if v != 0.0:
                 clean[key] = v
-        cap = max(self.depth_cap, max((len(k) for k in clean), default=0))
         object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "depth_cap", cap)
 
     def value(self, node: str) -> float:
         return self.entries.get(node, 0.0)
@@ -143,7 +140,7 @@ class TreeVec:
                 raise InvalidInput(
                     f"node {key!r} exceeds the depth cap {depth_cap}"
                 )
-        return TreeVec(dict(obj), depth_cap=depth_cap)
+        return TreeVec(dict(obj))
 
 
 @dataclass(frozen=True)
@@ -187,149 +184,153 @@ def _witness_sorted(segs: Sequence[Segment]) -> list[Segment]:
     return sorted(segs, key=lambda s: (len(s.lo), s.lo, len(s.hi), s.hi))
 
 
-def _exhaustive_solver(x: TreeVec) -> tuple[float, list[Segment]]:
-    supp = x.support
-    if not supp:
-        return 0.0, []
-    closure: set[str] = set()
-    for s in supp:
-        for j in range(len(s) + 1):
-            closure.add(s[:j])
-    children = {
-        v: [w for w in (v + "0", v + "1") if w in closure] for v in closure
-    }
-    free_memo: dict[str, tuple[float, tuple[Segment, ...]]] = {}
-
-    def free(v: str) -> tuple[float, tuple[Segment, ...]]:
-        # best families in the subtree at v with no segment entering v
-        cached = free_memo.get(v)
-        if cached is not None:
-            return cached
-        best_val = 0.0
-        best_wit: tuple[Segment, ...] = ()
-        for c in children[v]:
-            cv, cw = free(c)
-            best_val += cv
-            best_wit += cw
-        sv, sw = started(v, 0.0, v)
-        if sv > best_val:
-            best_val, best_wit = sv, sw
-        free_memo[v] = (best_val, best_wit)
-        return free_memo[v]
-
-    def started(v: str, carry: float, lo: str) -> tuple[float, tuple[Segment, ...]]:
-        # a segment beginning at lo is open and has been extended into v
-        s = carry + x.value(v)
-        best_val = s * s
-        best_wit: tuple[Segment, ...] = (Segment(lo, v),) if s != 0.0 else ()
-        for c in children[v]:
-            cv, cw = free(c)
-            best_val += cv
-            best_wit += cw
-        for c in children[v]:  # extend into exactly one child
-            ev, ew = started(c, s, lo)
-            for other in children[v]:
-                if other != c:
-                    fv, fw = free(other)
-                    ev += fv
-                    ew += fw
-            if ev > best_val:
-                best_val, best_wit = ev, ew
-        return best_val, best_wit
-
-    val, wit = free("")
-    return math.sqrt(val), _witness_sorted(wit)
-
-
-def _path_dp(nodes: Sequence[str], x: TreeVec) -> tuple[float, list[Segment]]:
-    """Max sum of squared interval sums over disjoint intervals of a descending path."""
-    vals = [x.value(v) for v in nodes]
-    L = len(vals)
-    prefix = [0.0]
-    for v in vals:
-        prefix.append(prefix[-1] + v)
-    best = [0.0] * (L + 1)
-    cut: list[int | None] = [None] * (L + 1)
-    for i in range(1, L + 1):
-        best[i] = best[i - 1]
-        cut[i] = None
-        for j in range(1, i + 1):
-            s = prefix[i] - prefix[j - 1]
-            cand = best[j - 1] + s * s
-            if cand > best[i]:
-                best[i] = cand
-                cut[i] = j
-    segs: list[Segment] = []
-    i = L
-    while i > 0:
-        j = cut[i]
-        if j is None:
-            i -= 1
-        else:
-            if prefix[i] - prefix[j - 1] != 0.0:
-                segs.append(Segment(nodes[j - 1], nodes[i - 1]))
-            i = j - 1
-    return best[L], segs
-
-
-def _maximal_support(x: TreeVec) -> list[str]:
-    supp = x.support
-    return [s for s in supp if not any(t != s and t.startswith(s) for t in supp)]
-
-
-def _spider_solver(x: TreeVec) -> tuple[float, list[Segment]]:
-    supp = x.support
-    if not supp:
-        return 0.0, []
-    maximal = _maximal_support(x)
-    if len(maximal) > 2:
-        raise UnsupportedInstance(
-            "spider mode needs support inside at most two root branches"
-        )
-    if len(maximal) == 1:
-        top = maximal[0]
-        val, segs = _path_dp(Segment("", top).nodes(), x)
-        return math.sqrt(val), _witness_sorted(segs)
-    a, b = sorted(maximal)
-    fork = 0
-    while fork < min(len(a), len(b)) and a[fork] == b[fork]:
-        fork += 1
-    # at most one segment contains the fork node and it descends into one leg,
-    # so an optimal family lives on (root..a) + (leg of b), or the mirror image
-    va, wa = _path_dp(Segment("", a).nodes(), x)
-    vb, wb = _path_dp(Segment(b[: fork + 1], b).nodes(), x)
-    vc, wc = _path_dp(Segment("", b).nodes(), x)
-    vd, wd = _path_dp(Segment(a[: fork + 1], a).nodes(), x)
-    if va + vb >= vc + vd:
-        return math.sqrt(va + vb), _witness_sorted(wa + wb)
-    return math.sqrt(vc + vd), _witness_sorted(wc + wd)
-
-
-def jt_norm_exact(x: TreeVec, mode: str = "auto") -> tuple[float, list[Segment]]:
+def jt_norm_exact(x: TreeVec) -> tuple[float, list[Segment]]:
     """Exact James-tree norm and a maximizing disjoint segment family.
 
-    mode="exhaustive" needs support depth <= 3; mode="spider" needs support
-    inside at most two root branches; "auto" tries spider first, then
-    exhaustive, and rejects anything else.
+    Dynamic program over the virtual tree of the support (support nodes plus
+    branch points), in post-order with an explicit stack.  Cost is
+    O(sum of virtual depths), at most quadratic in the support size and
+    independent of the length of the node strings.
     """
-    if mode == "exhaustive":
-        if x.depth > EXHAUSTIVE_DEPTH_CAP:
-            raise UnsupportedInstance(
-                f"exhaustive mode handles support depth <= {EXHAUSTIVE_DEPTH_CAP}"
+    if not x.entries:
+        return 0.0, []
+    # scale by a power of two so squares cannot overflow; exact in binary floats
+    _, exp = math.frexp(max(abs(v) for v in x.entries.values()))
+    supp = sorted(x.entries)  # lexicographic order on 0/1 strings is preorder
+    virtual = set(supp)
+    for a, b in zip(supp, supp[1:]):
+        if not b.startswith(a):
+            virtual.add(os.path.commonprefix((a, b)))
+    order = sorted(virtual)
+    n = len(order)
+    kids: list[list[int]] = [[] for _ in range(n)]
+    depth = [0] * n
+    cum = [0.0] * n  # sum of x from the virtual root down to the node
+    above = [0.0] * n  # the same sum stopping just above the node
+    best_open: list[list[float] | None] = [None] * n  # G_v, freed once used
+    best = [0.0] * n  # F(v)
+    back: list[bytes] = [b""] * n
+    starts = [False] * n
+    path: list[int] = []  # virtual ancestors of the current node, root first
+    tops: list[float] = []  # above[a] for each a on path
+
+    def finish() -> None:
+        # G_v[j]: best value in v's subtree while the segment topped by the
+        # j-th virtual ancestor of v is open at v; back[v][j] records whether
+        # it closes at v (0) or continues into kids[v][choice - 1]
+        v = path[-1]
+        cv = cum[v]
+        ch = kids[v]
+        if not ch:
+            free = 0.0
+            g = [(s := cv - t) * s for t in tops]
+            bp = bytes(len(g))
+        elif len(ch) == 1:
+            c = ch[0]
+            free = best[c]
+            gc = best_open[c]
+            best_open[c] = None
+            close = [(s := cv - t) * s + free for t in tops]
+            g = list(map(max, close, gc))
+            bp = bytes(map(float.__lt__, close, gc))
+        else:
+            c0, c1 = ch
+            f0, f1 = best[c0], best[c1]
+            free = f0 + f1
+            into0 = [e + f1 for e in best_open[c0]]
+            into1 = [e + f0 for e in best_open[c1]]
+            best_open[c0] = best_open[c1] = None
+            close = [(s := cv - t) * s + free for t in tops]
+            g = list(map(max, close, into0, into1))
+            bp = bytes(
+                0 if m == c else 1 if m == e0 else 2
+                for m, c, e0 in zip(g, close, into0)
             )
-        return _exhaustive_solver(x)
-    if mode == "spider":
-        return _spider_solver(x)
-    if mode == "auto":
-        if len(_maximal_support(x)) <= 2:
-            return _spider_solver(x)
-        if x.depth <= EXHAUSTIVE_DEPTH_CAP:
-            return _exhaustive_solver(x)
-        raise UnsupportedInstance(
-            "input is outside both exact modes: need support depth <= "
-            f"{EXHAUSTIVE_DEPTH_CAP} or support within two root branches"
+        best_open[v] = g
+        back[v] = bp
+        if g[-1] > free:
+            best[v] = g[-1]
+            starts[v] = True
+        else:
+            best[v] = free
+        path.pop()
+        tops.pop()
+
+    for i, node in enumerate(order):
+        while path and not node.startswith(order[path[-1]]):
+            finish()
+        if path:
+            parent = path[-1]
+            kids[parent].append(i)
+            depth[i] = depth[parent] + 1
+            above[i] = cum[parent]
+        cum[i] = above[i] + math.ldexp(x.entries.get(node, 0.0), -exp)
+        path.append(i)
+        tops.append(above[i])
+    while path:
+        finish()
+
+    witness: list[Segment] = []
+    todo = [(0, -1, 0)]  # (node, depth of the open segment's top or -1, top)
+    while todo:
+        v, j, top = todo.pop()
+        if j < 0:
+            if not starts[v]:
+                todo.extend((c, -1, 0) for c in kids[v])
+                continue
+            j, top = depth[v], v
+        choice = back[v][j]
+        if choice == 0:
+            if cum[v] != above[top]:
+                witness.append(Segment(order[top], order[v]))
+            todo.extend((c, -1, 0) for c in kids[v])
+        else:
+            into = kids[v][choice - 1]
+            todo.append((into, j, top))
+            todo.extend((c, -1, 0) for c in kids[v] if c != into)
+    try:
+        norm = math.ldexp(math.sqrt(best[0]), exp)
+    except OverflowError:
+        raise InvalidInput("the norm exceeds the largest float") from None
+    return norm, _witness_sorted(witness)
+
+
+def jt_norm_bruteforce(x: TreeVec) -> float:
+    """Exhaustive maximum over disjoint families of raw segments; the independent oracle.
+
+    Every prefix of a support node gets one bit and a segment is the bitmask
+    of its chain.  Only segments whose two ends lie in the support are
+    listed: trimming zero ends keeps the sum and removes no disjointness.
+    """
+    if len(x.entries) > BRUTE_FORCE_SUPPORT_CAP:
+        raise ResourceLimit(
+            f"support of size {len(x.entries)} exceeds "
+            f"BRUTE_FORCE_SUPPORT_CAP = {BRUTE_FORCE_SUPPORT_CAP}"
         )
-    raise InvalidInput(f"unknown mode {mode!r}")
+    closure = sorted({s[:j] for s in x.entries for j in range(len(s) + 1)})
+    bit = {node: 1 << i for i, node in enumerate(closure)}
+    segs: list[tuple[int, float]] = []
+    for hi in x.entries:
+        mask, total = 0, 0.0
+        for j in range(len(hi), -1, -1):
+            lo = hi[:j]
+            mask |= bit[lo]
+            total += x.entries.get(lo, 0.0)
+            if lo in x.entries:
+                segs.append((mask, total * total))
+    best = 0.0
+
+    def extend(start: int, used: int, acc: float) -> None:
+        nonlocal best
+        if acc > best:
+            best = acc
+        for i in range(start, len(segs)):
+            mask, square = segs[i]
+            if not mask & used:
+                extend(i + 1, used | mask, acc + square)
+
+    extend(0, 0, 0.0)
+    return math.sqrt(best)
 
 
 def pair(u: TreeVec, x: TreeVec) -> float:
@@ -407,7 +408,7 @@ def f_separation(sigma: Branch, tau: Branch, k: int, n: InterlacedTuple) -> floa
             f"branches first disagree at {r}, after n_1 = {n.entries[0]}"
         )
     witness = TreeVec({sigma.prefix(n.entries[0]): 1.0})
-    norm, _ = jt_norm_exact(witness, mode="spider")
+    norm, _ = jt_norm_exact(witness)
     if abs(norm - 1.0) > 1e-12:
         raise AssertionError("unit witness vector must have norm 1")
     diff = f_embed(sigma, k, n) - f_embed(tau, k, n)
@@ -418,8 +419,8 @@ def g_separation(sigma: Branch, tau: Branch, k: int, n: InterlacedTuple) -> floa
     """Pair g(sigma) - g(tau) against the segment functional between sigma|n_1
     and sigma|n_k; equals sqrt(k/2) when the branches disagree before n_1.
 
-    Cross-checks that the exact spider norm of the difference dominates the
-    returned pairing (the functional lies in the dual unit ball).
+    Cross-checks that the exact norm of the difference dominates the returned
+    pairing (the functional lies in the dual unit ball).
     """
     if n.arity != k:
         raise InvalidInput(f"tuple arity {n.arity} does not match k={k}")
@@ -434,9 +435,9 @@ def g_separation(sigma: Branch, tau: Branch, k: int, n: InterlacedTuple) -> floa
     functional = segment_functional(seg)
     diff = g_embed(sigma, k, n) - g_embed(tau, k, n)
     value = pair(diff, functional)
-    norm, _ = jt_norm_exact(diff, mode="spider")
+    norm, _ = jt_norm_exact(diff)
     if norm < value - 1e-12:
-        raise AssertionError("spider norm fell below the functional lower bound")
+        raise AssertionError("exact norm fell below the functional lower bound")
     return value
 
 

@@ -61,12 +61,56 @@ def test_jt_norm_depth_cap(capsys):
     assert doc["error"]["kind"] == "invalid-input"
 
 
-def test_jt_norm_unsupported_instance(capsys):
+def test_jt_norm_four_leaf_bush_is_solved(capsys):
     entries = json.dumps({"0000": 1.0, "0100": 1.0, "1000": 1.0, "1100": 1.0})
     code, out = run_cli(capsys, "jt-norm", "--entries", entries)
     doc = json.loads(out)
-    assert code == 3
-    assert doc["error"]["kind"] == "unsupported-instance"
+    assert code == 0
+    assert doc["norm"] == 2.0
+    assert doc["witness"] == [[leaf, leaf] for leaf in ("0000", "0100", "1000", "1100")]
+    assert "mode" not in doc and "mode" not in doc["config"]
+
+
+def test_jt_norm_rejects_non_finite_entries(capsys):
+    for text in ('{"0": NaN}', '{"0": Infinity}', '{"0": -Infinity}'):
+        code, out = run_cli(capsys, "jt-norm", "--entries", text)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "invalid-input"
+
+
+def test_jt_norm_huge_entries_do_not_overflow(capsys):
+    code, out = run_cli(capsys, "jt-norm", "--entries", '{"0": 1e200, "00": 1e200}')
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["norm"] == 2e200
+    assert doc["witness"] == [["0", "00"]]
+    code, out = run_cli(capsys, "jt-norm", "--entries", '{"0": 1e308, "00": 1e308}')
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "invalid-input"
+
+
+def test_missing_input_file_is_invalid_input(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for argv in (["jt-norm", "--input", missing], ["james-norm", "--input", missing]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "invalid-input"
+
+
+def test_malformed_json_is_invalid_input(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"0": 1.0,')
+    listed = tmp_path / "list.json"
+    listed.write_text("[1.0, 2.0]")
+    for argv in (
+        ["jt-norm", "--entries", '{"0": 1.0,'],
+        ["jt-norm", "--input", str(bad)],
+        ["james-norm", "--input", str(bad)],
+        ["james-norm", "--input", str(listed)],
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "invalid-input"
 
 
 def test_invalid_tuple_is_a_usage_error(capsys):

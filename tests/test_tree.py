@@ -5,15 +5,15 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from interlace import (
     Branch,
     InvalidInput,
+    ResourceLimit,
     Segment,
     TreeVec,
-    UnsupportedInstance,
     enumerate_tuples,
     f_difference_segments,
     f_embed,
@@ -23,10 +23,10 @@ from interlace import (
     is_adjacent,
     itup,
     jt_family_value,
+    jt_norm_bruteforce,
     jt_norm_exact,
     pair,
     segment_functional,
-    segment_nodes,
 )
 
 SQ2 = math.sqrt(2)
@@ -43,15 +43,36 @@ def two_branch_vecs():
     return st.builds(build, bits, bits, st.lists(vals, min_size=7, max_size=7))
 
 
+def bush_vecs():
+    """Three or four root branches at depth 4-6: outside both former modes
+    (support depth <= 3, or support within two root branches)."""
+    vals = st.sampled_from([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5])
+    leaves = st.sets(st.text(alphabet="01", min_size=4, max_size=6), min_size=3, max_size=4)
+
+    @st.composite
+    def build(draw):
+        tips = sorted(draw(leaves))
+        maximal = [a for a in tips if not any(b != a and b.startswith(a) for b in tips)]
+        assume(len(maximal) >= 3)
+        entries = {leaf: draw(vals) for leaf in maximal}
+        closure = sorted({t[:j] for t in maximal for j in range(len(t))})
+        extra = draw(st.lists(st.sampled_from(closure), max_size=12 - len(entries)))
+        for node in extra:
+            entries[node] = draw(vals)
+        return TreeVec(entries)
+
+    return build()
+
+
 class TestSegments:
     def test_root_singleton(self):
-        assert segment_nodes(Segment("", "")) == [""]
+        assert Segment("", "").nodes() == [""]
 
     def test_two_node_chain(self):
-        assert segment_nodes(Segment("0", "00")) == ["0", "00"]
+        assert Segment("0", "00").nodes() == ["0", "00"]
 
     def test_root_to_depth_three(self):
-        assert segment_nodes(Segment("", "101")) == ["", "1", "10", "101"]
+        assert Segment("", "101").nodes() == ["", "1", "10", "101"]
 
     def test_rejects_non_prefix(self):
         with pytest.raises(InvalidInput):
@@ -75,9 +96,6 @@ class TestTreeVec:
         x = TreeVec({"": 1.0, "01": -0.5})
         assert TreeVec.from_json_dict(x.to_json_dict()) == x
 
-    def test_equality_ignores_the_depth_cap(self):
-        assert TreeVec({"0": 1.0}, depth_cap=8) == TreeVec({"0": 1.0}, depth_cap=12)
-
     def test_depth_cap_enforced_on_load(self):
         with pytest.raises(InvalidInput):
             TreeVec.from_json_dict({"0" * 9: 1.0}, depth_cap=8)
@@ -85,6 +103,11 @@ class TestTreeVec:
     def test_rejects_bad_keys(self):
         with pytest.raises(InvalidInput):
             TreeVec({"ab": 1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", None])
+    def test_rejects_non_finite_and_non_numeric_entries(self, bad):
+        with pytest.raises(InvalidInput):
+            TreeVec({"0": bad})
 
 
 class TestBranch:
@@ -134,52 +157,76 @@ class TestJTNorm:
     def test_cancellation_forces_split(self):
         # signs flip along the chain: two short segments beat one long one
         x = TreeVec({"": 1.0, "0": -1.0, "00": 1.0})
-        norm, witness = jt_norm_exact(x, mode="exhaustive")
+        norm, witness = jt_norm_exact(x)
         assert abs(norm - math.sqrt(3)) < 1e-12
         assert abs(jt_family_value(x, witness) - norm) < 1e-12
 
-    def test_modes_reject_out_of_scope_inputs(self):
-        deep = TreeVec({"0000": 1.0})
-        with pytest.raises(UnsupportedInstance):
-            jt_norm_exact(deep, mode="exhaustive")
-        three_branches = TreeVec({"00": 1.0, "01": 1.0, "10": 1.0})
-        with pytest.raises(UnsupportedInstance):
-            jt_norm_exact(three_branches, mode="spider")
-        deep_bush = TreeVec({"0000": 1.0, "0100": 1.0, "1000": 1.0, "1100": 1.0})
-        with pytest.raises(UnsupportedInstance):
-            jt_norm_exact(deep_bush, mode="auto")
-        with pytest.raises(InvalidInput):
-            jt_norm_exact(deep, mode="magic")
+    def test_former_out_of_scope_inputs_match_oracle(self):
+        # too deep for a depth-3 enumeration, or spread over more than two
+        # root branches; each is now solved exactly
+        for entries, want in (
+            ({"0000": 1.0}, 1.0),
+            ({"00": 1.0, "01": 1.0, "10": 1.0}, math.sqrt(3)),
+            ({"0000": 1.0, "0100": 1.0, "1000": 1.0, "1100": 1.0}, 2.0),
+        ):
+            x = TreeVec(entries)
+            norm, witness = jt_norm_exact(x)
+            assert abs(norm - want) < 1e-12
+            assert abs(norm - jt_norm_bruteforce(x)) < 1e-12
+            assert abs(jt_family_value(x, witness) - norm) < 1e-12
 
     def test_spider_handles_depth_beyond_exhaustive(self):
         x = TreeVec({"0" * j: 1.0 if j % 2 == 0 else -1.0 for j in range(7)})
-        norm, witness = jt_norm_exact(x, mode="spider")
+        norm, witness = jt_norm_exact(x)
         assert abs(jt_family_value(x, witness) - norm) < 1e-12
         assert abs(norm - math.sqrt(7)) < 1e-12  # alternating signs: 7 singletons
 
+    def test_path_deeper_than_the_recursion_limit(self):
+        depth = 1200
+        x = TreeVec({"0" * j: 1.0 if j % 2 == 0 else -1.0 for j in range(depth + 1)})
+        norm, witness = jt_norm_exact(x)
+        assert abs(norm - math.sqrt(depth + 1)) < 1e-12 * norm
+        assert len(witness) == depth + 1  # alternating signs: all singletons
+
+    def test_cost_does_not_grow_with_string_length(self):
+        # two entries below a common stem of length 10**5: a three-node virtual tree
+        stem = "0" * (10**5 - 1)
+        x = TreeVec({stem + "0": 1.0, stem + "1": 2.0})
+        norm, witness = jt_norm_exact(x)
+        assert abs(norm - math.sqrt(5)) < 1e-12
+        assert witness == [Segment(stem + "0", stem + "0"), Segment(stem + "1", stem + "1")]
+
+    def test_huge_entries_do_not_overflow(self):
+        norm, witness = jt_norm_exact(TreeVec({"0": 1e200, "00": 1e200}))
+        assert norm == 2e200
+        assert witness == [Segment("0", "00")]
+
+    def test_bruteforce_cap_is_named(self):
+        x = TreeVec({"0" * j: 1.0 for j in range(13)})
+        with pytest.raises(ResourceLimit, match="BRUTE_FORCE_SUPPORT_CAP"):
+            jt_norm_bruteforce(x)
+
     @settings(max_examples=80, deadline=None)
-    @given(two_branch_vecs())
+    @given(st.one_of(two_branch_vecs(), bush_vecs()))
     def test_solver_equivalence(self, x):
-        ve, we = jt_norm_exact(x, mode="exhaustive")
-        vs, ws = jt_norm_exact(x, mode="spider")
-        assert abs(ve - vs) <= 1e-12 * max(1.0, ve)
-        assert abs(jt_family_value(x, we) - ve) <= 1e-12 * max(1.0, ve)
-        assert abs(jt_family_value(x, ws) - vs) <= 1e-12 * max(1.0, vs)
+        val, wit = jt_norm_exact(x)
+        assert abs(val - jt_norm_bruteforce(x)) <= 1e-12 * max(1.0, val)
+        assert abs(jt_family_value(x, wit) - val) <= 1e-12 * max(1.0, val)
 
     @settings(max_examples=50, deadline=None)
     @given(two_branch_vecs(), two_branch_vecs(), st.sampled_from([0.25, 0.5, 2.0]))
     def test_norm_axioms(self, x, y, lam):
-        nx, _ = jt_norm_exact(x, mode="exhaustive")
-        ny, _ = jt_norm_exact(y, mode="exhaustive")
-        nxy, _ = jt_norm_exact(x + y, mode="exhaustive")
+        nx, _ = jt_norm_exact(x)
+        ny, _ = jt_norm_exact(y)
+        nxy, _ = jt_norm_exact(x + y)
         assert nxy <= nx + ny + 1e-9
-        nlx, _ = jt_norm_exact(lam * x, mode="exhaustive")
+        nlx, _ = jt_norm_exact(lam * x)
         assert abs(nlx - lam * nx) <= 1e-12 * max(1.0, nlx)
 
     @settings(max_examples=40, deadline=None)
     @given(two_branch_vecs())
     def test_segment_functionals_lie_in_the_dual_ball(self, x):
-        norm, _ = jt_norm_exact(x, mode="exhaustive")
+        norm, _ = jt_norm_exact(x)
         for hi in ("", "0", "01", "111"):
             for j in range(len(hi) + 1):
                 seg = Segment(hi[:j], hi)
@@ -215,7 +262,7 @@ class TestGEmbedding:
                 if not is_adjacent(n, m):
                     continue
                 diff = g_embed(sigma, k, n) - g_embed(sigma, k, m)
-                norm, _ = jt_norm_exact(diff, mode="spider")
+                norm, _ = jt_norm_exact(diff)
                 assert norm <= 1.0 + 1e-9
 
     def test_branch_too_short(self):
@@ -290,7 +337,7 @@ class TestSeparations:
         for k, n in ((1, itup(2)), (2, itup(1, 3)), (3, itup(1, 2, 5))):
             val = g_separation(s0, s1, k, n)
             diff = g_embed(s0, k, n) - g_embed(s1, k, n)
-            norm, _ = jt_norm_exact(diff, mode="spider")
+            norm, _ = jt_norm_exact(diff)
             assert norm >= val - 1e-12
             assert abs(val - math.sqrt(k / 2.0)) < 1e-12
 
@@ -303,25 +350,25 @@ def test_random_spider_instances_match_bruteforce_families():
 
     def brute(x: TreeVec) -> float:
         nodes = [""] + ["".join(p) for d in (1, 2, 3) for p in itertools.product("01", repeat=d)]
-        segs = []
+        bit = {v: 1 << i for i, v in enumerate(nodes)}
+        seg_list = []
         for hi in nodes:
             for j in range(len(hi) + 1):
-                segs.append(frozenset(Segment(hi[:j], hi).nodes()))
-        seg_list = [(s, sum(x.value(v) for v in s)) for s in segs]
+                chain = [hi[:i] for i in range(j, len(hi) + 1)]
+                mask = sum(bit[v] for v in chain)
+                seg_list.append((mask, sum(x.value(v) for v in chain)))
         best = 0.0
 
-        def rec(i: int, used: frozenset, acc: float) -> None:
+        def rec(start: int, used: int, acc: float) -> None:
             nonlocal best
             if acc > best:
                 best = acc
-            if i == len(seg_list):
-                return
-            rec(i + 1, used, acc)
-            nodes_i, total = seg_list[i]
-            if not (nodes_i & used):
-                rec(i + 1, used | nodes_i, acc + total * total)
+            for i in range(start, len(seg_list)):
+                mask, total = seg_list[i]
+                if not mask & used:
+                    rec(i + 1, used | mask, acc + total * total)
 
-        rec(0, frozenset(), 0.0)
+        rec(0, 0, 0.0)
         return math.sqrt(best)
 
     rng = random.Random(77)
@@ -334,5 +381,5 @@ def test_random_spider_instances_match_bruteforce_families():
             for j in range(4)
         }
         x = TreeVec(entries)
-        got, _ = jt_norm_exact(x, mode="exhaustive")
+        got, _ = jt_norm_exact(x)
         assert abs(got - brute(x)) < 1e-12
