@@ -244,7 +244,7 @@ def _cmd_orlicz(args: argparse.Namespace) -> dict:
 def _cmd_jt_norm(args: argparse.Namespace) -> dict:
     if not (args.input or args.entries):
         raise InvalidInput("provide --input or --entries")
-    x = TreeVec.from_json_dict(_load_json(args.input, args.entries), depth_cap=args.depth_cap)
+    x = TreeVec.from_json_dict(_load_json(args.input, args.entries))
     norm, witness = jt_norm_exact(x)
     return {"norm": norm, "witness": [[seg.lo, seg.hi] for seg in witness]}
 
@@ -442,7 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jt-norm", help="exact James-tree norm with witness")
     p.add_argument("--input", help="JSON file mapping bit-strings to numbers")
     p.add_argument("--entries", help="inline JSON, e.g. '{\"0\": 0.5, \"00\": 0.5}'")
-    p.add_argument("--depth-cap", type=int, default=8)
     common(p)
     p.set_defaults(handler=_cmd_jt_norm)
 

@@ -155,21 +155,6 @@ def lipschitz_constant(sample: MapSample) -> float:
     return omega_1
 
 
-def _image_diameter(
-    images: dict[InterlacedTuple, Any],
-    d_target: Callable[[Any, Any], float],
-    universe: Sequence[int],
-    k: int,
-) -> float:
-    tuples = [InterlacedTuple(c) for c in itertools.combinations(universe, k)]
-    best = 0.0
-    for a, b in itertools.combinations(tuples, 2):
-        d = float(d_target(images[a], images[b]))
-        if d > best:
-            best = d
-    return best
-
-
 def concentration_probe(
     f: Callable[[InterlacedTuple], Any],
     d_target: Callable[[Any, Any], float],
@@ -189,27 +174,40 @@ def concentration_probe(
     degenerate -- over k + 1 elements all tuples are pairwise adjacent, so the
     flag would hold trivially.  The flag is observational either way: no
     finite search proves concentration.
+
+    Each image distance is evaluated at most once per call, as
+    d_target(earlier, later) in lexicographic tuple order, through one memo.
     """
     uni = sorted(set(int(v) for v in universe))
     if len(uni) < k + 1:
         raise InvalidInput("universe must have at least k + 1 elements")
     all_tuples = enumerate_tuples(uni, k)
-    images = {t: f(t) for t in all_tuples}
-    omega_1 = 0.0
-    for a, b in itertools.combinations(all_tuples, 2):
-        if dist(a, b) <= 1:
-            d = float(d_target(images[a], images[b]))
-            if d > omega_1:
-                omega_1 = d
+    images = [f(t) for t in all_tuples]
+    index = {t.entries: i for i, t in enumerate(all_tuples)}
+    memo: dict[tuple[int, int], float] = {}
+
+    def d_image(i: int, j: int) -> float:
+        d = memo.get((i, j))
+        if d is None:
+            d = memo[i, j] = float(d_target(images[i], images[j]))
+        return d
+
+    def diameter(subset: Sequence[int]) -> float:
+        ids = [index[c] for c in itertools.combinations(subset, k)]
+        pairs = itertools.combinations(ids, 2)
+        return max(itertools.chain((0.0,), itertools.starmap(d_image, pairs)))
+
+    index_pairs = itertools.combinations(range(len(all_tuples)), 2)
+    adjacent = ((i, j) for i, j in index_pairs if dist(all_tuples[i], all_tuples[j]) <= 1)
+    omega_1 = max(itertools.chain((0.0,), itertools.starmap(d_image, adjacent)))
 
     if mode == "greedy":
         current = list(uni)
-        diam = _image_diameter(images, d_target, current, k)
+        diam = diameter(current)
         while len(current) > k + 1:
             best_u, best_diam = None, diam
             for u in current:
-                trial = [v for v in current if v != u]
-                d = _image_diameter(images, d_target, trial, k)
+                d = diameter([v for v in current if v != u])
                 if d < best_diam:
                     best_u, best_diam = u, d
             if best_u is None:
@@ -229,7 +227,7 @@ def concentration_probe(
             )
         subset, diam_best = None, math.inf
         for cand in itertools.combinations(uni, size):
-            d = _image_diameter(images, d_target, cand, k)
+            d = diameter(cand)
             if d < diam_best:
                 subset, diam_best = cand, d
         assert subset is not None

@@ -163,18 +163,33 @@ def validate_modulus(
     return ValidationReport(tuple(bad))
 
 
+def _finite(x: Sequence[float]) -> list[float]:
+    vals = [float(v) for v in x]
+    if not all(map(math.isfinite, vals)):
+        raise InvalidInput(f"vector entries must be finite: {vals!r}")
+    return vals
+
+
 def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> float:
     """Luxemburg value inf { r : sum phi(|x_n|/r) <= 1 }, within `tol` of the infimum.
 
     Bracket by doubling/halving from max|x_n|, then bisect.  The returned value
     is the feasible (upper) end of the final bracket.  Bisection stops early if
     the bracket collapses to adjacent floats, so very large scales terminate.
+    The entries and `tol` are scaled by the power of two of max|x_n| and the
+    result is scaled back; this is exact, and the bracket cannot overflow.
     """
     if tol <= 0:
         raise InvalidInput("tol must be positive")
-    xs = [abs(float(v)) for v in x if float(v) != 0.0]
+    xs = [abs(v) for v in _finite(x) if v != 0.0]
     if not xs:
         return 0.0
+    _, exp = math.frexp(max(xs))
+    xs = [math.ldexp(v, -exp) for v in xs]
+    try:
+        tol = math.ldexp(tol, -exp)
+    except OverflowError:  # wider than any bracket: no bisection step is needed
+        tol = math.inf
     fn = spec.fn
 
     def total(r: float) -> float:
@@ -206,7 +221,10 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
             hi = mid
         else:
             lo = mid
-    return hi
+    try:
+        return math.ldexp(hi, exp)
+    except OverflowError:
+        raise InvalidInput("the norm exceeds the largest float") from None
 
 
 def n_norm(s: Sequence[float], spec: OrliczSpec) -> float:
@@ -220,7 +238,7 @@ def n_norm(s: Sequence[float], spec: OrliczSpec) -> float:
         raise InvalidInput(
             "n_norm requires an OrliczSpec declared 1-Lipschitz with slope limit 1"
         )
-    vals = [float(v) for v in s]
+    vals = _finite(s)
     if not vals:
         raise InvalidInput("n_norm needs at least one coordinate")
     fn = spec.fn
@@ -242,8 +260,8 @@ def delta_transform(mod: ModulusSpec, t: float, steps: int = 256) -> float:
     smooth moduli at the default resolution.
     """
     t = float(t)
-    if t < 0:
-        raise InvalidInput("t must be non-negative")
+    if not math.isfinite(t) or t < 0:
+        raise InvalidInput(f"t must be finite and non-negative, got {t!r}")
     if steps < 16:
         raise InvalidInput("steps must be >= 16")
     if t == 0.0:

@@ -48,6 +48,8 @@ class FinSeq:
     def __post_init__(self) -> None:
         vals = [float(v) for v in self.coeffs]
         t = float(self.tail)
+        if not (math.isfinite(t) and all(map(math.isfinite, vals))):
+            raise InvalidInput(f"sequence values must be finite: {vals!r}, tail {t!r}")
         while vals and vals[-1] == t:  # canonical form: no stored trailing tail values
             vals.pop()
         object.__setattr__(self, "coeffs", tuple(vals))

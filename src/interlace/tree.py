@@ -47,16 +47,16 @@ __all__ = [
     "f_separation",
     "g_separation",
     "f_difference_segments",
-    "DEFAULT_DEPTH_CAP",
+    "JT_SUPPORT_CAP",
     "BRUTE_FORCE_SUPPORT_CAP",
 ]
 
-DEFAULT_DEPTH_CAP = 8
+JT_SUPPORT_CAP = 4096
 BRUTE_FORCE_SUPPORT_CAP = 12
 
 
 def _check_bits(s: str) -> str:
-    if not isinstance(s, str) or any(c not in "01" for c in s):
+    if not isinstance(s, str) or s.strip("01"):
         raise InvalidInput(f"tree nodes are 0/1 strings, got {s!r}")
     return s
 
@@ -131,15 +131,13 @@ class TreeVec:
         return {k: self.entries[k] for k in self.support}
 
     @staticmethod
-    def from_json_dict(obj: Mapping[str, float], depth_cap: int = DEFAULT_DEPTH_CAP) -> "TreeVec":
+    def from_json_dict(obj: Mapping[str, float]) -> "TreeVec":
         if not isinstance(obj, Mapping):
             raise InvalidInput("tree vectors are JSON objects mapping bit-strings to numbers")
-        for key in obj:
-            _check_bits(key)
-            if len(key) > depth_cap:
-                raise InvalidInput(
-                    f"node {key!r} exceeds the depth cap {depth_cap}"
-                )
+        if len(obj) > JT_SUPPORT_CAP:
+            raise ResourceLimit(
+                f"{len(obj)} nodes exceed the support cap JT_SUPPORT_CAP = {JT_SUPPORT_CAP}"
+            )
         return TreeVec(dict(obj))
 
 
@@ -166,7 +164,12 @@ def segment_functional(seg: Segment) -> TreeVec:
 
 
 def jt_family_value(x: TreeVec, family: Sequence[Segment]) -> float:
-    """( sum_i (segment sum)^2 )^(1/2); the family must be pairwise node-disjoint."""
+    """( sum_i (segment sum)^2 )^(1/2); the family must be pairwise node-disjoint.
+
+    Sums are scaled by the power of two of max|x|, as in jt_norm_exact, so
+    squares of huge entries do not overflow.
+    """
+    _, exp = math.frexp(max((abs(v) for v in x.entries.values()), default=0.0))
     seen: set[str] = set()
     total = 0.0
     for seg in family:
@@ -175,9 +178,12 @@ def jt_family_value(x: TreeVec, family: Sequence[Segment]) -> float:
             if node in seen:
                 raise InvalidInput(f"segments overlap at node {node!r}")
             seen.add(node)
-        s = sum(x.value(node) for node in nodes)
+        s = sum(math.ldexp(x.value(node), -exp) for node in nodes)
         total += s * s
-    return math.sqrt(total)
+    try:
+        return math.ldexp(math.sqrt(total), exp)
+    except OverflowError:
+        raise InvalidInput("the family value exceeds the largest float") from None
 
 
 def _witness_sorted(segs: Sequence[Segment]) -> list[Segment]:

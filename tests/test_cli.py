@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from interlace.cli import main
 
 
@@ -53,12 +55,19 @@ def test_jt_norm_rejects_non_object_json(capsys):
     assert doc["error"]["kind"] == "invalid-input"
 
 
-def test_jt_norm_depth_cap(capsys):
-    entries = json.dumps({"0" * 9: 1.0})
+def test_jt_norm_support_cap(capsys):
+    # node length does not set the solver's cost: a depth-9 node is solved
+    code, out = run_cli(capsys, "jt-norm", "--entries", json.dumps({"0" * 9: 1.0}))
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["norm"] == 1.0
+    assert "depth_cap" not in doc["config"]
+    entries = json.dumps({format(i, "013b"): 1.0 for i in range(4097)})
     code, out = run_cli(capsys, "jt-norm", "--entries", entries)
     doc = json.loads(out)
-    assert code == 2
-    assert doc["error"]["kind"] == "invalid-input"
+    assert code == 3
+    assert doc["error"]["kind"] == "resource"
+    assert "JT_SUPPORT_CAP = 4096" in doc["error"]["message"]
 
 
 def test_jt_norm_four_leaf_bush_is_solved(capsys):
@@ -87,6 +96,29 @@ def test_jt_norm_huge_entries_do_not_overflow(capsys):
     code, out = run_cli(capsys, "jt-norm", "--entries", '{"0": 1e308, "00": 1e308}')
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "invalid-input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orlicz", "--op", "norm", "--phi", "huber", "--x", "nan,1"],
+        ["james-norm", "--coeffs", "nan,1"],
+        ["orlicz", "--op", "nnorm", "--phi", "huber", "--x", "inf,1"],
+        ["orlicz", "--op", "delta", "--modulus", "identity", "--t", "inf"],
+    ],
+)
+def test_non_finite_input_is_invalid_input(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "invalid-input"
+
+
+def test_orlicz_norm_near_the_largest_float(capsys):
+    code, out = run_cli(
+        capsys, "orlicz", "--op", "norm", "--phi", "pow:2", "--x", "1e308,1e308"
+    )
+    assert code == 0
+    assert abs(json.loads(out)["norm"] - 1.41421356237e308) <= 1e-11 * 1.41421356237e308
 
 
 def test_missing_input_file_is_invalid_input(tmp_path, capsys):

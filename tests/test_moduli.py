@@ -1,5 +1,6 @@
 """Empirical moduli, Lipschitz constants, probes, and the equicoarse table."""
 
+import itertools
 import math
 
 import pytest
@@ -159,6 +160,39 @@ class TestConcentrationProbe:
                 c=1.0,
                 mode="exhaustive",
             )
+
+    def test_each_image_distance_is_evaluated_once(self):
+        sample = summing_map_sample(3, 10)
+        table = _image_table(sample)
+        for mode in ("greedy", "exhaustive"):
+            calls = []
+
+            def d_target(x, y):
+                calls.append(None)
+                return sample.d_target(x, y)
+
+            concentration_probe(
+                lambda t: table[t], d_target, range(1, 11), 3, c=1.0, mode=mode
+            )
+            assert len(calls) == 120 * 119 // 2  # C(10, 3) tuples, every pair once
+
+    @pytest.mark.parametrize(
+        "make", [summing_map_sample, g_map_sample, constant_map_sample]
+    )
+    @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+    def test_result_matches_direct_evaluation(self, make, mode):
+        sample = make(2, 7)
+        table = _image_table(sample)
+        res = concentration_probe(
+            lambda t: table[t], sample.d_target, range(1, 8), 2, c=1.0, mode=mode
+        )
+        tuples = [itup(*c) for c in itertools.combinations(res.subset, 2)]
+        direct = max(
+            (sample.d_target(table[a], table[b]) for a, b in itertools.combinations(tuples, 2)),
+            default=0.0,
+        )
+        assert res.diameter == direct
+        assert res.omega_1 == lipschitz_constant(sample)
 
     def test_universe_too_small(self):
         with pytest.raises(InvalidInput):

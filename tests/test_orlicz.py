@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interlace import (
     InvalidInput,
@@ -93,6 +95,31 @@ class TestOrliczNorm:
         with pytest.raises(InvalidInput):
             orlicz_norm([1.0], orlicz_fixture("identity"), tol=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvalidInput):
+            orlicz_norm([bad, 1.0], orlicz_fixture("huber"))
+
+    def test_near_the_largest_float(self):
+        got = orlicz_norm([1e308, 1e308], orlicz_fixture("pow:2"))
+        assert abs(got - 1e308 * math.sqrt(2)) <= 1e-9 * got
+        with pytest.raises(InvalidInput):
+            orlicz_norm([1e308, 1e308], orlicz_fixture("identity"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # magnitudes in [1e-6, 1e6] stay normal floats under every scaling drawn
+        st.lists(st.floats(-1e6, 1e6).filter(lambda v: abs(v) >= 1e-6), min_size=1, max_size=8),
+        st.integers(-600, 600),
+        st.sampled_from(["identity", "huber", "pow:2", "pow:3", "t_minus_log1p"]),
+    )
+    def test_power_of_two_scaling_is_exact(self, vec, e, key):
+        spec = orlicz_fixture(key)
+        scaled = [math.ldexp(v, e) for v in vec]
+        assert orlicz_norm(scaled, spec, math.ldexp(1e-10, e)) == math.ldexp(
+            orlicz_norm(vec, spec), e
+        )
+
 
 class TestNNorm:
     def test_zero_first_coordinate(self):
@@ -104,6 +131,11 @@ class TestNNorm:
 
     def test_single_coordinate(self):
         assert n_norm([-2.0], orlicz_fixture("huber")) == 2.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvalidInput):
+            n_norm([1.0, bad], orlicz_fixture("huber"))
 
     def test_requires_declared_flags(self):
         with pytest.raises(InvalidInput):
@@ -207,6 +239,9 @@ class TestDeltaTransform:
         mod = modulus_fixture("identity")
         with pytest.raises(InvalidInput):
             delta_transform(mod, -1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidInput):
+                delta_transform(mod, bad)
         with pytest.raises(InvalidInput):
             delta_transform(mod, 1.0, steps=8)
 

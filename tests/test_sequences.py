@@ -49,6 +49,17 @@ class TestFinSeq:
         assert (x - y).coeffs == (1.0, 4.0, -3.0)
         assert (2.0 * x).coeffs == (2.0, 4.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(InvalidInput):
+            FinSeq((bad, 1.0))
+        with pytest.raises(InvalidInput):
+            FinSeq((1.0,), tail=bad)
+
+    def test_overflowing_arithmetic_is_rejected(self):
+        with pytest.raises(InvalidInput):
+            FinSeq((1e308,)) + FinSeq((1e308,))
+
 
 class TestSupNorm:
     def test_zero(self):

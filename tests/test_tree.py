@@ -28,6 +28,7 @@ from interlace import (
     pair,
     segment_functional,
 )
+from interlace.tree import JT_SUPPORT_CAP
 
 SQ2 = math.sqrt(2)
 
@@ -96,13 +97,18 @@ class TestTreeVec:
         x = TreeVec({"": 1.0, "01": -0.5})
         assert TreeVec.from_json_dict(x.to_json_dict()) == x
 
-    def test_depth_cap_enforced_on_load(self):
-        with pytest.raises(InvalidInput):
-            TreeVec.from_json_dict({"0" * 9: 1.0}, depth_cap=8)
+    def test_support_cap_enforced_on_load(self):
+        deep = TreeVec.from_json_dict({"0" * 9: 1.0})
+        assert jt_norm_exact(deep)[0] == 1.0
+        at_cap = {format(i, "012b"): 1.0 for i in range(JT_SUPPORT_CAP)}
+        assert len(TreeVec.from_json_dict(at_cap).entries) == JT_SUPPORT_CAP
+        with pytest.raises(ResourceLimit, match="JT_SUPPORT_CAP = 4096"):
+            TreeVec.from_json_dict({format(i, "013b"): 1.0 for i in range(4097)})
 
     def test_rejects_bad_keys(self):
-        with pytest.raises(InvalidInput):
-            TreeVec({"ab": 1.0})
+        for key in ("ab", "012", " ", "0\n", b"01", 5):
+            with pytest.raises(InvalidInput):
+                TreeVec({key: 1.0})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", None])
     def test_rejects_non_finite_and_non_numeric_entries(self, bad):
@@ -197,9 +203,13 @@ class TestJTNorm:
         assert witness == [Segment(stem + "0", stem + "0"), Segment(stem + "1", stem + "1")]
 
     def test_huge_entries_do_not_overflow(self):
-        norm, witness = jt_norm_exact(TreeVec({"0": 1e200, "00": 1e200}))
+        x = TreeVec({"0": 1e200, "00": 1e200})
+        norm, witness = jt_norm_exact(x)
         assert norm == 2e200
         assert witness == [Segment("0", "00")]
+        assert jt_family_value(x, witness) == 2e200
+        with pytest.raises(InvalidInput):
+            jt_family_value(TreeVec({"0": 1e308, "00": 1e308}), witness)
 
     def test_bruteforce_cap_is_named(self):
         x = TreeVec({"0" * j: 1.0 for j in range(13)})
