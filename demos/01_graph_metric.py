@@ -2,8 +2,9 @@
 
 Vertices of the arity-k graph are strictly increasing k-tuples; two tuples are
 adjacent when their entries alternate.  The shortest-path distance has a
-closed form through the walk profile F, and this script shows the formula,
-the BFS oracle, and explicit geodesics agreeing with each other.
+closed form through the walk profile F, which changes only at the entries of
+the symmetric difference and is stored as those steps.  This script shows the
+formula, the BFS oracle, and explicit geodesics agreeing with each other.
 """
 
 import itertools
@@ -24,9 +25,10 @@ for n, m in [(itup(1, 3), itup(2, 4)), (itup(1, 2), itup(3, 4)), (itup(1, 2), it
 
 print("\n== walk profile and the distance formula ==")
 n, m = itup(1, 2), itup(3, 4)
-F = walk_profile(n, m)
-print(f"  F for {n}, {m}: {F.values}")
-print(f"  dist = max F - min F = {F.max} - ({F.min}) = {dist(n, m)}")
+steps = walk_profile(n, m)
+heights = [0] + [h for _, h in steps]
+print(f"  steps (j, F(j)) of F for {n}, {m}: {steps}")
+print(f"  dist = max F - min F = {max(heights)} - ({min(heights)}) = {dist(n, m)}")
 
 print("\n== formula vs breadth-first oracle ==")
 pairs = 0

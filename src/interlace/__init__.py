@@ -14,7 +14,6 @@ Subpackage map:
 from .errors import InvalidInput, ResourceLimit
 from .graphs import (
     InterlacedTuple,
-    WalkProfile,
     dist,
     dist_oracle_bfs,
     enumerate_tuples,

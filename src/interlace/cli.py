@@ -201,14 +201,20 @@ def _cmd_james_norm(args: argparse.Namespace) -> dict:
 
 
 def _cmd_orlicz(args: argparse.Namespace) -> dict:
+    def required(flag: str) -> str:
+        value = getattr(args, flag)
+        if value is None:
+            raise InvalidInput(f"--op {args.op} needs --{flag}")
+        return value
+
     if args.op == "norm":
-        spec = orlicz_fixture(args.phi)
-        return {"norm": orlicz_norm(_parse_floats(args.x), spec, args.tol)}
+        spec = orlicz_fixture(required("phi"))
+        return {"norm": orlicz_norm(_parse_floats(required("x")), spec, args.tol)}
     if args.op == "nnorm":
-        spec = orlicz_fixture(args.phi)
-        return {"n_norm": n_norm(_parse_floats(args.x), spec)}
+        spec = orlicz_fixture(required("phi"))
+        return {"n_norm": n_norm(_parse_floats(required("x")), spec)}
     if args.op == "delta":
-        mod = modulus_fixture(args.modulus)
+        mod = modulus_fixture(required("modulus"))
         return {
             "delta": delta_transform(mod, args.t, args.steps),
             "modulus_at_t": mod.fn(args.t),
@@ -223,7 +229,7 @@ def _cmd_orlicz(args: argparse.Namespace) -> dict:
             raise InvalidInput("validate needs --phi or --modulus")
         return {"ok": report.ok, "violations": list(report.violations)[:20]}
     if args.op == "compare-lp":
-        spec = orlicz_fixture(args.phi)
+        spec = orlicz_fixture(required("phi"))
         rng = random.Random(args.seed)
         samples = [
             [rng.uniform(-2, 2) for _ in range(rng.randint(1, 12))]

@@ -8,9 +8,13 @@ swapped).  The shortest-path distance of this graph admits a closed form: with
     F(i) = sum_{j<=i} [j in n] - [j in m]        (the walk profile, F(0)=0)
 
 the distance equals max(F) - min(F), which is also the largest discrepancy
-||n ∩ S| - |m ∩ S|| over integer intervals S.  This module computes the metric
-three ways (profile formula, breadth-first oracle, explicit geodesics) so each
-can certify the others.
+||n ∩ S| - |m ∩ S|| over integer intervals S.  F changes only at the elements
+of the symmetric difference n △ m, by +1 at an element of n and by -1 at an
+element of m, and is 0 before the first and from the last of them on.  So the
+profile is stored as its steps, the pairs (j, F(j)) for j in n △ m: the
+distance costs O(k) and each geodesic step O(k log k), whatever the size of
+the entries.  This module computes the metric three ways (profile formula,
+breadth-first oracle, explicit geodesics) so each can certify the others.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .errors import InvalidInput
 
 __all__ = [
     "InterlacedTuple",
-    "WalkProfile",
     "is_adjacent",
     "walk_profile",
     "dist",
@@ -78,35 +81,6 @@ def itup(*values: int) -> InterlacedTuple:
     return InterlacedTuple(tuple(values))
 
 
-@dataclass(frozen=True)
-class WalkProfile:
-    """Partial sums F(0..L) of the membership difference of two equal-arity tuples."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
-        if not vals or vals[0] != 0:
-            raise InvalidInput("profile must start at F(0)=0")
-        if any(abs(b - a) > 1 for a, b in zip(vals, vals[1:])):
-            raise InvalidInput("profile steps must be -1, 0 or +1")
-        if vals[-1] != 0:
-            raise InvalidInput("profile must end at 0 (equal arities)")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def max(self) -> int:
-        return max(self.values)
-
-    @property
-    def min(self) -> int:
-        return min(self.values)
-
-    @property
-    def range(self) -> int:
-        return self.max - self.min
-
-
 def _check_same_arity(n: InterlacedTuple, m: InterlacedTuple) -> None:
     if n.arity != m.arity:
         raise InvalidInput(f"arity mismatch: {n.arity} vs {m.arity}")
@@ -127,20 +101,32 @@ def is_adjacent(n: InterlacedTuple, m: InterlacedTuple) -> bool:
     return chain(n.entries, m.entries) or chain(m.entries, n.entries)
 
 
-def walk_profile(n: InterlacedTuple, m: InterlacedTuple) -> WalkProfile:
-    """F(i) for i = 0..max(n_k, m_k); F counts membership surplus of n over m."""
+def walk_profile(n: InterlacedTuple, m: InterlacedTuple) -> tuple[tuple[int, int], ...]:
+    """The steps of F: the pairs (j, F(j)) for j in n △ m, in increasing order of j.
+
+    F is constant from one step to the next, 0 before the first step, and
+    every height differs by one from the height before it; the last is 0.
+    """
     _check_same_arity(n, m)
-    top = max(n.top, m.top)
     sn, sm = set(n.entries), set(m.entries)
-    vals = [0]
-    for j in range(1, top + 1):
-        vals.append(vals[-1] + (j in sn) - (j in sm))
-    return WalkProfile(tuple(vals))
+    steps, height = [], 0
+    for j in sorted(n.entries + m.entries):  # a linear merge of two sorted runs
+        if (j in sn) != (j in sm):
+            height += 1 if j in sn else -1
+            steps.append((j, height))
+    return tuple(steps)
+
+
+def _extremes(steps: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """(max F, min F) from the steps; F(0) = 0 counts."""
+    heights = [0] + [h for _, h in steps]
+    return max(heights), min(heights)
 
 
 def dist(n: InterlacedTuple, m: InterlacedTuple) -> int:
     """Graph distance via the profile formula max(F) - min(F)."""
-    return walk_profile(n, m).range
+    mx, mn = _extremes(walk_profile(n, m))
+    return mx - mn
 
 
 def dist_oracle_bfs(n: InterlacedTuple, m: InterlacedTuple) -> int:
@@ -170,38 +156,33 @@ def dist_oracle_bfs(n: InterlacedTuple, m: InterlacedTuple) -> int:
     raise AssertionError("BFS exhausted the universe without reaching the target")
 
 
-def _forward_step(n: InterlacedTuple, m: InterlacedTuple) -> InterlacedTuple:
-    """One geodesic step away from n, assuming max F_{n,m} > 0.
+def _forward_step(n: InterlacedTuple, steps: tuple[tuple[int, int], ...]) -> InterlacedTuple:
+    """One geodesic step away from n, given the steps of F_{n,m} with max F > 0.
 
     Selects interlaced extremal indices of the profile: a_1 = min argmax(F),
     then alternately the first argmin after the last a and the first argmax
-    after the last b.  The a's lie in n\\m, the b's in m\\n, and swapping them
-    lowers every fresh maximum of the profile by one.  When the selection ends
-    with one more a than b, the closing point r is the first strict descent of
-    F after the *last* argmax: the correction window [a_p, r) must cover every
-    argmax, otherwise the profile re-attains its old maximum beyond r and the
-    distance does not decrease (e.g. n=(2,3,5), m=(1,4,6)).
+    after the last b.  F is constant between steps, so each of these is the
+    start of a run, i.e. a step position.  The a's lie in n\\m, the b's in
+    m\\n, and swapping them lowers every fresh maximum of the profile by one.
+    When the selection ends with one more a than b, the closing point r is the
+    first strict descent of F after the *last* argmax, i.e. the step right
+    after the last maximal run: the correction window [a_p, r) must cover
+    every argmax, otherwise the profile re-attains its old maximum beyond r and
+    the distance does not decrease (e.g. n=(2,3,5), m=(1,4,6)).
     """
-    F = walk_profile(n, m).values
-    mx, mn = max(F), min(F)
+    mx, mn = _extremes(steps)
     if mx <= 0:
         raise AssertionError("forward step requires a positive profile maximum")
-    argmax = [i for i, v in enumerate(F) if v == mx]
-    argmin = [i for i, v in enumerate(F) if v == mn]
-    a = [argmax[0]]
+    a: list[int] = []
     b: list[int] = []
-    while True:
-        nxt_b = next((i for i in argmin if i > a[-1]), None)
-        if nxt_b is None:
-            break
-        b.append(nxt_b)
-        nxt_a = next((i for i in argmax if i > b[-1]), None)
-        if nxt_a is None:
-            break
-        a.append(nxt_a)
+    for j, h in steps:
+        if len(a) == len(b) and h == mx:
+            a.append(j)
+        elif len(a) > len(b) and h == mn:
+            b.append(j)
     if len(a) == len(b) + 1:
-        r = next(i for i in range(argmax[-1] + 1, len(F)) if F[i - 1] > F[i])
-        b.append(r)
+        last_max = max(t for t, (_, h) in enumerate(steps) if h == mx)
+        b.append(steps[last_max + 1][0])
     step = tuple(sorted((set(n.entries) - set(a)) | set(b)))
     return InterlacedTuple(step)
 
@@ -212,21 +193,23 @@ def geodesic_path(n: InterlacedTuple, m: InterlacedTuple) -> list[InterlacedTupl
     The path is assembled from both ends: each round advances whichever
     endpoint currently has the positive profile bump (the construction assumes
     max F > 0, so when max F_{left,right} <= 0 the step is taken from the right
-    endpoint instead).  Each step lowers the remaining distance by exactly one.
+    endpoint, whose profile has the same steps with negated heights).  Each
+    step lowers the remaining distance by exactly one.
     """
     _check_same_arity(n, m)
-    d = dist(n, m)
     left, right = [n], [m]
-    for _ in range(d + 1):
+    for _ in range(dist(n, m) + 1):
         a, b = left[-1], right[0]
-        if a.entries == b.entries:
+        steps = walk_profile(a, b)
+        mx, mn = _extremes(steps)
+        if mx == mn:
             return left + right[1:]
-        if dist(a, b) == 1:
+        if mx - mn == 1:
             return left + right
-        if walk_profile(a, b).max > 0:
-            left.append(_forward_step(a, b))
+        if mx > 0:
+            left.append(_forward_step(a, steps))
         else:
-            right.insert(0, _forward_step(b, a))
+            right.insert(0, _forward_step(b, tuple((j, -h) for j, h in steps)))
     raise AssertionError("geodesic assembly did not converge")
 
 

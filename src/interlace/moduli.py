@@ -87,10 +87,6 @@ class ModuliReport:
             if any(b < a for a, b in zip(seq, seq[1:])):
                 raise AssertionError("empirical moduli must be non-decreasing")
 
-    def at(self, t: float) -> tuple[float, float]:
-        idx = self.thresholds.index(t)
-        return self.rho_hat[idx], self.omega_hat[idx]
-
     def rows(self) -> list[tuple[float, float, float]]:
         return list(zip(self.thresholds, self.rho_hat, self.omega_hat))
 

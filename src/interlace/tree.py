@@ -69,9 +69,9 @@ class Segment:
     hi: str
 
     def __post_init__(self) -> None:
-        _check_bits(self.lo)
+        # a str prefix of a 0/1 string is a 0/1 string, so lo needs no bit check
         _check_bits(self.hi)
-        if not self.hi.startswith(self.lo):
+        if not (isinstance(self.lo, str) and self.hi.startswith(self.lo)):
             raise InvalidInput(f"{self.lo!r} is not a prefix of {self.hi!r}")
 
     def nodes(self) -> list[str]:
@@ -104,10 +104,6 @@ class TreeVec:
     @property
     def support(self) -> tuple[str, ...]:
         return tuple(sorted(self.entries, key=lambda s: (len(s), s)))
-
-    @property
-    def depth(self) -> int:
-        return max((len(k) for k in self.entries), default=0)
 
     def __add__(self, other: "TreeVec") -> "TreeVec":
         out = dict(self.entries)

@@ -24,6 +24,14 @@ def test_dist_outputs_distance_and_path(capsys):
     assert doc["config"]["n"] == "1,2"
 
 
+def test_dist_does_not_scale_with_the_entries(capsys):
+    code, out = run_cli(capsys, "dist", "--n", "1,1000000000000", "--m", "2,1000000000001")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["distance"] == 1
+    assert doc["path"] == [[1, 1000000000000], [2, 1000000000001]]
+
+
 def test_james_norm_with_oracle(capsys):
     code, out = run_cli(capsys, "james-norm", "--coeffs", "1,0,1", "--p", "2", "--brute")
     doc = json.loads(out)
@@ -111,6 +119,23 @@ def test_non_finite_input_is_invalid_input(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "invalid-input"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--op", "norm", "--x", "1,2"], "--phi"),
+        (["--op", "nnorm", "--x", "1,2"], "--phi"),
+        (["--op", "compare-lp"], "--phi"),
+        (["--op", "norm", "--phi", "huber"], "--x"),
+        (["--op", "nnorm", "--phi", "huber"], "--x"),
+    ],
+)
+def test_orlicz_missing_flag_is_invalid_input(capsys, argv, flag):
+    code, out = run_cli(capsys, "orlicz", *argv)
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "invalid-input" and flag in error["message"]
 
 
 def test_orlicz_norm_near_the_largest_float(capsys):

@@ -82,24 +82,39 @@ class TestAdjacency:
 
 
 class TestWalkProfile:
-    def test_invariants_enforced(self):
-        from interlace import WalkProfile
-
-        with pytest.raises(InvalidInput):
-            WalkProfile((1, 0))  # must start at 0
-        with pytest.raises(InvalidInput):
-            WalkProfile((0, 2, 0))  # steps bounded by 1
-        with pytest.raises(InvalidInput):
-            WalkProfile((0, 1))  # must return to 0
+    @settings(max_examples=100, deadline=None)
+    @given(tuple_pairs())
+    def test_steps_describe_the_profile(self, pair):
+        n, m = pair
+        steps = walk_profile(n, m)
+        positions = [j for j, _ in steps]
+        assert positions == sorted(set(positions))
+        assert set(positions) <= set(n.entries) ^ set(m.entries)
+        heights = [0] + [h for _, h in steps]
+        assert all(abs(b - a) == 1 for a, b in zip(heights, heights[1:]))
+        assert heights[-1] == 0
+        # expanding the steps reproduces the dense partial sums
+        level = dict(steps)
+        expanded = 0
+        for i in range(1, max(n.top, m.top) + 1):
+            expanded = level.get(i, expanded)
+            assert expanded == sum((j in n.entries) - (j in m.entries) for j in range(1, i + 1))
 
     def test_separated_pair(self):
-        assert walk_profile(itup(1, 2), itup(3, 4)).values == (0, 1, 2, 1, 0)
+        assert walk_profile(itup(1, 2), itup(3, 4)) == ((1, 1), (2, 2), (3, 1), (4, 0))
 
     def test_equal_tuples(self):
-        assert set(walk_profile(itup(2, 5), itup(2, 5)).values) == {0}
+        assert walk_profile(itup(2, 5), itup(2, 5)) == ()
 
     def test_interlaced_pair(self):
-        assert walk_profile(itup(1, 3), itup(2, 4)).values == (0, 1, 0, 1, 0)
+        assert walk_profile(itup(1, 3), itup(2, 4)) == ((1, 1), (2, 0), (3, 1), (4, 0))
+
+    def test_profile_class_is_gone(self):
+        import interlace
+        import interlace.graphs
+
+        assert not hasattr(interlace, "WalkProfile")
+        assert not hasattr(interlace.graphs, "WalkProfile")
 
 
 class TestDist:

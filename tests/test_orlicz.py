@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interlace import (
@@ -137,6 +137,31 @@ class TestNNorm:
         with pytest.raises(InvalidInput):
             n_norm([1.0, bad], orlicz_fixture("huber"))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(-1e6, 1e6), max_size=8),
+        st.data(),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_non_finite_anywhere_is_rejected(self, vec, data, bad):
+        pos = data.draw(st.integers(0, len(vec)))
+        with pytest.raises(InvalidInput):
+            n_norm(vec[:pos] + [bad] + vec[pos:], orlicz_fixture("huber"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+        st.sampled_from(["identity", "huber", "t_minus_log1p"]),
+    )
+    def test_bounded_finite_input_gives_a_finite_norm(self, vec, key):
+        assert math.isfinite(n_norm(vec, orlicz_fixture(key)))
+
+    def test_tiny_first_coordinate_and_overflow(self):
+        # |t| / |s| overflows: s * phi(|t| / |s|) is at its limit |t|
+        assert n_norm([5e-324, 1.0], orlicz_fixture("huber")) == 1.0
+        with pytest.raises(InvalidInput):
+            n_norm([1e308, 1e308], orlicz_fixture("identity"))
+
     def test_requires_declared_flags(self):
         with pytest.raises(InvalidInput):
             n_norm([1.0, 2.0], orlicz_fixture("log1p"))
@@ -244,6 +269,20 @@ class TestDeltaTransform:
                 delta_transform(mod, bad)
         with pytest.raises(InvalidInput):
             delta_transform(mod, 1.0, steps=8)
+
+
+    @settings(max_examples=40, deadline=None)
+    @example("identity", 5e-324, math.nan)  # its first midpoint underflows to 0
+    @given(
+        st.sampled_from(["identity", "rational"]),
+        st.floats(0.0, 1e6),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_finite_t_is_finite_and_non_finite_t_is_rejected(self, key, t, bad):
+        mod = modulus_fixture(key)
+        assert math.isfinite(delta_transform(mod, t))
+        with pytest.raises(InvalidInput):
+            delta_transform(mod, bad)
 
 
 class TestCompareLp:

@@ -56,6 +56,26 @@ class TestFinSeq:
         with pytest.raises(InvalidInput):
             FinSeq((1.0,), tail=bad)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(-1e6, 1e6), max_size=8),
+        st.data(),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_non_finite_anywhere_is_rejected(self, coeffs, data, bad):
+        pos = data.draw(st.integers(0, len(coeffs)))
+        with pytest.raises(InvalidInput):
+            FinSeq(tuple(coeffs[:pos] + [bad] + coeffs[pos:]))
+        with pytest.raises(InvalidInput):
+            FinSeq(tuple(coeffs), tail=bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), max_size=8), st.floats(-1e6, 1e6))
+    def test_bounded_finite_input_gives_finite_norms(self, coeffs, tail):
+        x = FinSeq(tuple(coeffs), tail)
+        assert all(map(math.isfinite, x.coeffs)) and math.isfinite(x.tail)
+        assert math.isfinite(james_norm(x, 2.0)) and math.isfinite(sup_norm(FinSeq(x.coeffs)))
+
     def test_overflowing_arithmetic_is_rejected(self):
         with pytest.raises(InvalidInput):
             FinSeq((1e308,)) + FinSeq((1e308,))

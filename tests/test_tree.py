@@ -83,6 +83,11 @@ class TestSegments:
         with pytest.raises(InvalidInput):
             Segment("2", "20")
 
+    @pytest.mark.parametrize("lo", [b"0", 0])
+    def test_rejects_non_string_lower_end(self, lo):
+        with pytest.raises(InvalidInput):
+            Segment(lo, "00")
+
 
 class TestTreeVec:
     def test_drops_zeros(self):
