@@ -273,10 +273,9 @@ def summing_map_sample(k: int, max_entry: int) -> MapSample:
     )
 
 
-def g_map_sample(k: int, max_entry: int, branch_bits: str | None = None) -> MapSample:
+def g_map_sample(k: int, max_entry: int) -> MapSample:
     """Branch embedding into the James-tree space, measured by jt_norm_exact."""
-    bits = "0" * max_entry if branch_bits is None else branch_bits
-    sigma = Branch(bits)
+    sigma = Branch("0" * max_entry)
     pts = enumerate_tuples(range(1, max_entry + 1), k)
     imgs = [g_embed(sigma, k, t) for t in pts]
     return MapSample(

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import InvalidInput, ResourceLimit
 
 __all__ = [
@@ -35,7 +33,7 @@ __all__ = [
     "ModulusSpec",
     "ValidationReport",
     "LpComparisonReport",
-    "default_grid",
+    "GRID",
     "validate_orlicz",
     "validate_modulus",
     "orlicz_norm",
@@ -52,6 +50,16 @@ MAX_BRACKET_STEPS = 64
 GRID_LO, GRID_HI, GRID_POINTS = 1e-6, 1e3, 512  # the geometric validation grid
 REL_TOL = 1e-9  # relative slack of every grid check
 SLOPE_TOL = 0.1  # allowed distance of phi(t)/t from 1 at the right end of the grid
+
+# The geometric validation grid: 10 raised to GRID_POINTS equally spaced log10
+# values from GRID_LO to GRID_HI, with both ends set exactly.
+_LOG_LO = math.log10(GRID_LO)
+_LOG_STEP = (math.log10(GRID_HI) - _LOG_LO) / (GRID_POINTS - 1)
+GRID: tuple[float, ...] = (
+    GRID_LO,
+    *(10.0 ** (i * _LOG_STEP + _LOG_LO) for i in range(1, GRID_POINTS - 1)),
+    GRID_HI,
+)
 
 
 @dataclass(frozen=True)
@@ -95,33 +103,41 @@ class LpComparisonReport:
     note: str = ""
 
 
-def default_grid() -> np.ndarray:
-    """Geometric validation grid: GRID_POINTS points over [GRID_LO, GRID_HI]."""
-    return np.geomspace(GRID_LO, GRID_HI, GRID_POINTS)
-
-
 def _slack(v: float) -> float:
     return REL_TOL * max(1.0, abs(v))
 
 
+def _at(fn: Callable[[float], float], t: float, name: str = "phi") -> float:
+    """fn(t), read as +inf where the float arithmetic overflows; NaN is InvalidInput."""
+    try:
+        v = fn(t)
+    except OverflowError:
+        return math.inf
+    if math.isnan(v):
+        raise InvalidInput(f"{name} returned NaN at t = {t:g}")
+    return v
+
+
 def validate_orlicz(spec: OrliczSpec) -> ValidationReport:
     """Grid checks: phi(0)=0, monotonicity, midpoint convexity, declared flags."""
-    g = default_grid()
+    g = GRID
     fn = spec.fn
+    # 0, then each grid point and its midpoint with the next: increasing t
+    pts = (0.0, *(u for a, b in zip(g, g[1:]) for u in (a, 0.5 * (a + b))), g[-1])
+    try:
+        ys = [_at(fn, t) for t in pts]
+    except InvalidInput as exc:
+        return ValidationReport((str(exc),))
+    v0, vals, mids = ys[0], ys[1::2], ys[2::2]
     bad: list[str] = []
-
-    v0 = fn(0.0)
     if abs(v0) > 1e-12:
         bad.append(f"phi(0) = {v0:g} != 0")
-
-    vals = np.array([fn(t) for t in g])
     for i in range(len(g) - 1):
         a, b = g[i], g[i + 1]
         fa, fb = vals[i], vals[i + 1]
         if fb < fa - _slack(fa):
             bad.append(f"not non-decreasing on [{a:g}, {b:g}]")
-        mid = fn(0.5 * (a + b))
-        if mid > 0.5 * (fa + fb) + _slack(fa + fb):
+        if mids[i] > 0.5 * (fa + fb) + _slack(fa + fb):
             bad.append(f"midpoint convexity fails on [{a:g}, {b:g}]")
         if spec.is_one_lipschitz and abs(fb - fa) > (b - a) + _slack(b - a):
             bad.append(f"not 1-Lipschitz on [{a:g}, {b:g}]")
@@ -136,18 +152,20 @@ def validate_orlicz(spec: OrliczSpec) -> ValidationReport:
 
 def validate_modulus(spec: ModulusSpec) -> ValidationReport:
     """Grid checks: positivity, fn(t)/t non-decreasing, ratio approaching 1."""
-    g = default_grid()
-    fn = spec.fn
+    g = GRID
+    try:
+        vals = [_at(spec.fn, t, "fn") for t in g]
+    except InvalidInput as exc:
+        return ValidationReport((str(exc),))
     bad: list[str] = []
-    vals = np.array([fn(t) for t in g])
-    if np.any(vals <= 0):
-        t = g[int(np.argmax(vals <= 0))]
+    t = next((t for t, v in zip(g, vals) if v <= 0), None)
+    if t is not None:
         bad.append(f"not positive at t = {t:g}")
-    ratios = vals / g
+    ratios = [v / t for v, t in zip(vals, g)]
     for i in range(len(g) - 1):
         if ratios[i + 1] < ratios[i] - _slack(ratios[i]):
             bad.append(f"ratio fn(t)/t decreases on [{g[i]:g}, {g[i+1]:g}]")
-    if np.any(ratios > 1.0 + REL_TOL):
+    if any(r > 1.0 + REL_TOL for r in ratios):
         bad.append("ratio fn(t)/t exceeds 1")
     if abs(ratios[-1] - 1.0) > SLOPE_TOL:
         bad.append(f"ratio fn(t)/t = {ratios[-1]:g} at t = {g[-1]:g}; limit 1 not visible")
@@ -184,7 +202,10 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
     fn = spec.fn
 
     def total(r: float) -> float:
-        return sum(fn(v / r) for v in xs)
+        s = sum(fn(v / r) for v in xs)
+        if math.isnan(s):
+            raise InvalidInput("phi returned NaN")
+        return s
 
     hi = max(xs)
     lo = hi
@@ -240,7 +261,7 @@ def n_norm(s: Sequence[float], spec: OrliczSpec) -> float:
         else:
             ratio = abs(t) / acc
             # beyond the float range, acc * phi(ratio) is at its limit |t| (slope limit 1)
-            acc = acc + (acc * fn(ratio) if math.isfinite(ratio) else abs(t))
+            acc = acc + (acc * _at(fn, ratio) if math.isfinite(ratio) else abs(t))
     if not math.isfinite(acc):
         raise InvalidInput("the N-norm exceeds the largest float")
     return acc
@@ -291,7 +312,7 @@ def compare_lp(
     restricted to (0, 1]: a ratio phi(t)/t^p that peaks at the left edge and
     exceeds its value at the right edge by more than a factor 10 is treated as
     blowing up toward 0 (upper side inapplicable), and symmetrically for a
-    ratio vanishing toward 0 on the lower side.
+    ratio vanishing toward 0 on the lower side.  p must be finite and >= 1.
 
     With use_n_norm=True the numerator is the iterated N-norm instead (spec
     must then carry the admissibility flags); the N-norm inherits both
@@ -300,17 +321,19 @@ def compare_lp(
     """
     if side not in ("upper", "lower"):
         raise InvalidInput("side must be 'upper' or 'lower'")
-    g = default_grid()
-    g01 = g[g <= 1.0]
-    ratios = np.array([spec.fn(t) / t**p for t in g01])
+    if not (math.isfinite(p) and p >= 1.0):
+        raise InvalidInput(f"p must be finite and >= 1, got {p!r}")
+    powers = [(t, t**p) for t in GRID if t <= 1.0]
+    # a t^p below the float range puts the ratio beyond it
+    ratios = [_at(spec.fn, t) / tp if tp > 0.0 else math.inf for t, tp in powers]
     if side == "upper":
-        grid_constant = float(ratios.max())
-        diverging = ratios[0] == ratios.max() and ratios[0] > 10.0 * ratios[-1]
+        grid_constant = max(ratios)
+        diverging = ratios[0] == grid_constant and ratios[0] > 10.0 * ratios[-1]
         applicable = not diverging
         note = "" if applicable else "phi(t)/t^p blows up toward 0; no upper constant"
     else:
-        grid_constant = float(ratios.min())
-        vanishing = ratios[0] == ratios.min() and ratios[0] * 10.0 < ratios[-1]
+        grid_constant = min(ratios)
+        vanishing = ratios[0] == grid_constant and ratios[0] * 10.0 < ratios[-1]
         applicable = not vanishing
         note = "" if applicable else "phi(t)/t^p vanishes toward 0; no lower constant"
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +220,52 @@ def test_orlicz_validate(capsys):
     assert code == 0
     assert doc["ok"] is False
     assert any("convexity" in v for v in doc["violations"])
+
+
+def test_orlicz_grid_overflow_and_underflow_keep_their_verdicts(capsys):
+    # phi(1e3) = 1e600 overflows; t^p underflows to 0 at the left end of the grid
+    code, out = run_cli(capsys, "orlicz", "--op", "validate", "--phi", "pow:200")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["ok"] is True and doc["violations"] == []
+    code, out = run_cli(capsys, "orlicz", "--op", "compare-lp", "--phi", "huber", "--p", "60")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["applicable"] is False and doc["grid_constant"] == "inf"
+    code, out = run_cli(
+        capsys, "orlicz", "--op", "compare-lp", "--phi", "pow:3", "--p", "100", "--side", "lower"
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["applicable"] is True and doc["grid_constant"] == 13.7702951369
+
+
+@pytest.mark.parametrize("p", ["0", "nan", "-1", "inf"])
+def test_compare_lp_rejects_p_outside_its_domain(capsys, p):
+    code, out = run_cli(capsys, "orlicz", "--op", "compare-lp", "--phi", "huber", "--p", p)
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "invalid-input" and "p must be finite and >= 1" in error["message"]
+
+
+def test_the_library_runs_without_numpy():
+    script = (
+        "import contextlib, io, sys\n"
+        "import interlace, interlace.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for op in ('validate', 'compare-lp'):\n"
+        "        assert interlace.cli.main(['orlicz', '--op', op, '--phi', 'huber']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_orlicz_nnorm_rejects_undeclared_fixture(capsys):

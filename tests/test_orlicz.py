@@ -20,6 +20,7 @@ from interlace import (
     validate_modulus,
     validate_orlicz,
 )
+from interlace.orlicz import GRID
 
 
 class TestValidation:
@@ -64,6 +65,29 @@ class TestValidation:
         with pytest.raises(InvalidInput):
             modulus_fixture("nope")
 
+    def test_grid_is_geometric_with_exact_ends(self):
+        assert len(GRID) == 512
+        assert GRID[0] == 1e-6 and GRID[-1] == 1e3
+        step = 10.0 ** (9.0 / 511)
+        for a, b in zip(GRID, GRID[1:]):
+            assert abs(b / a - step) <= 1e-12
+
+    def test_nan_is_one_violation_at_the_first_point(self):
+        always = lambda t: math.nan
+        late = lambda t: math.nan if t > 2.0 else t
+        assert validate_orlicz(OrliczSpec(always, True, True)).violations == (
+            "phi returned NaN at t = 0",
+        )
+        assert validate_orlicz(OrliczSpec(late)).violations == (
+            "phi returned NaN at t = 2.01969",
+        )
+        assert validate_modulus(ModulusSpec(always)).violations == (
+            "fn returned NaN at t = 1e-06",
+        )
+        assert validate_modulus(ModulusSpec(late)).violations == (
+            "fn returned NaN at t = 2.01969",
+        )
+
 
 class TestOrliczNorm:
     def test_l2_case(self):
@@ -90,6 +114,11 @@ class TestOrliczNorm:
         got = orlicz_norm([1e9, 1e9], orlicz_fixture("pow:2"), tol=1e-10)
         want = 1e9 * math.sqrt(2)
         assert abs(got - want) <= 1e-6 * want
+
+    def test_nan_from_phi_is_invalid_input(self):
+        spec = OrliczSpec(lambda t: math.nan, True, True)
+        with pytest.raises(InvalidInput, match="phi returned NaN"):
+            orlicz_norm([1.0, 2.0], spec)
 
     def test_invalid_tol(self):
         with pytest.raises(InvalidInput):
@@ -161,6 +190,11 @@ class TestNNorm:
         assert n_norm([5e-324, 1.0], orlicz_fixture("huber")) == 1.0
         with pytest.raises(InvalidInput):
             n_norm([1e308, 1e308], orlicz_fixture("identity"))
+
+    def test_nan_from_phi_is_invalid_input(self):
+        spec = OrliczSpec(lambda t: math.nan, True, True)
+        with pytest.raises(InvalidInput, match="phi returned NaN"):
+            n_norm([1.0, 2.0], spec)
 
     def test_requires_declared_flags(self):
         with pytest.raises(InvalidInput):
@@ -327,3 +361,8 @@ class TestCompareLp:
     def test_invalid_side(self):
         with pytest.raises(InvalidInput):
             compare_lp(orlicz_fixture("identity"), 2.0, "sideways", [])
+
+    def test_nan_from_phi_is_invalid_input(self):
+        spec = OrliczSpec(lambda t: math.nan, True, True)
+        with pytest.raises(InvalidInput, match="phi returned NaN"):
+            compare_lp(spec, 2.0, "upper", [[1.0, 2.0]])
