@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from typing import Any, Sequence
 
 from . import acceptance
 from .errors import InvalidInput, ResourceLimit
-from .graphs import InterlacedTuple, dist, enumerate_tuples, geodesic_path
+from .graphs import InterlacedTuple, dist, geodesic_path
 from .moduli import (
     compute_moduli,
     concentration_probe,
@@ -53,8 +54,6 @@ from .sequences import (
     james_norm,
     james_norm_bruteforce,
     summing_distortion_check,
-    summing_image,
-    sup_norm,
 )
 from .tree import (
     Branch,
@@ -170,20 +169,16 @@ def _cmd_dist(args: argparse.Namespace) -> dict:
 
 
 def _cmd_embed_c0(args: argparse.Namespace) -> dict:
-    verts = enumerate_tuples(range(1, args.max_entry + 1), args.k)
+    sample = summing_map_sample(args.k, args.max_entry)
+    pairs = zip(itertools.combinations(sample.points, 2), sample.pair_distances())
     rows = []
-    ratios = []
-    for i, n in enumerate(verts):
-        for m in verts[i + 1 :]:
-            d = dist(n, m)
-            diff_norm = sup_norm(summing_image(n) - summing_image(m))
-            ratio, _ = summing_distortion_check(n, m)
-            ratios.append(ratio)
-            rows.append(
-                [",".join(map(str, n.entries)), ",".join(map(str, m.entries)), d, diff_norm, ratio]
-            )
+    for (n, m), (d, diff_norm) in pairs:
+        ratio, _ = summing_distortion_check(n, m)
+        n_text, m_text = (",".join(map(str, t.entries)) for t in (n, m))
+        rows.append([n_text, m_text, int(d), diff_norm, ratio])
     out = _out_dir(args) / f"embed_c0_k{args.k}_max{args.max_entry}.csv"
     _write_csv(out, ["n", "m", "dist", "sup_diff", "ratio"], rows, _config_echo(args))
+    ratios = [row[-1] for row in rows]
     return {
         "pairs": len(rows),
         "min_ratio": min(ratios),
@@ -294,7 +289,10 @@ _FAMILIES = {
 
 def _cmd_moduli(args: argparse.Namespace) -> dict:
     if args.equicoarse:
-        ks = [int(v) for v in args.ks.split(",")]
+        try:
+            ks = [int(v) for v in args.ks.split(",")]
+        except ValueError as exc:
+            raise InvalidInput(f"cannot parse --ks {args.ks!r}: {exc}") from None
         rows = equicoarse_report(
             [(k, _FAMILIES[args.family](k, 2 * k)) for k in ks]
         )

@@ -216,12 +216,24 @@ def geodesic_path(n: InterlacedTuple, m: InterlacedTuple) -> list[InterlacedTupl
 def geodesic_step(n: InterlacedTuple, m: InterlacedTuple) -> InterlacedTuple:
     """The first vertex after n on a geodesic to m; requires dist(n, m) >= 2.
 
-    Guarantees dist(n, result) = 1 and dist(result, m) = dist(n, m) - 1.
+    Guarantees dist(n, result) = 1 and dist(result, m) = dist(n, m) - 1.  When
+    max F <= 0 the entries are reflected, j -> T + 1 - j with T the larger top:
+    the reflected profile is -F(T - .), whose maximum is positive, so the
+    forward step applies there and is reflected back.
     """
-    _check_same_arity(n, m)
-    if dist(n, m) < 2:
+    steps = walk_profile(n, m)
+    mx, mn = _extremes(steps)
+    if mx - mn < 2:
         raise InvalidInput("geodesic_step requires dist(n, m) >= 2")
-    return geodesic_path(n, m)[1]
+    if mx > 0:
+        return _forward_step(n, steps)
+    top = max(n.top, m.top) + 1
+
+    def reflect(t: InterlacedTuple) -> InterlacedTuple:
+        return InterlacedTuple(tuple(top - j for j in reversed(t.entries)))
+
+    rn, rm = reflect(n), reflect(m)
+    return reflect(_forward_step(rn, walk_profile(rn, rm)))
 
 
 def enumerate_tuples(universe: Iterable[int], k: int) -> list[InterlacedTuple]:

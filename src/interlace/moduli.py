@@ -16,8 +16,10 @@ phenomenon, so its verdict is observational.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -63,7 +65,7 @@ class MapSample:
             raise InvalidInput("a sample needs at least two points")
 
     def pair_distances(self) -> list[tuple[float, float]]:
-        """(source distance, image distance) over unordered distinct pairs."""
+        """(source distance, image distance) per pair, in `itertools.combinations` order."""
         out = []
         for i, j in itertools.combinations(range(len(self.points)), 2):
             ds = float(self.d_source(self.points[i], self.points[j]))
@@ -112,22 +114,25 @@ def compute_moduli(
 ) -> ModuliReport:
     """Empirical rho/omega over all sample pairs at the given thresholds.
 
-    Thresholds default to the realized source distances.
+    Thresholds default to the realized source distances.  One sort of the pairs by
+    source distance answers every threshold by bisection into running extrema.
     """
+    source = operator.itemgetter(0)
     pairs = sample.pair_distances()
+    pairs.sort(key=source)
     if thresholds is None:
         ts = sorted({ds for ds, _ in pairs})
     else:
         ts = sorted(float(t) for t in thresholds)
-        if any(t < 0 for t in ts):
-            raise InvalidInput("thresholds must be non-negative")
-    rho, omega = [], []
-    for t in ts:
-        lo = [dt for ds, dt in pairs if ds >= t]
-        hi = [dt for ds, dt in pairs if ds <= t]
-        rho.append(min(lo) if lo else math.inf)
-        omega.append(max(hi) if hi else 0.0)
-    return ModuliReport(tuple(ts), tuple(rho), tuple(omega))
+        if not all(t >= 0 for t in ts):  # NaN fails too
+            raise InvalidInput(f"thresholds must be non-negative numbers: {ts}")
+    max_upto = [0.0, *itertools.accumulate((dt for _, dt in pairs), max)]
+    min_from = [*itertools.accumulate((dt for _, dt in reversed(pairs)), min)]
+    min_from.reverse()
+    min_from.append(math.inf)
+    rho = tuple(min_from[bisect.bisect_left(pairs, t, key=source)] for t in ts)
+    omega = tuple(max_upto[bisect.bisect_right(pairs, t, key=source)] for t in ts)
+    return ModuliReport(tuple(ts), rho, omega)
 
 
 def lipschitz_constant(sample: MapSample) -> float:
@@ -171,31 +176,39 @@ def concentration_probe(
     flag would hold trivially.  The flag is observational either way: no
     finite search proves concentration.
 
-    Each image distance is evaluated at most once per call, as
-    d_target(earlier, later) in lexicographic tuple order, through one memo.
+    Each image distance is evaluated once, whatever the mode; the diameter of a
+    subset is the first entry of the decreasing (distance, mask) table inside it.
     """
+    c = float(c)
+    if not (math.isfinite(c) and c >= 0.0):
+        raise InvalidInput(f"c must be finite and >= 0, got {c!r}")
     uni = sorted(set(int(v) for v in universe))
     if len(uni) < k + 1:
         raise InvalidInput("universe must have at least k + 1 elements")
+    if mode == "exhaustive":
+        if len(uni) > EXHAUSTIVE_PROBE_CAP:
+            raise ResourceLimit(f"exhaustive probe capped at |U| <= {EXHAUSTIVE_PROBE_CAP}")
+        size = 2 * k if subset_size is None else int(subset_size)
+        if not (k + 1 <= size <= len(uni)):
+            raise InvalidInput(
+                f"subset size {size} must lie in [k + 1, |U|] = [{k + 1}, {len(uni)}]"
+            )
+    elif mode != "greedy":
+        raise InvalidInput(f"unknown probe mode {mode!r}")
     all_tuples = enumerate_tuples(uni, k)
-    images = [f(t) for t in all_tuples]
-    index = {t.entries: i for i, t in enumerate(all_tuples)}
-    memo: dict[tuple[int, int], float] = {}
+    pairs = MapSample(all_tuples, dist, [f(t) for t in all_tuples], d_target).pair_distances()
+    omega_1 = max((dt for ds, dt in pairs if ds <= 1.0), default=0.0)
 
-    def d_image(i: int, j: int) -> float:
-        d = memo.get((i, j))
-        if d is None:
-            d = memo[i, j] = float(d_target(images[i], images[j]))
-        return d
+    bit = {v: 1 << i for i, v in enumerate(uni)}
+    masks = [sum(bit[v] for v in t) for t in all_tuples]
+    table = sorted(
+        ((dt, a | b) for (_, dt), (a, b) in zip(pairs, itertools.combinations(masks, 2))),
+        reverse=True,
+    )
 
-    def diameter(subset: Sequence[int]) -> float:
-        ids = [index[c] for c in itertools.combinations(subset, k)]
-        pairs = itertools.combinations(ids, 2)
-        return max(itertools.chain((0.0,), itertools.starmap(d_image, pairs)))
-
-    index_pairs = itertools.combinations(range(len(all_tuples)), 2)
-    adjacent = ((i, j) for i, j in index_pairs if dist(all_tuples[i], all_tuples[j]) <= 1)
-    omega_1 = max(itertools.chain((0.0,), itertools.starmap(d_image, adjacent)))
+    def diameter(subset: Iterable[int]) -> float:
+        outside = ~sum(bit[v] for v in subset)
+        return next((d for d, mask in table if not mask & outside), 0.0)
 
     if mode == "greedy":
         current = list(uni)
@@ -211,27 +224,15 @@ def concentration_probe(
             current.remove(best_u)
             diam = best_diam
         subset, diam_best = tuple(current), diam
-    elif mode == "exhaustive":
-        if len(uni) > EXHAUSTIVE_PROBE_CAP:
-            raise ResourceLimit(
-                f"exhaustive probe capped at |U| <= {EXHAUSTIVE_PROBE_CAP}"
-            )
-        size = 2 * k if subset_size is None else int(subset_size)
-        if not (k + 1 <= size <= len(uni)):
-            raise InvalidInput(
-                f"subset size {size} must lie in [k + 1, |U|] = [{k + 1}, {len(uni)}]"
-            )
-        subset, diam_best = None, math.inf
+    else:
+        subset, diam_best = (), math.inf
         for cand in itertools.combinations(uni, size):
             d = diameter(cand)
             if d < diam_best:
                 subset, diam_best = cand, d
-        assert subset is not None
-    else:
-        raise InvalidInput(f"unknown probe mode {mode!r}")
 
-    flag = diam_best <= float(c) * omega_1 + 1e-12
-    return ProbeResult(tuple(subset), diam_best, flag, omega_1)
+    flag = diam_best <= c * omega_1 + 1e-12
+    return ProbeResult(subset, diam_best, flag, omega_1)
 
 
 def equicoarse_report(

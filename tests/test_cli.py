@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from interlace import dist, itup, summing_distortion_check, summing_image, sup_norm
 from interlace.cli import main
 
 
@@ -150,6 +151,13 @@ def test_orlicz_norm_near_the_largest_float(capsys):
     assert abs(json.loads(out)["norm"] - 1.41421356237e308) <= 1e-11 * 1.41421356237e308
 
 
+def test_orlicz_norm_with_an_overflowing_phi(capsys):
+    # (1/0.5)^1100 overflows in the halving bracket; the sum reads as +inf
+    code, out = run_cli(capsys, "orlicz", "--op", "norm", "--phi", "pow:1100", "--x", "1")
+    assert code == 0
+    assert json.loads(out)["norm"] == 1.0
+
+
 def test_missing_input_file_is_invalid_input(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     for argv in (["jt-norm", "--input", missing], ["james-norm", "--input", missing]):
@@ -200,6 +208,13 @@ def test_embed_c0_writes_table(tmp_path, capsys):
     rows = list(csv_mod.reader(lines[1:]))
     assert all(len(row) == 5 for row in rows)
     assert rows[1][0] == "1,2"
+    # every row against the metric, the image difference and the certificate
+    for n_text, m_text, d_text, sup_text, ratio_text in rows[1:]:
+        n, m = (itup(*map(int, text.split(","))) for text in (n_text, m_text))
+        assert d_text == str(dist(n, m))
+        sup = sup_norm(summing_image(n) - summing_image(m))
+        assert float(sup_text) == float(f"{sup:.12g}")
+        assert float(ratio_text) == float(f"{summing_distortion_check(n, m)[0]:.12g}")
 
 
 def test_orlicz_norm_and_delta(capsys):
@@ -337,6 +352,22 @@ def test_moduli_table_and_probe(tmp_path, capsys):
 def test_moduli_probe_requires_c(capsys):
     code, out = run_cli(capsys, "moduli", "--probe", "--k", "2", "--max-entry", "6")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "summing", "--k", "2", "--max-entry", "5", "--thresholds", "nan,1"],
+        ["--equicoarse", "--family", "summing", "--ks", "1,x"],
+        ["--probe", "--family", "summing", "--k", "2", "--max-entry", "6", "--c", "nan"],
+        ["--probe", "--family", "summing", "--k", "2", "--max-entry", "6", "--c", "-1"],
+    ],
+    ids=["nan-threshold", "bad-ks", "nan-c", "negative-c"],
+)
+def test_moduli_inputs_outside_the_domain_are_invalid_input(tmp_path, capsys, argv):
+    code, out = run_cli(capsys, "moduli", *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "invalid-input"
 
 
 def test_equicoarse_table(tmp_path, capsys):

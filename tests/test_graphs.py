@@ -17,6 +17,7 @@ from interlace import (
     itup,
     walk_profile,
 )
+from interlace import graphs
 from interlace.graphs import InterlacedTuple
 
 
@@ -211,6 +212,25 @@ class TestGeodesics:
         assert dist(n, m) == 2
         step = geodesic_step(n, m)
         assert dist(n, step) == 1 and dist(step, m) == 1
+
+    def test_step_is_one_step_on_every_small_pair(self, monkeypatch):
+        # the step is built from the profile alone, never from a whole path
+        def no_path(n, m):
+            raise AssertionError("geodesic_step must not build the whole path")
+
+        monkeypatch.setattr(graphs, "geodesic_path", no_path)
+        checked = 0
+        for k in (1, 2, 3):
+            tuples = enumerate_tuples(range(1, 9), k)
+            for n, m in itertools.permutations(tuples, 2):
+                d = dist(n, m)
+                if d < 2:
+                    continue
+                step = geodesic_step(n, m)
+                assert is_adjacent(n, step)
+                assert dist(step, m) == d - 1
+                checked += 1
+        assert checked > 0
 
     def test_path_trivial(self):
         assert geodesic_path(itup(2, 4), itup(2, 4)) == [itup(2, 4)]

@@ -4,6 +4,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interlace import (
     FinSeq,
@@ -69,6 +71,55 @@ class TestComputeModuli:
     def test_rejects_negative_thresholds(self):
         with pytest.raises(InvalidInput):
             compute_moduli(identity_map_sample(1, 3), thresholds=[-1.0])
+
+    def test_nan_threshold_is_invalid_and_inf_is_the_far_end(self):
+        sample = summing_map_sample(2, 5)
+        with pytest.raises(InvalidInput):
+            compute_moduli(sample, thresholds=[math.nan, 1.0])
+        report = compute_moduli(sample, thresholds=[math.inf])
+        assert report.rho_hat == (math.inf,)
+        assert report.omega_hat == (max(dt for _, dt in sample.pair_distances()),)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+                    st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 10.0)),
+                ),
+                min_size=n * (n - 1) // 2,
+                max_size=n * (n - 1) // 2,
+            ).map(lambda table: (n, table))
+        ),
+        st.one_of(
+            st.none(),
+            st.lists(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 7.0, math.inf]),
+                min_size=1,
+                max_size=6,
+            ),
+        ),
+    )
+    def test_matches_the_definition(self, sized_table, thresholds):
+        # ties in both distances; thresholds below, at, between and above them
+        n, table = sized_table
+        by_pair = dict(zip(itertools.combinations(range(n), 2), table))
+        sample = MapSample(
+            list(range(n)),
+            lambda a, b: by_pair[a, b][0],
+            list(range(n)),
+            lambda a, b: by_pair[a, b][1],
+        )
+        report = compute_moduli(sample, thresholds)
+        ts = sorted({ds for ds, _ in table}) if thresholds is None else sorted(thresholds)
+        assert report.thresholds == tuple(ts)
+        assert report.rho_hat == tuple(
+            min((dt for ds, dt in table if ds >= t), default=math.inf) for t in ts
+        )
+        assert report.omega_hat == tuple(
+            max((dt for ds, dt in table if ds <= t), default=0.0) for t in ts
+        )
 
 
 class TestLipschitz:
@@ -164,7 +215,7 @@ class TestConcentrationProbe:
     def test_each_image_distance_is_evaluated_once(self):
         sample = summing_map_sample(3, 10)
         table = _image_table(sample)
-        for mode in ("greedy", "exhaustive"):
+        for mode, size in (("greedy", None), ("exhaustive", None), ("exhaustive", 4)):
             calls = []
 
             def d_target(x, y):
@@ -172,7 +223,13 @@ class TestConcentrationProbe:
                 return sample.d_target(x, y)
 
             concentration_probe(
-                lambda t: table[t], d_target, range(1, 11), 3, c=1.0, mode=mode
+                lambda t: table[t],
+                d_target,
+                range(1, 11),
+                3,
+                c=1.0,
+                mode=mode,
+                subset_size=size,
             )
             assert len(calls) == 120 * 119 // 2  # C(10, 3) tuples, every pair once
 
@@ -199,6 +256,11 @@ class TestConcentrationProbe:
             concentration_probe(
                 lambda t: FinSeq(), lambda x, y: 0.0, range(1, 3), 2, c=1.0
             )
+
+    @pytest.mark.parametrize("c", [math.nan, -1.0, math.inf])
+    def test_rejects_c_outside_its_domain(self, c):
+        with pytest.raises(InvalidInput):
+            concentration_probe(lambda t: FinSeq(), lambda x, y: 0.0, range(1, 4), 1, c=c)
 
 
 class TestEquicoarse:

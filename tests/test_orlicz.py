@@ -353,10 +353,16 @@ class TestCompareLp:
         samples = [[rng.uniform(-1, 1) for _ in range(8)] for _ in range(40)]
         spec = orlicz_fixture("t_minus_log1p")
         plain = compare_lp(spec, 2.0, "lower", samples)
-        nn = compare_lp(spec, 2.0, "lower", samples, use_n_norm=True)
-        assert plain.applicable and nn.applicable
-        assert nn.worst_ratio > 0.0
-        assert nn.worst_ratio >= 0.5 * plain.worst_ratio - 1e-9
+        nn_worst = min(n_norm(v, spec) / math.hypot(*v) for v in samples)
+        assert plain.applicable
+        assert nn_worst > 0.0
+        assert nn_worst >= 0.5 * plain.worst_ratio - 1e-9
+
+    def test_lp_norm_does_not_underflow(self):
+        # (1e-4)^100 is 0.0 in floats; the sample must still count
+        rep = compare_lp(orlicz_fixture("huber"), 100.0, "upper", [[1e-4]])
+        assert rep.n_samples == 1
+        assert math.isfinite(rep.worst_ratio) and rep.worst_ratio > 0.0
 
     def test_invalid_side(self):
         with pytest.raises(InvalidInput):
