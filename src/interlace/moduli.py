@@ -16,10 +16,8 @@ phenomenon, so its verdict is observational.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -114,25 +112,22 @@ def compute_moduli(
 ) -> ModuliReport:
     """Empirical rho/omega over all sample pairs at the given thresholds.
 
-    Thresholds default to the realized source distances.  One sort of the pairs by
-    source distance answers every threshold by bisection into running extrema.
+    Thresholds default to the realized source distances.
     """
-    source = operator.itemgetter(0)
     pairs = sample.pair_distances()
-    pairs.sort(key=source)
     if thresholds is None:
         ts = sorted({ds for ds, _ in pairs})
     else:
         ts = sorted(float(t) for t in thresholds)
         if not all(t >= 0 for t in ts):  # NaN fails too
             raise InvalidInput(f"thresholds must be non-negative numbers: {ts}")
-    max_upto = [0.0, *itertools.accumulate((dt for _, dt in pairs), max)]
-    min_from = [*itertools.accumulate((dt for _, dt in reversed(pairs)), min)]
-    min_from.reverse()
-    min_from.append(math.inf)
-    rho = tuple(min_from[bisect.bisect_left(pairs, t, key=source)] for t in ts)
-    omega = tuple(max_upto[bisect.bisect_right(pairs, t, key=source)] for t in ts)
-    return ModuliReport(tuple(ts), rho, omega)
+    rho, omega = [], []
+    for t in ts:
+        lo = [dt for ds, dt in pairs if ds >= t]
+        hi = [dt for ds, dt in pairs if ds <= t]
+        rho.append(min(lo) if lo else math.inf)
+        omega.append(max(hi) if hi else 0.0)
+    return ModuliReport(tuple(ts), tuple(rho), tuple(omega))
 
 
 def lipschitz_constant(sample: MapSample) -> float:
@@ -176,8 +171,9 @@ def concentration_probe(
     flag would hold trivially.  The flag is observational either way: no
     finite search proves concentration.
 
-    Each image distance is evaluated once, whatever the mode; the diameter of a
-    subset is the first entry of the decreasing (distance, mask) table inside it.
+    Each image distance is evaluated once, whatever the mode.  The table keeps the
+    largest image distance per union of element masks, sorted decreasingly; the
+    diameter of a subset is the first entry whose mask lies inside it.
     """
     c = float(c)
     if not (math.isfinite(c) and c >= 0.0):
@@ -201,10 +197,10 @@ def concentration_probe(
 
     bit = {v: 1 << i for i, v in enumerate(uni)}
     masks = [sum(bit[v] for v in t) for t in all_tuples]
-    table = sorted(
-        ((dt, a | b) for (_, dt), (a, b) in zip(pairs, itertools.combinations(masks, 2))),
-        reverse=True,
-    )
+    widest: dict[int, float] = {}
+    for (_, dt), (a, b) in zip(pairs, itertools.combinations(masks, 2)):
+        widest[a | b] = max(widest.get(a | b, 0.0), dt)
+    table = sorted(((dt, mask) for mask, dt in widest.items()), reverse=True)
 
     def diameter(subset: Iterable[int]) -> float:
         outside = ~sum(bit[v] for v in subset)
