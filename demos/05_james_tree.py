@@ -48,17 +48,17 @@ print(f"  100 random three-leaf vectors: worst discrepancy {worst:.2e}")
 print("\n== branch embedding g (into the tree space) ==")
 sigma, tau = Branch("0" * 10), Branch("1" * 10)
 n = itup(1, 2)
-vec = g_embed(sigma, 2, n)
+vec = g_embed(sigma, n)
 print(f"  g(sigma, {n}) = {vec.to_json_dict()}  norm={jt_norm_exact(vec)[0]:.4f}")
 for k, tup in [(1, itup(2)), (2, itup(1, 2)), (4, itup(1, 2, 3, 4)), (8, itup(*range(1, 9)))]:
-    got = g_separation(sigma, tau, k, tup)
+    got = g_separation(sigma, tau, tup)
     print(f"  k={k}: separation {got:.6f} = sqrt(k/2) = {math.sqrt(k / 2):.6f}")
 
 print("\n== dual-side embedding f (coefficient vectors) ==")
-vec = f_embed(sigma, 2, itup(1, 2))
+vec = f_embed(sigma, itup(1, 2))
 print(f"  f(sigma, (1,2)) coefficients: {vec.to_json_dict()}")
 for k in (1, 4, 9):
     tup = itup(*range(1, k + 1))
     sig, tav = Branch("0" * (k + 1)), Branch("1" * (k + 1))
-    got = f_separation(sig, tav, k, tup)
+    got = f_separation(sig, tav, tup)
     print(f"  k={k}: pairing against the unit witness = {got:.6f} >= sqrt(k) = {math.sqrt(k):.6f}")

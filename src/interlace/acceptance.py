@@ -329,13 +329,13 @@ def criterion_12(seed: int = DEFAULT_SEED) -> CriterionResult:
             for n, m in itertools.combinations(verts, 2):
                 if not is_adjacent(n, m):
                     continue
-                diff = g_embed(sigma, k, n) - g_embed(sigma, k, m)
+                diff = g_embed(sigma, n) - g_embed(sigma, m)
                 norm, _ = jt_norm_exact(diff)
                 assert norm <= 1.0 + 1e-9, f"Lipschitz bound fails at {n}, {m}: {norm!r}"
                 lips += 1
             for n in verts[: min(8, len(verts))]:
                 want = math.sqrt(k / 2.0)
-                got = g_separation(sigma, tau, k, n)
+                got = g_separation(sigma, tau, n)
                 assert abs(got - want) <= 1e-12 * max(1.0, want), (
                     f"separation {got!r} != sqrt(k/2) = {want!r} at k={k}, n={n}"
                 )
@@ -359,7 +359,7 @@ def criterion_13(seed: int = DEFAULT_SEED) -> CriterionResult:
             ]
             rng.shuffle(adj)
             for n, m in adj[:20]:
-                segs = f_difference_segments(sigma, k, n, m)  # verifies the identity
+                segs = f_difference_segments(sigma, n, m)  # verifies the identity
                 coeff = 1.0 / math.sqrt(k)
                 assert len(segs) <= k
                 seen: set[str] = set()
@@ -369,7 +369,7 @@ def criterion_13(seed: int = DEFAULT_SEED) -> CriterionResult:
                         seen.add(node)
                 decompositions += 1
             n = verts[0]
-            got = f_separation(sigma, tau, k, n)
+            got = f_separation(sigma, tau, n)
             assert got >= math.sqrt(k) - 1e-9, f"f separation {got!r} < sqrt({k})"
         return f"{decompositions} adjacent differences decompose; separations >= sqrt(k)"
 

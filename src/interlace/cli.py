@@ -253,29 +253,28 @@ def _cmd_jt_norm(args: argparse.Namespace) -> dict:
 def _cmd_jt_embed(args: argparse.Namespace) -> dict:
     sigma = Branch(args.sigma)
     n = _parse_tuple(args.n)
-    k = args.k if args.k is not None else n.arity
     doc: dict[str, Any] = {"map": args.map}
     if args.map == "g":
-        vec = g_embed(sigma, k, n)
+        vec = g_embed(sigma, n)
         doc["vector"] = vec.to_json_dict()
         doc["norm"] = jt_norm_exact(vec)[0]
         if args.m:
             m = _parse_tuple(args.m)
-            diff = vec - g_embed(sigma, k, m)
+            diff = vec - g_embed(sigma, m)
             doc["pair_distance"] = dist(n, m)
             doc["difference_norm"] = jt_norm_exact(diff)[0]
         if args.tau:
-            doc["separation"] = g_separation(sigma, Branch(args.tau), k, n)
+            doc["separation"] = g_separation(sigma, Branch(args.tau), n)
     else:
-        vec = f_embed(sigma, k, n)
+        vec = f_embed(sigma, n)
         doc["vector"] = vec.to_json_dict()
         if args.m:
             m = _parse_tuple(args.m)
-            segs = f_difference_segments(sigma, k, n, m)
+            segs = f_difference_segments(sigma, n, m)
             doc["pair_distance"] = dist(n, m)
             doc["difference_segments"] = [[s.lo, s.hi] for s in segs]
         if args.tau:
-            doc["separation"] = f_separation(sigma, Branch(args.tau), k, n)
+            doc["separation"] = f_separation(sigma, Branch(args.tau), n)
     return doc
 
 
@@ -401,13 +400,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
+        # the commands that write files; embed-c0 and moduli read no seed but
+        # keep --seed, because their config echo, and so their recorded
+        # benchmark outputs, contain it
         p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
         p.add_argument("--out", type=str, default=None, help="output directory")
 
     p = sub.add_parser("dist", help="graph distance and an explicit geodesic")
     p.add_argument("--n", required=True, help="comma-separated tuple, e.g. 1,2")
     p.add_argument("--m", required=True)
-    common(p)
     p.set_defaults(handler=_cmd_dist)
 
     p = sub.add_parser("embed-c0", help="distortion table of the summing embedding")
@@ -422,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="JSON file {\"coeffs\": [...], \"tail\": 0.0}")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--brute", action="store_true", help="cross-check with the oracle")
-    common(p)
     p.set_defaults(handler=_cmd_james_norm)
 
     p = sub.add_parser("orlicz", help="Orlicz norms, N-norms, delta transform")
@@ -440,13 +440,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--side", choices=["upper", "lower"], default="upper")
     p.add_argument("--samples", type=int, default=100)
-    common(p)
+    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     p.set_defaults(handler=_cmd_orlicz)
 
     p = sub.add_parser("jt-norm", help="exact James-tree norm with witness")
     p.add_argument("--input", help="JSON file mapping bit-strings to numbers")
     p.add_argument("--entries", help="inline JSON, e.g. '{\"0\": 0.5, \"00\": 0.5}'")
-    common(p)
     p.set_defaults(handler=_cmd_jt_norm)
 
     p = sub.add_parser("jt-embed", help="branch embeddings and their certificates")
@@ -455,8 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", help="second branch for separation certificates")
     p.add_argument("--n", required=True)
     p.add_argument("--m", help="second tuple for difference certificates")
-    p.add_argument("--k", type=int, default=None)
-    common(p)
     p.set_defaults(handler=_cmd_jt_embed)
 
     p = sub.add_parser("moduli", help="compression/expansion reports and probes")

@@ -264,7 +264,7 @@ def summing_map_sample(k: int, max_entry: int) -> MapSample:
     imgs = [summing_image(t) for t in pts]
     return MapSample(
         pts,
-        lambda a, b: float(dist(a, b)),
+        dist,
         imgs,
         lambda x, y: sup_norm(x - y),
     )
@@ -274,10 +274,10 @@ def g_map_sample(k: int, max_entry: int) -> MapSample:
     """Branch embedding into the James-tree space, measured by jt_norm_exact."""
     sigma = Branch("0" * max_entry)
     pts = enumerate_tuples(range(1, max_entry + 1), k)
-    imgs = [g_embed(sigma, k, t) for t in pts]
+    imgs = [g_embed(sigma, t) for t in pts]
     return MapSample(
         pts,
-        lambda a, b: float(dist(a, b)),
+        dist,
         imgs,
         lambda x, y: jt_norm_exact(x - y)[0],
     )
@@ -286,8 +286,7 @@ def g_map_sample(k: int, max_entry: int) -> MapSample:
 def identity_map_sample(k: int, max_entry: int) -> MapSample:
     """The identity map on a tuple box; moduli collapse onto the diagonal."""
     pts = enumerate_tuples(range(1, max_entry + 1), k)
-    metric = lambda a, b: float(dist(a, b))
-    return MapSample(pts, metric, list(pts), metric)
+    return MapSample(pts, dist, list(pts), dist)
 
 
 def constant_map_sample(k: int, max_entry: int) -> MapSample:
@@ -296,7 +295,7 @@ def constant_map_sample(k: int, max_entry: int) -> MapSample:
     zero = FinSeq()
     return MapSample(
         pts,
-        lambda a, b: float(dist(a, b)),
+        dist,
         [zero] * len(pts),
         lambda x, y: sup_norm(x - y),
     )

@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 
 from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, is_adjacent
+from .sequences import summing_image
 
 __all__ = [
     "Segment",
@@ -342,11 +343,9 @@ def pair(u: TreeVec, x: TreeVec) -> float:
     return sum(v * x.value(k) for k, v in u.entries.items())
 
 
-def g_embed(sigma: Branch, k: int, n: InterlacedTuple) -> TreeVec:
-    """(2k)^(-1/2) times the sum of unit vectors at sigma restricted to each n_i."""
-    if n.arity != k:
-        raise InvalidInput(f"tuple arity {n.arity} does not match k={k}")
-    c = 1.0 / math.sqrt(2 * k)
+def g_embed(sigma: Branch, n: InterlacedTuple) -> TreeVec:
+    """(2k)^(-1/2) times the sum of unit vectors at sigma restricted to each n_i; k = arity."""
+    c = 1.0 / math.sqrt(2 * n.arity)
     out: dict[str, float] = {}
     for ni in n:
         key = sigma.prefix(ni)
@@ -354,37 +353,38 @@ def g_embed(sigma: Branch, k: int, n: InterlacedTuple) -> TreeVec:
     return TreeVec(out)
 
 
-def f_embed(sigma: Branch, k: int, n: InterlacedTuple) -> TreeVec:
-    """Dual-side image: coefficient of s is k^(-1/2) |{i : s <= sigma|n_i}|.
+def f_embed(sigma: Branch, n: InterlacedTuple) -> TreeVec:
+    """Dual-side image: coefficient of s is k^(-1/2) |{i : s <= sigma|n_i}|; k = arity.
 
-    The root is included among the prefixes; this shifts every image by the
-    same multiple of the root functional and cancels in all differences.
+    The counts below the root are the summing image of n.  The root is
+    included among the prefixes; this shifts every image by the same multiple
+    of the root functional and cancels in all differences.
     """
-    if n.arity != k:
-        raise InvalidInput(f"tuple arity {n.arity} does not match k={k}")
     sigma.prefix(n.top)  # raises if the branch is too short
+    k = n.arity
     c = 1.0 / math.sqrt(k)
-    out: dict[str, float] = {}
-    for j in range(0, n.top + 1):
-        count = sum(1 for ni in n if ni >= j)
-        if count:
-            out[sigma.prefix(j)] = c * count
-    return TreeVec(out)
+    counts = (float(k), *summing_image(n).coeffs)
+    return TreeVec({sigma.prefix(j): c * v for j, v in enumerate(counts)})
 
 
-def _first_disagreement(sigma: Branch, tau: Branch, needed: int) -> int | None:
-    """1-based index of the first differing stored bit; None for the same branch.
+def _first_disagreement(sigma: Branch, tau: Branch, n: InterlacedTuple) -> int | None:
+    """1-based index r of the first differing stored bit; None for the same branch.
 
-    Both prefixes must cover depth `needed`.  Prefixes that agree on their
-    common length but have different lengths leave the disagreement point
-    undetermined, which is rejected rather than guessed.
+    Both prefixes must cover depth n.top, and r must not exceed n_1.  Prefixes
+    that agree on their common length but have different lengths leave the
+    disagreement point undetermined, which is rejected rather than guessed.
     """
-    sigma.prefix(needed)
-    tau.prefix(needed)
+    sigma.prefix(n.top)
+    tau.prefix(n.top)
     common = min(len(sigma.bits), len(tau.bits))
     for i in range(common):
         if sigma.bits[i] != tau.bits[i]:
-            return i + 1
+            r = i + 1
+            if r > n.entries[0]:
+                raise InvalidInput(
+                    f"branches first disagree at {r}, after n_1 = {n.entries[0]}"
+                )
+            return r
     if len(sigma.bits) != len(tau.bits):
         raise InvalidInput(
             "branches agree on their common prefix but differ in length; "
@@ -393,49 +393,36 @@ def _first_disagreement(sigma: Branch, tau: Branch, needed: int) -> int | None:
     return None
 
 
-def f_separation(sigma: Branch, tau: Branch, k: int, n: InterlacedTuple) -> float:
+def f_separation(sigma: Branch, tau: Branch, n: InterlacedTuple) -> float:
     """Pair f(sigma) - f(tau) against the unit vector at sigma|n_1; equals sqrt(k).
 
-    Requires the branches to disagree at some index r <= n_1 (identical
-    branches return 0).  The witness vector has James-tree norm 1, which makes
-    the pairing a lower bound for the dual-side separation.
+    Here k = arity.  Requires the branches to disagree at some index r <= n_1
+    (identical branches return 0).  The witness vector has James-tree norm 1,
+    which makes the pairing a lower bound for the dual-side separation.
     """
-    if n.arity != k:
-        raise InvalidInput(f"tuple arity {n.arity} does not match k={k}")
-    r = _first_disagreement(sigma, tau, n.top)
-    if r is None:
+    if _first_disagreement(sigma, tau, n) is None:
         return 0.0
-    if r > n.entries[0]:
-        raise InvalidInput(
-            f"branches first disagree at {r}, after n_1 = {n.entries[0]}"
-        )
     witness = TreeVec({sigma.prefix(n.entries[0]): 1.0})
     norm, _ = jt_norm_exact(witness)
     if abs(norm - 1.0) > 1e-12:
         raise AssertionError("unit witness vector must have norm 1")
-    diff = f_embed(sigma, k, n) - f_embed(tau, k, n)
+    diff = f_embed(sigma, n) - f_embed(tau, n)
     return pair(diff, witness)
 
 
-def g_separation(sigma: Branch, tau: Branch, k: int, n: InterlacedTuple) -> float:
+def g_separation(sigma: Branch, tau: Branch, n: InterlacedTuple) -> float:
     """Pair g(sigma) - g(tau) against the segment functional between sigma|n_1
-    and sigma|n_k; equals sqrt(k/2) when the branches disagree before n_1.
+    and sigma|n_k; equals sqrt(k/2), k = arity, when the branches disagree
+    before n_1.
 
     Cross-checks that the exact norm of the difference dominates the returned
     pairing (the functional lies in the dual unit ball).
     """
-    if n.arity != k:
-        raise InvalidInput(f"tuple arity {n.arity} does not match k={k}")
-    r = _first_disagreement(sigma, tau, n.top)
-    if r is None:
+    if _first_disagreement(sigma, tau, n) is None:
         return 0.0
-    if r > n.entries[0]:
-        raise InvalidInput(
-            f"branches first disagree at {r}, after n_1 = {n.entries[0]}"
-        )
     seg = Segment(sigma.prefix(n.entries[0]), sigma.prefix(n.top))
     functional = segment_functional(seg)
-    diff = g_embed(sigma, k, n) - g_embed(tau, k, n)
+    diff = g_embed(sigma, n) - g_embed(tau, n)
     value = pair(diff, functional)
     norm, _ = jt_norm_exact(diff)
     if norm < value - 1e-12:
@@ -444,15 +431,15 @@ def g_separation(sigma: Branch, tau: Branch, k: int, n: InterlacedTuple) -> floa
 
 
 def f_difference_segments(
-    sigma: Branch, k: int, n: InterlacedTuple, m: InterlacedTuple
+    sigma: Branch, n: InterlacedTuple, m: InterlacedTuple
 ) -> list[Segment]:
     """Decompose f(m) - f(n) for an interlaced-adjacent pair into disjoint segments.
 
-    With n_1 <= m_1 <= ... <= n_k <= m_k the difference has coefficient
-    k^(-1/2) exactly on the chains sigma|(n_i + 1) .. sigma|m_i (empty when
-    n_i = m_i), which are pairwise disjoint by the interlacing.  The identity
-    is verified coefficient by coefficient before returning; the roles of n
-    and m are swapped when m leads.
+    With k = arity and n_1 <= m_1 <= ... <= n_k <= m_k the difference has
+    coefficient k^(-1/2) exactly on the chains sigma|(n_i + 1) .. sigma|m_i
+    (empty when n_i = m_i), which are pairwise disjoint by the interlacing.
+    The identity is verified coefficient by coefficient before returning; the
+    roles of n and m are swapped when m leads.
     """
     if not is_adjacent(n, m):
         raise InvalidInput("the decomposition applies to adjacent pairs only")
@@ -467,10 +454,10 @@ def f_difference_segments(
         if b > a
     ]
     expect = TreeVec({})
-    c = 1.0 / math.sqrt(k)
+    c = 1.0 / math.sqrt(n.arity)
     for seg in segs:
         expect = expect + c * segment_functional(seg)
-    actual = f_embed(sigma, k, hi) - f_embed(sigma, k, lo)
+    actual = f_embed(sigma, hi) - f_embed(sigma, lo)
     keys = set(expect.entries) | set(actual.entries)
     for key in keys:
         if abs(expect.value(key) - actual.value(key)) > 1e-12:

@@ -326,6 +326,28 @@ def test_jt_embed_f_decomposition(capsys):
     assert doc["difference_segments"] == [["00", "00"], ["0000", "0000"]]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jt-embed", "--sigma", "000", "--n", "1,2", "--k", "2"],
+        ["dist", "--n", "1,2", "--m", "3,4", "--seed", "1"],
+    ],
+)
+def test_commands_reject_flags_they_do_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("kind", ["g", "f"])
+def test_jt_embed_arity_mismatch_is_invalid_input(capsys, kind):
+    code, out = run_cli(
+        capsys, "jt-embed", "--map", kind, "--sigma", "000", "--n", "1,2", "--m", "1,2,3"
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "invalid-input"
+
+
 def test_moduli_table_and_probe(tmp_path, capsys):
     code, out = run_cli(
         capsys,

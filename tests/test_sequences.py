@@ -100,9 +100,17 @@ class TestSummingImage:
         assert summing_image(itup(1)).coeffs == (1.0,)
         assert summing_image(itup(2, 4)).coeffs == (2.0, 2.0, 1.0, 1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(1, 60), min_size=1, max_size=6))
+    def test_run_fill_equals_the_count_per_coordinate(self, entries):
+        n = itup(*sorted(entries))
+        want = [float(sum(e >= j for e in n.entries)) for j in range(1, n.top + 1)]
+        assert list(summing_image(n).coeffs) == want
+
     def test_distortion_examples(self):
         assert summing_distortion_check(itup(1, 3), itup(2, 4)) == (1.0, 1.0)
         assert summing_distortion_check(itup(1, 2), itup(3, 4)) == (1.0, 1.0)
+        assert summing_distortion_check(itup(1, 10**5), itup(2, 10**5 + 1)) == (1.0, 1.0)
 
     def test_equal_tuples_sentinel(self):
         ratio, other = summing_distortion_check(itup(1, 2), itup(1, 2))

@@ -160,7 +160,7 @@ class TestJTNorm:
     def test_family_value_full_branch_segment_on_g_image(self):
         for k in (2, 8):
             sigma = Branch("0" * k)
-            image = g_embed(sigma, k, itup(*range(1, k + 1)))
+            image = g_embed(sigma, itup(*range(1, k + 1)))
             seg = Segment(sigma.prefix(1), sigma.prefix(k))
             got = jt_family_value(image, [seg])  # segment sum is k / sqrt(2k)
             assert abs(got - math.sqrt(k / 2.0)) < 1e-12
@@ -261,12 +261,12 @@ class TestPair:
 class TestGEmbedding:
     def test_basic_image(self):
         sigma = Branch("000")
-        vec = g_embed(sigma, 2, itup(1, 2))
+        vec = g_embed(sigma, itup(1, 2))
         assert vec == TreeVec({"0": 0.5, "00": 0.5})
         assert abs(jt_norm_exact(vec)[0] - 1.0) < 1e-12
 
     def test_singleton_norm(self):
-        vec = g_embed(Branch("0000"), 1, itup(3))
+        vec = g_embed(Branch("0000"), itup(3))
         assert abs(jt_norm_exact(vec)[0] - 1 / SQ2) < 1e-12
 
     def test_adjacent_pairs_are_one_lipschitz(self):
@@ -276,26 +276,41 @@ class TestGEmbedding:
             for n, m in itertools.combinations(verts, 2):
                 if not is_adjacent(n, m):
                     continue
-                diff = g_embed(sigma, k, n) - g_embed(sigma, k, m)
+                diff = g_embed(sigma, n) - g_embed(sigma, m)
                 norm, _ = jt_norm_exact(diff)
                 assert norm <= 1.0 + 1e-9
 
     def test_branch_too_short(self):
         with pytest.raises(InvalidInput):
-            g_embed(Branch("0"), 1, itup(5))
+            g_embed(Branch("0"), itup(5))
 
-    def test_arity_mismatch(self):
-        with pytest.raises(InvalidInput):
-            g_embed(Branch("000"), 2, itup(1, 2, 3))
+    def test_scale_follows_the_arity(self):
+        # k is the arity of the tuple: 1/sqrt(2k) at each prefix, k/sqrt(k) at the root of f
+        c = 1 / math.sqrt(6)
+        assert g_embed(Branch("000"), itup(1, 2, 3)) == TreeVec({"0": c, "00": c, "000": c})
+        root = f_embed(Branch("000"), itup(1, 2, 3)).value("")
+        assert abs(root - 3 / math.sqrt(3)) < 1e-12
 
 
 class TestFEmbedding:
     def test_depth_one(self):
-        vec = f_embed(Branch("0"), 1, itup(1))
+        vec = f_embed(Branch("0"), itup(1))
         assert vec == TreeVec({"": 1.0, "0": 1.0})
 
+    def test_counts_match_a_direct_count_bit_for_bit(self):
+        # coefficient of sigma|j is k^(-1/2) |{i : j <= n_i}|, root (j = 0) included
+        sigma = Branch("0" * 9)
+        for k in range(1, 5):
+            c = 1.0 / math.sqrt(k)
+            for n in enumerate_tuples(range(1, 10), k):
+                want = [
+                    (sigma.prefix(j), c * sum(j <= e for e in n.entries))
+                    for j in range(n.top + 1)
+                ]
+                assert list(f_embed(sigma, n).entries.items()) == want
+
     def test_depth_two_counts_prefixes(self):
-        vec = f_embed(Branch("00"), 2, itup(1, 2))
+        vec = f_embed(Branch("00"), itup(1, 2))
         want = {"": 2 / SQ2, "0": 2 / SQ2, "00": 1 / SQ2}
         assert set(vec.entries) == set(want)
         for key, val in want.items():
@@ -308,56 +323,56 @@ class TestFEmbedding:
             for n, m in itertools.combinations(verts, 2):
                 if not is_adjacent(n, m):
                     continue
-                segs = f_difference_segments(sigma, k, n, m)  # identity checked inside
+                segs = f_difference_segments(sigma, n, m)  # identity checked inside
                 assert len(segs) <= k
                 nodes = [node for seg in segs for node in seg.nodes()]
                 assert len(nodes) == len(set(nodes))
 
     def test_difference_requires_adjacency(self):
         with pytest.raises(InvalidInput):
-            f_difference_segments(Branch("0" * 8), 2, itup(1, 2), itup(5, 6))
+            f_difference_segments(Branch("0" * 8), itup(1, 2), itup(5, 6))
 
     def test_root_shift_cancels_in_differences(self):
         # the common root multiple is invisible to every certificate
         sigma = Branch("0" * 6)
-        diff = f_embed(sigma, 2, itup(2, 4)) - f_embed(sigma, 2, itup(3, 5))
+        diff = f_embed(sigma, itup(2, 4)) - f_embed(sigma, itup(3, 5))
         assert "" not in diff.entries
 
 
 class TestSeparations:
     def test_f_separation_examples(self):
         s0, s1 = Branch("0" * 9), Branch("1" * 9)
-        assert abs(f_separation(s0, s1, 1, itup(1)) - 1.0) < 1e-12
-        got = f_separation(s0, s1, 4, itup(1, 2, 3, 4))
+        assert abs(f_separation(s0, s1, itup(1)) - 1.0) < 1e-12
+        got = f_separation(s0, s1, itup(1, 2, 3, 4))
         assert got >= 2.0 - 1e-12
 
     def test_f_separation_equal_branches(self):
         s0 = Branch("0101")
-        assert f_separation(s0, Branch("0101"), 2, itup(1, 2)) == 0.0
+        assert f_separation(s0, Branch("0101"), itup(1, 2)) == 0.0
 
     def test_f_separation_precondition(self):
         s0, s1 = Branch("0011"), Branch("0010")
         with pytest.raises(InvalidInput):
-            f_separation(s0, s1, 1, itup(2))  # first disagreement at 4 > 2
+            f_separation(s0, s1, itup(2))  # first disagreement at 4 > 2
 
     def test_g_separation_examples(self):
         s0, s1 = Branch("0" * 9), Branch("1" * 9)
-        got = g_separation(s0, s1, 2, itup(1, 2))
+        got = g_separation(s0, s1, itup(1, 2))
         assert abs(got - 1.0) < 1e-12  # sqrt(2/2)
-        got = g_separation(s0, s1, 8, itup(1, 2, 3, 4, 5, 6, 7, 8))
+        got = g_separation(s0, s1, itup(1, 2, 3, 4, 5, 6, 7, 8))
         assert abs(got - 2.0) < 1e-12  # sqrt(8/2)
 
     def test_g_separation_matches_exact_norm_lower_bound(self):
         s0, s1 = Branch("0" * 6, ), Branch("1" * 6)
         for k, n in ((1, itup(2)), (2, itup(1, 3)), (3, itup(1, 2, 5))):
-            val = g_separation(s0, s1, k, n)
-            diff = g_embed(s0, k, n) - g_embed(s1, k, n)
+            val = g_separation(s0, s1, n)
+            diff = g_embed(s0, n) - g_embed(s1, n)
             norm, _ = jt_norm_exact(diff)
             assert norm >= val - 1e-12
             assert abs(val - math.sqrt(k / 2.0)) < 1e-12
 
     def test_g_separation_equal_branches(self):
-        assert g_separation(Branch("00"), Branch("00"), 1, itup(2)) == 0.0
+        assert g_separation(Branch("00"), Branch("00"), itup(2)) == 0.0
 
 
 def test_random_spider_instances_match_bruteforce_families():
