@@ -1,8 +1,9 @@
 """Walkthrough: the p-variation norm of the James sequence spaces.
 
 The norm is the supremum of l_p sums of increments over increasing index
-subsequences.  A quadratic dynamic program computes it exactly; a brute-force
-enumeration over all index subsets certifies it.
+subsequences.  A dynamic program over the turning points of the sequence
+computes it exactly; a brute-force enumeration over all index subsets
+certifies it.
 """
 
 import random

@@ -49,6 +49,7 @@ from .sequences import (
     james_norm,
     james_norm_bruteforce,
     summing_distortion_check,
+    summing_image,
 )
 from .tree import (
     Branch,
@@ -156,8 +157,10 @@ def criterion_04(seed: int = DEFAULT_SEED) -> CriterionResult:
         checked = 0
         for k in (1, 2, 3, 4):
             verts = enumerate_tuples(range(1, 11), k)
-            for n, m in itertools.combinations(verts, 2):
-                ratio, _ = summing_distortion_check(n, m)  # raises on violation
+            imgs = [summing_image(v) for v in verts]  # each image built once
+            pairs = zip(itertools.combinations(verts, 2), itertools.combinations(imgs, 2))
+            for (n, m), images in pairs:
+                ratio, _ = summing_distortion_check(n, m, images=images)  # raises on violation
                 assert 0.5 <= ratio <= 1.0
                 checked += 1
         return f"{checked} pairs certified within [1/2, 1] distortion"

@@ -170,10 +170,14 @@ def _cmd_dist(args: argparse.Namespace) -> dict:
 
 def _cmd_embed_c0(args: argparse.Namespace) -> dict:
     sample = summing_map_sample(args.k, args.max_entry)
-    pairs = zip(itertools.combinations(sample.points, 2), sample.pair_distances())
+    pairs = zip(
+        itertools.combinations(sample.points, 2),
+        itertools.combinations(sample.images, 2),
+        sample.pair_distances(),
+    )
     rows = []
-    for (n, m), (d, diff_norm) in pairs:
-        ratio, _ = summing_distortion_check(n, m)
+    for (n, m), images, (d, diff_norm) in pairs:
+        ratio, _ = summing_distortion_check(n, m, images=images)
         n_text, m_text = (",".join(map(str, t.entries)) for t in (n, m))
         rows.append([n_text, m_text, int(d), diff_norm, ratio])
     out = _out_dir(args) / f"embed_c0_k{args.k}_max{args.max_entry}.csv"

@@ -53,6 +53,23 @@ def test_james_norm_from_file(tmp_path, capsys):
     assert abs(json.loads(out)["norm"] - math.sqrt(3)) < 1e-9
 
 
+def test_james_norm_rescales_huge_and_tiny_values(capsys):
+    code, out = run_cli(capsys, "james-norm", "--coeffs", "1e200", "--p", "2")
+    assert code == 0
+    assert json.loads(out)["norm"] == 1e200
+    code, out = run_cli(capsys, "james-norm", "--coeffs", "1e-200,0,1e-200", "--p", "3")
+    assert code == 0
+    assert json.loads(out)["norm"] == float(f"{1.4422495703074082e-200:.12g}")
+
+
+def test_james_norm_overflow_at_huge_p_is_invalid_input(capsys):
+    code, out = run_cli(capsys, "james-norm", "--coeffs", "3", "--p", "2000")
+    err = json.loads(out)["error"]
+    assert code == 2
+    assert err["kind"] == "invalid-input"
+    assert "p = 2000" in err["message"]
+
+
 def test_jt_norm_unit_root(capsys):
     code, out = run_cli(capsys, "jt-norm", "--entries", '{"": 1.0}')
     doc = json.loads(out)

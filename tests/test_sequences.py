@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from interlace import (
     summing_image,
     sup_norm,
 )
+from interlace import acceptance, sequences
 from interlace.errors import ResourceLimit
 
 finseqs = st.builds(
@@ -116,6 +119,26 @@ class TestSummingImage:
         ratio, other = summing_distortion_check(itup(1, 2), itup(1, 2))
         assert math.isnan(ratio) and math.isnan(other)
 
+    def test_prebuilt_images_give_the_same_certificate(self):
+        verts = enumerate_tuples(range(1, 7), 2)
+        for n, m in itertools.combinations(verts, 2):
+            images = (summing_image(n), summing_image(m))
+            assert summing_distortion_check(n, m, images=images) == summing_distortion_check(n, m)
+
+    def test_criterion_4_builds_each_image_once(self, monkeypatch):
+        calls = 0
+        real = sequences.summing_image
+
+        def counting(n):
+            nonlocal calls
+            calls += 1
+            return real(n)
+
+        monkeypatch.setattr(acceptance, "summing_image", counting)
+        monkeypatch.setattr(sequences, "summing_image", counting)
+        assert acceptance.criterion_04().passed
+        assert calls == sum(math.comb(10, k) for k in (1, 2, 3, 4)) == 385
+
     def test_exhaustive_small_range(self):
         for k in (1, 2, 3):
             verts = enumerate_tuples(range(1, 7), k)
@@ -137,7 +160,123 @@ class TestMkPoint:
         assert m_k_point(itup(1, 3), {2}).coeffs == (0.0, 1.0)
 
 
+def _all_pairs_dp(x, p):
+    # the plain O(L^2) DP over every canonical index, no reduction of any kind
+    vals = list(x.coeffs) + [x.tail]
+    best = [0.0] * len(vals)
+    overall = 0.0
+    for j in range(len(vals)):
+        b = 0.0
+        for i in range(j):
+            cand = best[i] + abs(vals[j] - vals[i]) ** p
+            if cand > b:
+                b = cand
+        best[j] = b
+        if b > overall:
+            overall = b
+    return overall ** (1.0 / p)
+
+
+def _with_tails(values, max_size):
+    return st.builds(
+        FinSeq, st.lists(values, max_size=max_size).map(tuple), st.just(0.0) | values
+    )
+
+
+TIE_HEAVY = st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
+# seven decades, 1e-3 .. 9e3, so every merge of a run gains more than the
+# rounding of the sum even at p = 1.0001; wider ranges are tested to rounding
+WIDE = st.builds(
+    lambda sign, digit, e: sign * digit * 10.0**e,
+    st.sampled_from([-1.0, 1.0]),
+    st.integers(1, 9),
+    st.integers(-3, 3),
+)
+EXPONENTS = st.sampled_from([1.0001, 1.1, 1.5, 2.0, 3.0, 7.5, 40.0])
+
+
 class TestJamesNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(_with_tails(TIE_HEAVY, 40) | _with_tails(WIDE, 40), EXPONENTS)
+    def test_equals_the_all_pairs_dp_bit_for_bit(self, x, p):
+        assert james_norm(x, p) == _all_pairs_dp(x, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _with_tails(
+            st.builds(
+                lambda sign, frac, e: sign * frac * 10.0**e,
+                st.sampled_from([-1.0, 1.0]),
+                st.floats(0.1, 1.0),
+                st.integers(-6, 6),
+            ),
+            40,
+        ),
+        st.sampled_from([1.0000001, 1.0001]),
+    )
+    def test_near_one_exponent_on_far_apart_increments_agrees_to_rounding(self, x, p):
+        # merging a run can gain less than the rounding of the sum here, so the
+        # reduced DP may differ from the all-pairs DP in the last bits
+        want = _all_pairs_dp(x, p)
+        assert abs(james_norm(x, p) - want) <= 1e-13 * want
+
+    @settings(max_examples=40, deadline=None)
+    @given(_with_tails(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), 12), EXPONENTS)
+    def test_tie_heavy_equals_bruteforce(self, x, p):
+        a, b = james_norm(x, p), james_norm_bruteforce(x, p)
+        assert abs(a - b) <= 1e-12 * max(1.0, b)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 40.0])
+    def test_long_ramp_closed_form(self, p):
+        # turning points 1, N and the zero tail: the chain 1 -> N -> 0
+        N = 10**5
+        x = FinSeq(tuple(map(float, range(1, N + 1))))
+        assert james_norm(x, p) == ((N - 1) ** p + N**p) ** (1.0 / p)
+
+    @pytest.mark.parametrize("p", [1.0001, 1.5, 2.0, 3.0, 7.5])
+    def test_expanding_oscillation_equals_the_all_pairs_dp(self, p):
+        # 0, 1, -1, 2, -2, ...: every value is a new extremum, the kernel's worst case
+        x = FinSeq(tuple(float((i + 1) // 2 * (1 if i % 2 else -1)) for i in range(300)))
+        assert james_norm(x, p) == _all_pairs_dp(x, p)
+
+    def test_long_random_input_stays_near_linear(self):
+        # 5e4 uniform values keep about 3.3e4 turning points; each scan stops
+        # within a few steps (0.1 s), where scans run to the start take 5e8 steps
+        rng = random.Random(3)
+        x = FinSeq(tuple(rng.random() for _ in range(50_000)))
+        start = time.perf_counter()
+        james_norm(x, 2.0)
+        assert time.perf_counter() - start < 10.0
+
+    def test_huge_and_tiny_values_are_rescaled(self):
+        assert james_norm(FinSeq((1e200,)), 2.0) == 1e200
+        assert james_norm(FinSeq((1e-200, 0.0, 1e-200)), 3.0) == 1.4422495703074082e-200
+        assert james_norm(FinSeq((1.7e308,)), 2.0) == pytest.approx(1.7e308, rel=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _with_tails(TIE_HEAVY, 12).filter(lambda x: x.coeffs),
+        st.sampled_from([1.5, 2.0, 3.0]),
+        st.sampled_from([-1000, -700, 700, 1000]),
+    )
+    def test_rescaling_keeps_power_of_two_homogeneity(self, x, p, e):
+        y = FinSeq(tuple(math.ldexp(v, e) for v in x.coeffs), math.ldexp(x.tail, e))
+        want = math.ldexp(james_norm(x, p), e)
+        assert math.isfinite(want) and want > 0.0
+        assert james_norm(y, p) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, p",
+        [
+            (FinSeq((1e308, -1e308)), 2.0),  # the range itself overflows
+            (FinSeq((1.5e308, 0.0, 1.5e308)), 2.0),  # the norm, sqrt(3) * 1.5e308, does
+            (FinSeq((3.0,)), 2000.0),  # 1.5^2000 overflows after rescaling
+        ],
+    )
+    def test_norm_beyond_the_float_range_is_invalid_input(self, x, p):
+        with pytest.raises(InvalidInput, match=f"p = {p:g}"):
+            james_norm(x, p)
+
     def test_summing_vectors_are_unit(self):
         for n in (1, 3, 20):
             for p in (1.5, 2.0, 3.0):
