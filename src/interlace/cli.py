@@ -229,6 +229,8 @@ def _cmd_orlicz(args: argparse.Namespace) -> dict:
         return {"ok": report.ok, "violations": list(report.violations)[:20]}
     if args.op == "compare-lp":
         spec = orlicz_fixture(required("phi"))
+        if args.samples < 0:
+            raise InvalidInput(f"--samples must be >= 0, got {args.samples}")
         rng = random.Random(args.seed)
         samples = [
             [rng.uniform(-2, 2) for _ in range(rng.randint(1, 12))]

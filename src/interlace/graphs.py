@@ -14,7 +14,8 @@ element of m, and is 0 before the first and from the last of them on.  So the
 profile is stored as its steps, the pairs (j, F(j)) for j in n △ m: the
 distance costs O(k) and each geodesic step O(k log k), whatever the size of
 the entries.  This module computes the metric three ways (profile formula,
-breadth-first oracle, explicit geodesics) so each can certify the others.
+breadth-first oracle, explicit geodesics) so each can certify the others.  The
+geodesics have one rule, `geodesic_step`; `geodesic_path` is its walk.
 """
 
 from __future__ import annotations
@@ -156,23 +157,50 @@ def dist_oracle_bfs(n: InterlacedTuple, m: InterlacedTuple) -> int:
     raise AssertionError("BFS exhausted the universe without reaching the target")
 
 
-def _forward_step(n: InterlacedTuple, steps: tuple[tuple[int, int], ...]) -> InterlacedTuple:
-    """One geodesic step away from n, given the steps of F_{n,m} with max F > 0.
+def geodesic_path(n: InterlacedTuple, m: InterlacedTuple) -> list[InterlacedTuple]:
+    """A shortest path n = v_0, v_1, ..., v_d = m with consecutive vertices adjacent.
 
-    Selects interlaced extremal indices of the profile: a_1 = min argmax(F),
-    then alternately the first argmin after the last a and the first argmax
-    after the last b.  F is constant between steps, so each of these is the
-    start of a run, i.e. a step position.  The a's lie in n\\m, the b's in
-    m\\n, and swapping them lowers every fresh maximum of the profile by one.
-    When the selection ends with one more a than b, the closing point r is the
-    first strict descent of F after the *last* argmax, i.e. the step right
-    after the last maximal run: the correction window [a_p, r) must cover
-    every argmax, otherwise the profile re-attains its old maximum beyond r and
-    the distance does not decrease (e.g. n=(2,3,5), m=(1,4,6)).
+    The walk of `geodesic_step`: each step lowers the remaining distance by
+    exactly one, so d - 1 steps from n reach a neighbour of m.
     """
+    d = dist(n, m)
+    path = [n]
+    for _ in range(d - 1):
+        path.append(geodesic_step(path[-1], m))
+    return path if d == 0 else path + [m]
+
+
+def geodesic_step(n: InterlacedTuple, m: InterlacedTuple) -> InterlacedTuple:
+    """The first vertex after n on a geodesic to m; requires dist(n, m) >= 2.
+
+    Guarantees dist(n, result) = 1 and dist(result, m) = dist(n, m) - 1.  When
+    max F <= 0 the entries are reflected, j -> T + 1 - j with T the larger top:
+    the reflected profile is -F(T - .), whose maximum is positive, so the step
+    is taken there and reflected back.
+
+    When max F > 0 the step selects interlaced extremal indices of the
+    profile: a_1 = min argmax(F), then alternately the first argmin after the
+    last a and the first argmax after the last b.  F is constant between
+    steps, so each of these is the start of a run, i.e. a step position.  The
+    a's lie in n\\m, the b's in m\\n, and swapping them lowers every fresh
+    maximum of the profile by one.  When the selection ends with one more a
+    than b, the closing point r is the first strict descent of F after the
+    *last* argmax, i.e. the step right after the last maximal run: the
+    correction window [a_p, r) must cover every argmax, otherwise the profile
+    re-attains its old maximum beyond r and the distance does not decrease
+    (e.g. n=(2,3,5), m=(1,4,6)).
+    """
+    steps = walk_profile(n, m)
     mx, mn = _extremes(steps)
+    if mx - mn < 2:
+        raise InvalidInput("geodesic_step requires dist(n, m) >= 2")
     if mx <= 0:
-        raise AssertionError("forward step requires a positive profile maximum")
+        top = max(n.top, m.top) + 1
+
+        def reflect(t: InterlacedTuple) -> InterlacedTuple:
+            return InterlacedTuple(tuple(top - j for j in reversed(t.entries)))
+
+        return reflect(geodesic_step(reflect(n), reflect(m)))
     a: list[int] = []
     b: list[int] = []
     for j, h in steps:
@@ -183,57 +211,7 @@ def _forward_step(n: InterlacedTuple, steps: tuple[tuple[int, int], ...]) -> Int
     if len(a) == len(b) + 1:
         last_max = max(t for t, (_, h) in enumerate(steps) if h == mx)
         b.append(steps[last_max + 1][0])
-    step = tuple(sorted((set(n.entries) - set(a)) | set(b)))
-    return InterlacedTuple(step)
-
-
-def geodesic_path(n: InterlacedTuple, m: InterlacedTuple) -> list[InterlacedTuple]:
-    """A shortest path n = v_0, v_1, ..., v_d = m with consecutive vertices adjacent.
-
-    The path is assembled from both ends: each round advances whichever
-    endpoint currently has the positive profile bump (the construction assumes
-    max F > 0, so when max F_{left,right} <= 0 the step is taken from the right
-    endpoint, whose profile has the same steps with negated heights).  Each
-    step lowers the remaining distance by exactly one.
-    """
-    _check_same_arity(n, m)
-    left, right = [n], [m]
-    for _ in range(dist(n, m) + 1):
-        a, b = left[-1], right[0]
-        steps = walk_profile(a, b)
-        mx, mn = _extremes(steps)
-        if mx == mn:
-            return left + right[1:]
-        if mx - mn == 1:
-            return left + right
-        if mx > 0:
-            left.append(_forward_step(a, steps))
-        else:
-            right.insert(0, _forward_step(b, tuple((j, -h) for j, h in steps)))
-    raise AssertionError("geodesic assembly did not converge")
-
-
-def geodesic_step(n: InterlacedTuple, m: InterlacedTuple) -> InterlacedTuple:
-    """The first vertex after n on a geodesic to m; requires dist(n, m) >= 2.
-
-    Guarantees dist(n, result) = 1 and dist(result, m) = dist(n, m) - 1.  When
-    max F <= 0 the entries are reflected, j -> T + 1 - j with T the larger top:
-    the reflected profile is -F(T - .), whose maximum is positive, so the
-    forward step applies there and is reflected back.
-    """
-    steps = walk_profile(n, m)
-    mx, mn = _extremes(steps)
-    if mx - mn < 2:
-        raise InvalidInput("geodesic_step requires dist(n, m) >= 2")
-    if mx > 0:
-        return _forward_step(n, steps)
-    top = max(n.top, m.top) + 1
-
-    def reflect(t: InterlacedTuple) -> InterlacedTuple:
-        return InterlacedTuple(tuple(top - j for j in reversed(t.entries)))
-
-    rn, rm = reflect(n), reflect(m)
-    return reflect(_forward_step(rn, walk_profile(rn, rm)))
+    return InterlacedTuple(tuple(sorted((set(n.entries) - set(a)) | set(b))))
 
 
 def enumerate_tuples(universe: Iterable[int], k: int) -> list[InterlacedTuple]:

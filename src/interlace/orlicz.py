@@ -188,7 +188,7 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
     The entries and `tol` are scaled by the power of two of max|x_n| and the
     result is scaled back; this is exact, and the bracket cannot overflow.
     """
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise InvalidInput("tol must be positive")
     xs = [abs(v) for v in _finite(x) if v != 0.0]
     if not xs:

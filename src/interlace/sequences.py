@@ -197,12 +197,16 @@ def james_norm(x: FinSeq, p: float = 2.0) -> float:
       good valid chain.  The scan for j walks i = j-1 down to 0 keeping
       lo and hi, the min and max of vals[i..j]; i is a candidate only at a
       strict new low while hi == vals[j], or a strict new high while
-      lo == vals[j], and the scan stops once lo < vals[j] < hi.
+      lo == vals[j].  The scan stops once lo < vals[j] < hi, or once lo and
+      hi reach the min and max of vals[0..i] (running extrema of the prefix,
+      computed once): no index <= i can then be a strict new extreme.
 
-    Cost O(L + sum of scan lengths): near-linear on random and smooth input,
-    where scans stop within a few steps.  The worst case is an expanding
-    oscillation (0, 1, -1, 2, -2, ...), whose turning points are all kept and
-    whose every scan runs to the start, so it stays quadratic.
+    Cost O(L + sum of scan lengths): near-linear on random, smooth,
+    few-level and expanding input, where scans stop within a few steps.  The
+    worst case is an input whose lows rise while its highs rise (-10^6 + i
+    at even i, i at odd i): every turning point is kept and every scan runs
+    to the start, since the prefix minimum is the very first value, so it
+    stays quadratic.
 
     Both reductions are exact in real arithmetic.  In floats the result is
     the all-pairs DP's bit for bit unless merging a run gains less than the
@@ -229,6 +233,8 @@ def james_norm(x: FinSeq, p: float = 2.0) -> float:
         if math.isinf(len(vals) * top) or top < sys.float_info.min:
             shift = 1 - math.frexp(span)[1]  # puts the range in [1, 2)
             vals = [math.ldexp(v, shift) for v in vals]
+    lows = list(itertools.accumulate(vals, min))
+    highs = list(itertools.accumulate(vals, max))
     best = [0.0] * len(vals)
     overall = 0.0
     try:
@@ -236,6 +242,8 @@ def james_norm(x: FinSeq, p: float = 2.0) -> float:
             b = 0.0
             lo = hi = v
             for i in range(j - 1, -1, -1):
+                if lo <= lows[i] and hi >= highs[i]:
+                    break  # no index <= i is a strict new low or high
                 u = vals[i]
                 if u < lo:
                     lo = u

@@ -37,6 +37,16 @@ def test_dist_does_not_scale_with_the_entries(capsys):
     assert doc["path"] == [[1, 1000000000000], [2, 1000000000001]]
 
 
+def test_dist_reversed_pair_walks_to_the_right_endpoint(capsys):
+    code, out = run_cli(capsys, "dist", "--n", "4,5,6", "--m", "1,2,3")
+    doc = json.loads(out)
+    path = [itup(*v) for v in doc["path"]]
+    assert code == 0 and doc["distance"] == 3
+    assert path[0] == itup(4, 5, 6) and path[-1] == itup(1, 2, 3)
+    assert len(path) == 4
+    assert all(dist(u, v) == 1 for u, v in zip(path, path[1:]))
+
+
 def test_james_norm_with_oracle(capsys):
     code, out = run_cli(capsys, "james-norm", "--coeffs", "1,0,1", "--p", "2", "--brute")
     doc = json.loads(out)
@@ -158,6 +168,20 @@ def test_orlicz_missing_flag_is_invalid_input(capsys, argv, flag):
     error = json.loads(out)["error"]
     assert code == 2
     assert error["kind"] == "invalid-input" and flag in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["--op", "norm", "--phi", "pow:2", "--x", "3,4", "--tol", "nan"], "tol"),
+        (["--op", "compare-lp", "--phi", "pow:2", "--samples", "-3"], "--samples"),
+    ],
+)
+def test_orlicz_argument_outside_its_domain_is_invalid_input(capsys, argv, text):
+    code, out = run_cli(capsys, "orlicz", *argv)
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "invalid-input" and text in error["message"]
 
 
 def test_orlicz_norm_near_the_largest_float(capsys):

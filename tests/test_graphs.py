@@ -232,6 +232,29 @@ class TestGeodesics:
                 checked += 1
         assert checked > 0
 
+    def test_path_walks_the_step_on_every_small_pair(self):
+        checked = 0
+        for k in (1, 2, 3):
+            tuples = enumerate_tuples(range(1, 9), k)
+            for n, m in itertools.permutations(tuples, 2):
+                if dist(n, m) < 2:
+                    continue
+                path = geodesic_path(n, m)
+                for u, v in zip(path[:-2], path[1:-1]):
+                    assert v == geodesic_step(u, m)
+                checked += 1
+        assert checked > 0
+
+    def test_path_reversed_far_pair(self):
+        # max F <= 0 at every vertex: each step takes the reflection branch
+        big = 10**12
+        n, m = itup(big + 1, big + 2, big + 3), itup(1, 2, 3)
+        path = geodesic_path(n, m)
+        assert len(path) == dist(n, m) + 1 == 4
+        assert path[0] == n and path[-1] == m
+        for u, v in zip(path, path[1:]):
+            assert is_adjacent(u, v)
+
     def test_path_trivial(self):
         assert geodesic_path(itup(2, 4), itup(2, 4)) == [itup(2, 4)]
 

@@ -124,6 +124,12 @@ class TestOrliczNorm:
         with pytest.raises(InvalidInput):
             orlicz_norm([1.0], orlicz_fixture("identity"), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_tol_outside_its_domain_is_invalid_input(self, tol):
+        # a NaN tol used to skip the bisection and return the bracket's upper end
+        with pytest.raises(InvalidInput, match="tol must be positive"):
+            orlicz_norm([3.0, 4.0], orlicz_fixture("pow:2"), tol=tol)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(InvalidInput):

@@ -235,7 +235,7 @@ class TestJamesNorm:
 
     @pytest.mark.parametrize("p", [1.0001, 1.5, 2.0, 3.0, 7.5])
     def test_expanding_oscillation_equals_the_all_pairs_dp(self, p):
-        # 0, 1, -1, 2, -2, ...: every value is a new extremum, the kernel's worst case
+        # 0, 1, -1, 2, -2, ...: every value is a new extremum
         x = FinSeq(tuple(float((i + 1) // 2 * (1 if i % 2 else -1)) for i in range(300)))
         assert james_norm(x, p) == _all_pairs_dp(x, p)
 
@@ -247,6 +247,27 @@ class TestJamesNorm:
         start = time.perf_counter()
         james_norm(x, 2.0)
         assert time.perf_counter() - start < 10.0
+
+    @pytest.mark.parametrize("shape", ["plus-minus-one", "expanding-oscillation"])
+    def test_scans_stop_at_the_prefix_extrema(self, shape):
+        # random +-1 keeps about 5e4 turning points at the two levels; in the
+        # expanding oscillation 0, 1, -1, 2, -2, ... every earlier value lies
+        # inside the range.  Scans run to the start would take over 1e9 steps.
+        rng = random.Random(5)
+        if shape == "plus-minus-one":
+            values = [rng.choice((-1.0, 1.0)) for _ in range(10**5)]
+        else:
+            values = [float((i + 1) // 2 * (1 if i % 2 else -1)) for i in range(10**5)]
+        start = time.perf_counter()
+        james_norm(FinSeq(tuple(values)), 2.0)
+        assert time.perf_counter() - start < 10.0
+
+    @pytest.mark.parametrize("p", [1.0001, 1.5, 2.0, 3.0, 7.5])
+    def test_rising_lows_and_highs_equal_the_all_pairs_dp(self, p):
+        # -10^6 + i at even i, i at odd i: the prefix minimum is the first value,
+        # so every scan runs to the start; the kernel's worst case
+        x = FinSeq(tuple(float(i if i % 2 else -(10**6) + i) for i in range(300)))
+        assert james_norm(x, p) == _all_pairs_dp(x, p)
 
     def test_huge_and_tiny_values_are_rescaled(self):
         assert james_norm(FinSeq((1e200,)), 2.0) == 1e200
