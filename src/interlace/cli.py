@@ -151,7 +151,10 @@ def _load_finseq(args: argparse.Namespace) -> FinSeq:
         obj = _load_json(args.input)
         if not isinstance(obj, dict):
             raise InvalidInput("sequence files are JSON objects with \"coeffs\" and \"tail\"")
-        return FinSeq(tuple(obj.get("coeffs", ())), float(obj.get("tail", 0.0)))
+        coeffs = obj.get("coeffs", [])
+        if not isinstance(coeffs, list):
+            raise InvalidInput(f"\"coeffs\" must be a JSON array, got {coeffs!r}")
+        return FinSeq(tuple(coeffs), obj.get("tail", 0.0))
     if args.coeffs is None:
         raise InvalidInput("provide --coeffs or --input")
     return FinSeq(tuple(_parse_floats(args.coeffs)), args.tail)
@@ -214,11 +217,14 @@ def _cmd_orlicz(args: argparse.Namespace) -> dict:
         return {"n_norm": n_norm(_parse_floats(required("x")), spec)}
     if args.op == "delta":
         mod = modulus_fixture(required("modulus"))
-        return {
+        doc = {
             "delta": delta_transform(mod, args.t, args.steps),
             "modulus_at_t": mod.fn(args.t),
             "modulus_at_half_t": mod.fn(args.t / 2.0),
         }
+        if not all(map(math.isfinite, doc.values())):
+            raise InvalidInput(f"modulus {mod.name!r} at t = {args.t!r} is beyond the float range")
+        return doc
     if args.op == "validate":
         if args.phi:
             report = validate_orlicz(orlicz_fixture(args.phi))
@@ -229,8 +235,8 @@ def _cmd_orlicz(args: argparse.Namespace) -> dict:
         return {"ok": report.ok, "violations": list(report.violations)[:20]}
     if args.op == "compare-lp":
         spec = orlicz_fixture(required("phi"))
-        if args.samples < 0:
-            raise InvalidInput(f"--samples must be >= 0, got {args.samples}")
+        if args.samples < 1:
+            raise InvalidInput(f"--samples must be >= 1, got {args.samples}")
         rng = random.Random(args.seed)
         samples = [
             [rng.uniform(-2, 2) for _ in range(rng.randint(1, 12))]

@@ -276,7 +276,8 @@ def delta_transform(mod: ModulusSpec, t: float, steps: int = 256) -> float:
     The integrand is non-decreasing, so the head piece over [0, eps] with
     eps = t/steps^2 is bounded by eps * mod(eps)/eps = mod(eps); that bound is
     used as the head contribution and keeps the total error well under 1% for
-    smooth moduli at the default resolution.
+    smooth moduli at the default resolution.  A sum beyond the float range is
+    InvalidInput.
     """
     t = float(t)
     if not math.isfinite(t) or t < 0:
@@ -293,6 +294,8 @@ def delta_transform(mod: ModulusSpec, t: float, steps: int = 256) -> float:
         mid = eps + (i + 0.5) * h
         if mid > 0.0:  # 0 only for subnormal t, on a piece narrower than any float
             acc += fn(mid) / mid * h
+    if not math.isfinite(acc):
+        raise InvalidInput(f"delta({t!r}) for modulus {mod.name!r} is beyond the float range")
     return acc
 
 
@@ -317,7 +320,8 @@ def compare_lp(
     restricted to (0, 1]: a ratio phi(t)/t^p that peaks at the left edge and
     exceeds its value at the right edge by more than a factor 10 is treated as
     blowing up toward 0 (upper side inapplicable), and symmetrically for a
-    ratio vanishing toward 0 on the lower side.  p must be finite and >= 1.
+    ratio vanishing toward 0 on the lower side.  p must be finite and >= 1, and
+    some sample must have a nonzero l_p norm.
     """
     if side not in ("upper", "lower"):
         raise InvalidInput("side must be 'upper' or 'lower'")
@@ -337,8 +341,7 @@ def compare_lp(
         applicable = not vanishing
         note = "" if applicable else "phi(t)/t^p vanishes toward 0; no lower constant"
 
-    worst = math.nan
-    count = 0
+    sample_ratios = []
     for vec in samples:
         lp = _lp_norm(vec, p)
         if lp == 0.0:
@@ -346,14 +349,11 @@ def compare_lp(
         ratio = orlicz_norm(vec, spec) / lp
         if not math.isfinite(ratio):
             raise AssertionError("non-finite norm ratio encountered")
-        count += 1
-        if math.isnan(worst):
-            worst = ratio
-        elif side == "upper":
-            worst = max(worst, ratio)
-        else:
-            worst = min(worst, ratio)
-    return LpComparisonReport(side, applicable, grid_constant, worst, count, note)
+        sample_ratios.append(ratio)
+    if not sample_ratios:
+        raise InvalidInput("no sample has a nonzero l_p norm; the comparison has no ratio")
+    worst = max(sample_ratios) if side == "upper" else min(sample_ratios)
+    return LpComparisonReport(side, applicable, grid_constant, worst, len(sample_ratios), note)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +391,10 @@ def orlicz_fixture(key: str) -> OrliczSpec:
     if key in _ORLICZ_FIXTURES:
         return _ORLICZ_FIXTURES[key]
     if key.startswith("pow:"):
-        p = float(key.split(":", 1)[1])
+        try:
+            p = float(key.split(":", 1)[1])
+        except ValueError:
+            raise InvalidInput(f"cannot parse the exponent of Orlicz fixture {key!r}") from None
         if p < 1.0:
             raise InvalidInput("pow fixtures need p >= 1")
         flags = p == 1.0

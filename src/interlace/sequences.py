@@ -50,8 +50,13 @@ class FinSeq:
     tail: float = 0.0
 
     def __post_init__(self) -> None:
-        vals = [float(v) for v in self.coeffs]
-        t = float(self.tail)
+        try:
+            vals = [float(v) for v in self.coeffs]
+            t = float(self.tail)
+        except (TypeError, ValueError):
+            raise InvalidInput(
+                f"sequence values must be numbers: {self.coeffs!r}, tail {self.tail!r}"
+            ) from None
         if not (math.isfinite(t) and all(map(math.isfinite, vals))):
             raise InvalidInput(f"sequence values must be finite: {vals!r}, tail {t!r}")
         while vals and vals[-1] == t:  # canonical form: no stored trailing tail values

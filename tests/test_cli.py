@@ -63,6 +63,23 @@ def test_james_norm_from_file(tmp_path, capsys):
     assert abs(json.loads(out)["norm"] - math.sqrt(3)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "doc, text",
+    [
+        ({"coeffs": [1, None]}, "must be numbers"),
+        ({"coeffs": [1], "tail": "x"}, "must be numbers"),
+        ({"coeffs": "123"}, "must be a JSON array"),
+    ],
+)
+def test_james_norm_malformed_file_is_invalid_input(tmp_path, capsys, doc, text):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "james-norm", "--input", str(path))
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "invalid-input" and text in error["message"]
+
+
 def test_james_norm_rescales_huge_and_tiny_values(capsys):
     code, out = run_cli(capsys, "james-norm", "--coeffs", "1e200", "--p", "2")
     assert code == 0
@@ -178,6 +195,33 @@ def test_orlicz_missing_flag_is_invalid_input(capsys, argv, flag):
     ],
 )
 def test_orlicz_argument_outside_its_domain_is_invalid_input(capsys, argv, text):
+    code, out = run_cli(capsys, "orlicz", *argv)
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "invalid-input" and text in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["--op", "compare-lp", "--phi", "pow:2", "--samples", "0"], "--samples must be >= 1"),
+        (
+            ["--op", "compare-lp", "--phi", "pow:2", "--p", "1e308", "--samples", "2"],
+            "no sample has a nonzero l_p norm",
+        ),
+        (["--op", "norm", "--phi", "pow:abc", "--x", "1"], "'pow:abc'"),
+        (
+            ["--op", "delta", "--modulus", "rational", "--t", "1e200"],
+            "delta(1e+200) for modulus 'rational'",
+        ),
+        # delta stays finite, but s^2/(1+s) at t itself overflows
+        (
+            ["--op", "delta", "--modulus", "rational", "--t", "1.342e154"],
+            "modulus 'rational' at t = 1.342e+154",
+        ),
+    ],
+)
+def test_orlicz_boundary_cases_are_invalid_input(capsys, argv, text):
     code, out = run_cli(capsys, "orlicz", *argv)
     error = json.loads(out)["error"]
     assert code == 2

@@ -65,6 +65,10 @@ class TestValidation:
         with pytest.raises(InvalidInput):
             modulus_fixture("nope")
 
+    def test_unparsable_pow_exponent(self):
+        with pytest.raises(InvalidInput, match="'pow:abc'"):
+            orlicz_fixture("pow:abc")
+
     def test_grid_is_geometric_with_exact_ends(self):
         assert len(GRID) == 512
         assert GRID[0] == 1e-6 and GRID[-1] == 1e3
@@ -310,6 +314,12 @@ class TestDeltaTransform:
         with pytest.raises(InvalidInput):
             delta_transform(mod, 1.0, steps=8)
 
+    def test_result_beyond_the_float_range(self):
+        # s^2/(1+s) overflows for s above about 1.3e154
+        with pytest.raises(InvalidInput, match=r"delta\(1e\+200\) for modulus 'rational'"):
+            delta_transform(modulus_fixture("rational"), 1e200)
+        assert delta_transform(modulus_fixture("identity"), 1e308) == pytest.approx(1e308)
+
 
     @settings(max_examples=40, deadline=None)
     @example("identity", 5e-324, math.nan)  # its first midpoint underflows to 0
@@ -369,6 +379,19 @@ class TestCompareLp:
         rep = compare_lp(orlicz_fixture("huber"), 100.0, "upper", [[1e-4]])
         assert rep.n_samples == 1
         assert math.isfinite(rep.worst_ratio) and rep.worst_ratio > 0.0
+
+    @pytest.mark.parametrize(
+        "p, samples",
+        [
+            (2.0, []),
+            (2.0, [[0.0, 0.0], [0.0]]),
+            (1e308, [[1.0, 2.0], [-0.5]]),  # every scaled term underflows to 0
+        ],
+    )
+    def test_no_sample_with_a_nonzero_lp_norm_is_invalid_input(self, p, samples):
+        for side in ("upper", "lower"):
+            with pytest.raises(InvalidInput, match="no sample has a nonzero l_p norm"):
+                compare_lp(orlicz_fixture("huber"), p, side, samples)
 
     def test_invalid_side(self):
         with pytest.raises(InvalidInput):

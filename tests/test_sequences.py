@@ -59,6 +59,11 @@ class TestFinSeq:
         with pytest.raises(InvalidInput):
             FinSeq((1.0,), tail=bad)
 
+    @pytest.mark.parametrize("coeffs, tail", [((1.0, None), 0.0), ((1.0,), "x"), ((1.0,), None)])
+    def test_rejects_values_that_are_not_numbers(self, coeffs, tail):
+        with pytest.raises(InvalidInput, match="must be numbers"):
+            FinSeq(coeffs, tail)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.floats(-1e6, 1e6), max_size=8),
