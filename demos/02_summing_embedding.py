@@ -11,7 +11,6 @@ from interlace import (
     dist,
     enumerate_tuples,
     itup,
-    m_k_point,
     summing_distortion_check,
     summing_image,
     sup_norm,
@@ -42,8 +41,3 @@ for k in (1, 2, 3):
         for a, b in itertools.combinations(verts, 2)
     ]
     print(f"  k={k}: ratio range [{min(ratios):.3f}, {max(ratios):.3f}] over {len(ratios)} pairs")
-
-print("\n== masked points (indicator products) ==")
-n = itup(1, 3)
-for mask in [{1, 2, 3}, {2}, set()]:
-    print(f"  image of {n} masked by {sorted(mask) or '{}'}: {m_k_point(n, mask)}")

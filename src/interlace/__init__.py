@@ -50,7 +50,6 @@ from .sequences import (
     FinSeq,
     james_norm,
     james_norm_bruteforce,
-    m_k_point,
     successive_block_ratio,
     summing_distortion_check,
     summing_image,

@@ -1,14 +1,15 @@
 """Certificate suite: every quantitative guarantee of the library, run at desk scale.
 
 Each criterion is written once, as a body `criterion_NN(seed) -> detail` that
-asserts its checks and returns a one-line summary.  The `@_criterion(cid,
-name)` decorator turns it into a runner `(seed=DEFAULT_SEED) ->
-CriterionResult` of the same name, which times the body and reports a failed
-assertion or any other exception as a failed result, and appends the runner
-to the registry; `CRITERIA` is that registry, in definition order.  pytest
-asserts the criteria one by one and the CLI `suite` subcommand aggregates them
-into report files.  Random sampling is driven entirely by the seed, so reruns
-are bit-identical.
+makes its checks through `_check` and returns a one-line summary.  `_check`
+raises `AssertionError` itself, so the checks also run under `python -O`,
+which strips `assert` statements.  The `@_criterion(cid, name)` decorator
+turns the body into a runner `(seed=DEFAULT_SEED) -> CriterionResult` of the
+same name, which times the body and reports a failed check or any other
+exception as a failed result, and appends the runner to the registry;
+`CRITERIA` is that registry, in definition order.  pytest asserts the criteria
+one by one and the CLI `suite` subcommand aggregates them into report files.
+Random sampling is driven entirely by the seed, so reruns are bit-identical.
 
 One criterion is special: the two-sided N-norm/Orlicz sandwich is also run
 with the literal log(1+t) fixture, which is concave with slope limit 0 and
@@ -117,6 +118,12 @@ def _criterion(cid: str, name: str, expected_defect: bool = False) -> Callable:
     return register
 
 
+def _check(cond: bool, message: str, *args: object) -> None:
+    """Raise AssertionError(message % args) unless `cond`; the message is formatted only then."""
+    if not cond:
+        raise AssertionError(message % args)
+
+
 def _random_finseq(rng: random.Random, max_len: int, allow_tail: bool) -> FinSeq:
     L = rng.randint(0, max_len)
     vals = [rng.choice([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]) for _ in range(L)]
@@ -131,7 +138,7 @@ def criterion_01(seed: int) -> str:
         verts = enumerate_tuples(range(1, 9), k)
         for n, m in itertools.combinations_with_replacement(verts, 2):
             d, o = dist(n, m), dist_oracle_bfs(n, m)
-            assert d == o, f"dist({n},{m})={d} but BFS gives {o}"
+            _check(d == o, "dist(%s,%s)=%s but BFS gives %s", n, m, d, o)
             checked += 1
     return f"{checked} pairs agree exactly"
 
@@ -144,9 +151,9 @@ def criterion_02(seed: int) -> str:
         for n, m in itertools.combinations_with_replacement(verts, 2):
             d = dist(n, m)
             path = geodesic_path(n, m)
-            assert len(path) == d + 1, f"path length {len(path)-1} != dist {d}"
+            _check(len(path) == d + 1, "path length %s != dist %s", len(path) - 1, d)
             for u, v in zip(path, path[1:]):
-                assert is_adjacent(u, v), f"non-adjacent step {u} -> {v}"
+                _check(is_adjacent(u, v), "non-adjacent step %s -> %s", u, v)
             checked += 1
     return f"{checked} geodesics have exact length with adjacent steps"
 
@@ -158,7 +165,7 @@ def criterion_03(seed: int) -> str:
         diam = max(
             dist(a, b) for a, b in itertools.combinations(verts, 2)
         )
-        assert diam == k, f"diameter over [1..{2*k}]^{k} is {diam}, expected {k}"
+        _check(diam == k, "diameter over [1..%s]^%s is %s, expected %s", 2 * k, k, diam, k)
     return "diameter of [1..2k]^k equals k for k <= 5"
 
 
@@ -171,7 +178,7 @@ def criterion_04(seed: int) -> str:
         pairs = zip(itertools.combinations(verts, 2), itertools.combinations(imgs, 2))
         for (n, m), images in pairs:
             ratio, _ = summing_distortion_check(n, m, images=images)  # raises on violation
-            assert 0.5 <= ratio <= 1.0
+            _check(0.5 <= ratio <= 1.0, "ratio %r outside [1/2, 1] at %s, %s", ratio, n, m)
             checked += 1
     return f"{checked} pairs certified within [1/2, 1] distortion"
 
@@ -184,9 +191,8 @@ def criterion_05(seed: int) -> str:
         for p in (1.5, 2.0, 3.0):
             dp = james_norm(x, p)
             bf = james_norm_bruteforce(x, p)
-            assert abs(dp - bf) <= 1e-12 * max(1.0, bf), (
-                f"DP {dp!r} vs brute {bf!r} for {x}, p={p}"
-            )
+            _check(abs(dp - bf) <= 1e-12 * max(1.0, bf), "DP %r vs brute %r for %s, p=%s",
+                   dp, bf, x, p)
     return "500 sequences x 3 exponents agree to 1e-12 relative"
 
 
@@ -199,15 +205,14 @@ def criterion_06(seed: int) -> str:
         y = _random_finseq(rng, 8, allow_tail=False)
         lam = rng.choice([-3.0, -0.5, 0.25, 2.0])
         nx, ny, nxy = james_norm(x, p), james_norm(y, p), james_norm(x + y, p)
-        assert nxy <= nx + ny + 1e-9, f"triangle fails: {x}, {y}, p={p}"
+        _check(nxy <= nx + ny + 1e-9, "triangle fails: %s, %s, p=%s", x, y, p)
         nlx = james_norm(lam * x, p)
-        assert abs(nlx - abs(lam) * nx) <= 1e-9 * max(1.0, nx), (
-            f"homogeneity fails: {x}, lambda={lam}, p={p}"
-        )
+        _check(abs(nlx - abs(lam) * nx) <= 1e-9 * max(1.0, nx),
+               "homogeneity fails: %s, lambda=%s, p=%s", x, lam, p)
     for n in range(1, 21):
         s_n = FinSeq((1.0,) * n)
         for p in (1.5, 2.0, 3.0):
-            assert james_norm(s_n, p) == 1.0, f"||s_{n}|| != 1 at p={p}"
+            _check(james_norm(s_n, p) == 1.0, "||s_%s|| != 1 at p=%s", n, p)
     return "1000 random axiom checks pass; ||s_n|| = 1 exactly for n <= 20"
 
 
@@ -221,9 +226,8 @@ def criterion_07(seed: int) -> str:
         spec = orlicz_fixture(f"pow:{p}")
         got = orlicz_norm(vec, spec, tol=1e-10)
         want = sum(abs(v) ** p for v in vec) ** (1.0 / p)
-        assert abs(got - want) <= 1e-8 * max(1.0, want), (
-            f"pow:{p} norm {got!r} vs l_p {want!r} for {vec}"
-        )
+        _check(abs(got - want) <= 1e-8 * max(1.0, want), "pow:%s norm %r vs l_p %r for %s",
+               p, got, want, vec)
     return "200 vectors reproduce the l_p norm within 1e-8"
 
 
@@ -238,9 +242,8 @@ def _sandwich_body(spec: OrliczSpec, rng: random.Random, count: int) -> None:
             continue
         value = n_norm(vec, spec)
         slack = 1e-8 * max(1.0, base)
-        assert 0.5 * base - slack <= value <= math.e * base + slack, (
-            f"sandwich fails for {spec.name}: N={value!r}, orlicz={base!r}, vec={vec}"
-        )
+        _check(0.5 * base - slack <= value <= math.e * base + slack,
+               "sandwich fails for %s: N=%r, orlicz=%r, vec=%s", spec.name, value, base, vec)
 
 
 @_criterion("8", "N-norm/Orlicz sandwich for admissible fixtures")
@@ -274,9 +277,8 @@ def criterion_09(seed: int) -> str:
             big = [rng.uniform(-2, 2) * 10 ** rng.uniform(-2, 2) for _ in range(L)]
             small = [v * rng.uniform(0.0, 1.0) for v in big]
             ns, nb = n_norm(small, spec), n_norm(big, spec)
-            assert ns <= nb + 1e-12 * max(1.0, nb), (
-                f"monotonicity fails for {key}: {small} vs {big}"
-            )
+            _check(ns <= nb + 1e-12 * max(1.0, nb), "monotonicity fails for %s: %s vs %s",
+                   key, small, big)
     return "500 dominated pairs per fixture are monotone to 1e-12"
 
 
@@ -287,8 +289,8 @@ def criterion_10(seed: int) -> str:
         for t in (0.1, 0.5, 1.0, 2.0):
             val = delta_transform(mod, t, steps=256)
             lo, hi = mod.fn(t / 2), mod.fn(t)
-            assert lo <= val * 1.01 + 1e-15, f"{key}: delta({t})={val!r} < d*(t/2)={lo!r}"
-            assert val <= hi * 1.01 + 1e-15, f"{key}: delta({t})={val!r} > d*(t)={hi!r}"
+            _check(lo <= val * 1.01 + 1e-15, "%s: delta(%s)=%r < d*(t/2)=%r", key, t, val, lo)
+            _check(val <= hi * 1.01 + 1e-15, "%s: delta(%s)=%r > d*(t)=%r", key, t, val, hi)
     return "d*(t/2) <= delta(t) <= d*(t) at t in {0.1, 0.5, 1, 2} for both fixtures"
 
 
@@ -307,10 +309,10 @@ def criterion_11(seed: int) -> str:
         x = _random_two_branch(rng)
         val, wit = jt_norm_exact(x)
         oracle = jt_norm_bruteforce(x)
-        assert abs(val - oracle) <= 1e-12 * max(1.0, val), (
-            f"solver {val!r} vs oracle {oracle!r} on {x.entries}"
-        )
-        assert abs(jt_family_value(x, wit) - val) <= 1e-12 * max(1.0, val)
+        _check(abs(val - oracle) <= 1e-12 * max(1.0, val), "solver %r vs oracle %r on %s",
+               val, oracle, x.entries)
+        _check(abs(jt_family_value(x, wit) - val) <= 1e-12 * max(1.0, val),
+               "the witness family does not attain %r on %s", val, x.entries)
     return "300 two-branch vectors: exact solver = brute-force oracle, witnesses check out"
 
 
@@ -325,14 +327,13 @@ def criterion_12(seed: int) -> str:
                 continue
             diff = g_embed(sigma, n) - g_embed(sigma, m)
             norm, _ = jt_norm_exact(diff)
-            assert norm <= 1.0 + 1e-9, f"Lipschitz bound fails at {n}, {m}: {norm!r}"
+            _check(norm <= 1.0 + 1e-9, "Lipschitz bound fails at %s, %s: %r", n, m, norm)
             lips += 1
         for n in verts[: min(8, len(verts))]:
             want = math.sqrt(k / 2.0)
             got = g_separation(sigma, tau, n)
-            assert abs(got - want) <= 1e-12 * max(1.0, want), (
-                f"separation {got!r} != sqrt(k/2) = {want!r} at k={k}, n={n}"
-            )
+            _check(abs(got - want) <= 1e-12 * max(1.0, want),
+                   "separation %r != sqrt(k/2) = %r at k=%s, n=%s", got, want, k, n)
     return f"{lips} adjacent pairs are 1-Lipschitz; separations equal sqrt(k/2)"
 
 
@@ -353,16 +354,16 @@ def criterion_13(seed: int) -> str:
         for n, m in adj[:20]:
             segs = f_difference_segments(sigma, n, m)  # verifies the identity
             coeff = 1.0 / math.sqrt(k)
-            assert len(segs) <= k
+            _check(len(segs) <= k, "%s segments for k=%s at %s, %s", len(segs), k, n, m)
             seen: set[str] = set()
             for seg in segs:
                 for node in seg.nodes():
-                    assert node not in seen, "segments overlap"
+                    _check(node not in seen, "segments overlap")
                     seen.add(node)
             decompositions += 1
         n = verts[0]
         got = f_separation(sigma, tau, n)
-        assert got >= math.sqrt(k) - 1e-9, f"f separation {got!r} < sqrt({k})"
+        _check(got >= math.sqrt(k) - 1e-9, "f separation %r < sqrt(%s)", got, k)
     return f"{decompositions} adjacent differences decompose; separations >= sqrt(k)"
 
 
@@ -380,10 +381,9 @@ def criterion_14(seed: int) -> str:
         lookup = dict(zip(report.thresholds, zip(report.rho_hat, report.omega_hat)))
         for ds, dt in sample.pair_distances():
             rho, omega = lookup[ds]
-            assert rho <= dt + 1e-12 and dt <= omega + 1e-12, (
-                f"{name}: pair at distance {ds} has image distance {dt} "
-                f"outside [{rho}, {omega}]"
-            )
+            _check(rho <= dt + 1e-12 and dt <= omega + 1e-12,
+                   "%s: pair at distance %s has image distance %s outside [%s, %s]",
+                   name, ds, dt, rho, omega)
             pairs += 1
     return f"{pairs} pairs bracketed by the empirical moduli"
 
@@ -394,9 +394,7 @@ def criterion_15(seed: int) -> str:
         [(k, summing_map_sample(k, 2 * k)) for k in (1, 2, 3, 4)]
     )
     for row in rows:
-        assert row.ratio >= row.k / 2.0 - 1e-12, (
-            f"k={row.k}: ratio {row.ratio!r} below k/2"
-        )
+        _check(row.ratio >= row.k / 2.0 - 1e-12, "k=%s: ratio %r below k/2", row.k, row.ratio)
     detail = ", ".join(f"k={r.k}: {r.ratio:g}" for r in rows)
     return f"compression/expansion ratios grow: {detail}"
 

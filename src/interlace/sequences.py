@@ -23,7 +23,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, dist
@@ -33,7 +33,6 @@ __all__ = [
     "sup_norm",
     "summing_image",
     "summing_distortion_check",
-    "m_k_point",
     "james_norm",
     "james_norm_bruteforce",
     "successive_block_ratio",
@@ -56,6 +55,10 @@ class FinSeq:
         except (TypeError, ValueError):
             raise InvalidInput(
                 f"sequence values must be numbers: {self.coeffs!r}, tail {self.tail!r}"
+            ) from None
+        except OverflowError:  # an int beyond the float range
+            raise InvalidInput(
+                f"sequence values must be finite: {self.coeffs!r}, tail {self.tail!r}"
             ) from None
         if not (math.isfinite(t) and all(map(math.isfinite, vals))):
             raise InvalidInput(f"sequence values must be finite: {vals!r}, tail {t!r}")
@@ -147,14 +150,6 @@ def summing_distortion_check(
     if hi - lo != d:
         raise AssertionError(f"profile identity violated for {n}, {m}")
     return (s / d, 1.0)
-
-
-def m_k_point(n: InterlacedTuple, a: Iterable[int]) -> FinSeq:
-    """Coordinatewise product of the summing image with the indicator of `a`."""
-    mask = set(int(v) for v in a)
-    img = summing_image(n)
-    coeffs = [v if (i + 1) in mask else 0.0 for i, v in enumerate(img.coeffs)]
-    return FinSeq(tuple(coeffs), 0.0)
 
 
 def _canonical_values(x: FinSeq) -> list[float]:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,12 @@ def test_james_norm_from_file(tmp_path, capsys):
         ({"coeffs": [1, None]}, "must be numbers"),
         ({"coeffs": [1], "tail": "x"}, "must be numbers"),
         ({"coeffs": "123"}, "must be a JSON array"),
+        # float() would read booleans and numeric strings
+        ({"coeffs": [True, 2]}, "must be numbers, got True"),
+        ({"coeffs": [1, "2"]}, "must be numbers, got '2'"),
+        ({"coeffs": [1], "tail": "1"}, "must be numbers, got '1'"),
+        ({"coeffs": [1], "tail": False}, "must be numbers, got False"),
+        ({"coeffs": [1, 10**400]}, "must be finite"),
     ],
 )
 def test_james_norm_malformed_file_is_invalid_input(tmp_path, capsys, doc, text):
@@ -522,3 +529,29 @@ def test_suite_reports_are_bit_identical_and_in_order(tmp_path, capsys):
     assert out1 == out2
     assert (tmp_path / "acceptance.csv").read_bytes() == first_csv
     assert (tmp_path / "acceptance.json").read_bytes() == first_json
+
+
+def test_suite_notes_the_defect_once_and_checks_under_python_O(tmp_path, capsys):
+    # python -O strips assert statements; the criteria must still check
+    def reports():
+        return [(tmp_path / name).read_bytes() for name in ("acceptance.json", "acceptance.csv")]
+
+    code = main(["suite", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    files = reports()
+    line = next(x for x in captured.err.splitlines() if "criterion 8-literal" in x)
+    assert re.fullmatch(
+        r"\[FAIL\] criterion 8-literal: N-norm sandwich with literal log\(1\+t\) "
+        r"\(documented defect: must fail\) \(\d+\.\d\ds\)",
+        line,
+    ), line
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "interlace.cli", "suite", "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout) == (code, captured.out), proc.stderr
+    assert reports() == files

@@ -20,7 +20,67 @@ from interlace import (
     validate_modulus,
     validate_orlicz,
 )
-from interlace.orlicz import GRID
+from interlace.errors import ResourceLimit
+from interlace.orlicz import GRID, MAX_BRACKET_STEPS
+
+FIXTURE_KEYS = (
+    "identity", "square", "sqrt", "log1p", "huber", "t_minus_log1p", "pow:1.5", "pow:3",
+)
+
+
+def plain_bisection(x, spec, tol=1e-10):
+    """The Orlicz norm by plain bisection of the doubling/halving bracket: the oracle."""
+    xs = [abs(float(v)) for v in x if v != 0.0]
+    if not xs:
+        return 0.0
+    _, exp = math.frexp(max(xs))
+    xs = [math.ldexp(v, -exp) for v in xs]
+    try:
+        tol = math.ldexp(tol, -exp)
+    except OverflowError:
+        tol = math.inf
+
+    def total(r):
+        try:
+            s = sum(spec.fn(v / r) for v in xs)
+        except OverflowError:
+            return math.inf
+        if math.isnan(s):
+            raise InvalidInput("phi returned NaN")
+        return s
+
+    hi = lo = max(xs)
+    if total(hi) > 1.0:
+        for _ in range(MAX_BRACKET_STEPS):
+            lo, hi = hi, hi * 2.0
+            if total(hi) <= 1.0:
+                break
+        else:
+            raise ResourceLimit("bracket search exceeded the doubling cap")
+    else:
+        for _ in range(MAX_BRACKET_STEPS):
+            hi, lo = lo, lo / 2.0
+            if total(lo) > 1.0:
+                break
+        else:
+            return 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if total(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return math.ldexp(hi, exp)
+
+
+# mantissa times a power of ten: entries spread over twelve decades, zeros included
+mixed_magnitudes = st.lists(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-6, 6)),
+    min_size=1,
+    max_size=40,
+)
 
 
 class TestValidation:
@@ -158,6 +218,46 @@ class TestOrliczNorm:
         assert orlicz_norm(scaled, spec, math.ldexp(1e-10, e)) == math.ldexp(
             orlicz_norm(vec, spec), e
         )
+
+
+class TestReplayedBisection:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 1e-3])
+    @pytest.mark.parametrize("key", FIXTURE_KEYS)
+    def test_equals_the_plain_bisection(self, key, tol):
+        spec = orlicz_fixture(key)
+        rng = random.Random(f"{key}/{tol}")
+        for _ in range(40):
+            n = rng.choice([1, 2, 5, 30, 300])
+            vec = [rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-3.0, 3.0) for _ in range(n)]
+            assert orlicz_norm(vec, spec, tol) == plain_bisection(vec, spec, tol), vec
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mixed_magnitudes,
+        # each phi here is non-decreasing at the float level: IEEE operations
+        # and correctly rounded library functions of one argument
+        st.sampled_from(["identity", "square", "sqrt", "huber", "pow:2", "pow:3"]),
+        st.sampled_from([1e-10, 1e-6, 1e-3]),
+    )
+    def test_equals_the_plain_bisection_on_mixed_magnitudes(self, vec, key, tol):
+        spec = orlicz_fixture(key)
+        assert orlicz_norm(vec, spec, tol) == plain_bisection(vec, spec, tol)
+
+    def test_sums_at_most_25_times_per_entry(self):
+        rng = random.Random(3)
+        vec = [rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-1.0, 1.0) for _ in range(3000)]
+        huber = orlicz_fixture("huber")
+        calls = 0
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return huber.fn(t)
+
+        got = orlicz_norm(vec, OrliczSpec(counted, True, True))
+        # the plain bisection evaluates about 46 sums here
+        assert calls <= 25 * len(vec)
+        assert got == plain_bisection(vec, huber)
 
 
 class TestNNorm:

@@ -17,7 +17,6 @@ from interlace import (
     itup,
     james_norm,
     james_norm_bruteforce,
-    m_k_point,
     successive_block_ratio,
     summing_distortion_check,
     summing_image,
@@ -152,17 +151,6 @@ class TestSummingImage:
                 assert 0.5 <= ratio <= 1.0
                 diff = summing_image(n) - summing_image(m)
                 assert sup_norm(diff) <= dist(n, m)
-
-
-class TestMkPoint:
-    def test_full_indicator(self):
-        assert m_k_point(itup(1, 3), {1, 2, 3}) == summing_image(itup(1, 3))
-
-    def test_empty_indicator(self):
-        assert m_k_point(itup(1, 3), set()) == FinSeq()
-
-    def test_partial_indicator(self):
-        assert m_k_point(itup(1, 3), {2}).coeffs == (0.0, 1.0)
 
 
 def _all_pairs_dp(x, p):
