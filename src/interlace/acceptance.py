@@ -56,6 +56,7 @@ from .sequences import (
     james_norm_bruteforce,
     summing_distortion_check,
     summing_image,
+    sup_norm,
 )
 from .tree import (
     Branch,
@@ -369,21 +370,39 @@ def criterion_13(seed: int) -> str:
 
 @_criterion("14", "empirical moduli bracket every sampled pair")
 def criterion_14(seed: int) -> str:
+    # the summing and branch samples score pairs from the walk profile; each
+    # score is also checked against the norm of its image difference, with
+    # the images built once per tuple (bit-equal in c0, 1e-12 relative in JT)
+    sigma = Branch("0" * 5)
     fixtures = [
-        ("identity", identity_map_sample(2, 5)),
-        ("constant", constant_map_sample(2, 5)),
-        ("summing", summing_map_sample(3, 8)),
-        ("branch", g_map_sample(2, 5)),
+        ("identity", identity_map_sample(2, 5), None),
+        ("constant", constant_map_sample(2, 5), None),
+        ("summing", summing_map_sample(3, 8), (summing_image, sup_norm, 0.0)),
+        (
+            "branch",
+            g_map_sample(2, 5),
+            (lambda t: g_embed(sigma, t), lambda x: jt_norm_exact(x)[0], 1e-12),
+        ),
     ]
     pairs = 0
-    for name, sample in fixtures:
+    for name, sample, oracle in fixtures:
         report = compute_moduli(sample)
         lookup = dict(zip(report.thresholds, zip(report.rho_hat, report.omega_hat)))
-        for ds, dt in sample.pair_distances():
+        if oracle is not None:
+            embed, norm, rel = oracle
+            images = {t: embed(t) for t in sample.points}
+        for (ds, dt), (n, m) in zip(
+            sample.pair_distances(), itertools.combinations(sample.points, 2)
+        ):
             rho, omega = lookup[ds]
             _check(rho <= dt + 1e-12 and dt <= omega + 1e-12,
                    "%s: pair at distance %s has image distance %s outside [%s, %s]",
                    name, ds, dt, rho, omega)
+            if oracle is not None:
+                want = norm(images[n] - images[m])
+                _check(abs(dt - want) <= rel * want,
+                       "%s: profile score %r != image norm %r at %s, %s",
+                       name, dt, want, n, m)
             pairs += 1
     return f"{pairs} pairs bracketed by the empirical moduli"
 

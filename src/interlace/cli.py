@@ -54,6 +54,7 @@ from .sequences import (
     james_norm,
     james_norm_bruteforce,
     summing_distortion_check,
+    summing_image,
 )
 from .tree import (
     Branch,
@@ -177,17 +178,23 @@ def _cmd_dist(args: argparse.Namespace) -> dict:
 
 
 def _cmd_embed_c0(args: argparse.Namespace) -> dict:
+    # the sample scores sup_diff from the walk profile; the ratio comes from the
+    # c0 images, built once per tuple, so each row checks one against the other
     sample = summing_map_sample(args.k, args.max_entry)
     pairs = zip(
         itertools.combinations(sample.points, 2),
-        itertools.combinations(sample.images, 2),
+        itertools.combinations([summing_image(t) for t in sample.points], 2),
         sample.pair_distances(),
     )
     rows = []
-    for (n, m), images, (d, diff_norm) in pairs:
+    for (n, m), images, (d, sup_diff) in pairs:
         ratio, _ = summing_distortion_check(n, m, images=images)
+        if sup_diff / d != ratio:
+            raise AssertionError(
+                f"profile score {sup_diff!r} / {d!r} != image ratio {ratio!r} at {n}, {m}"
+            )
         n_text, m_text = (",".join(map(str, t.entries)) for t in (n, m))
-        rows.append([n_text, m_text, int(d), diff_norm, ratio])
+        rows.append([n_text, m_text, int(d), sup_diff, ratio])
     out = _out_dir(args) / f"embed_c0_k{args.k}_max{args.max_entry}.csv"
     _write_csv(out, ["n", "m", "dist", "sup_diff", "ratio"], rows, _config_echo(args))
     ratios = [row[-1] for row in rows]

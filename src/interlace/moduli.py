@@ -12,6 +12,18 @@ graph-metric source omega_hat(1) is the Lipschitz constant.  The concentration
 probe searches for a small sub-universe on which the image of the tuple graph
 has small diameter; a finite search cannot certify the infinite concentration
 phenomenon, so its verdict is observational.
+
+The summing and branch samples are scored from the walk profile.  Their
+`images` are the tuples themselves, and with h = (0, h_1, ..., h_2k) the
+step heights of `walk_profile(n, m)`:
+
+    ||s(n) - s(m)||_inf = max |h|            (the difference at j is -F(j-1))
+    ||g(n) - g(m)||_JT  = (2k)^(-1/2) var_2(h)
+
+since the branch map into JT is the summing map into J_2, rescaled.  Neither
+score builds a `FinSeq` or `TreeVec` difference; the norms of the image
+differences (`sup_norm` of `summing_image` differences, `jt_norm_exact` of
+`g_embed` differences) are the independent side, checked by criterion 14.
 """
 
 from __future__ import annotations
@@ -22,9 +34,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import InvalidInput, ResourceLimit
-from .graphs import InterlacedTuple, dist, enumerate_tuples
-from .sequences import FinSeq, summing_image, sup_norm
-from .tree import Branch, g_embed, jt_norm_exact
+from .graphs import InterlacedTuple, dist, enumerate_tuples, walk_profile
+from .sequences import FinSeq, james_norm, sup_norm
 
 __all__ = [
     "MapSample",
@@ -258,29 +269,34 @@ def equicoarse_report(
 # Canonical samples used by the demos, the CLI, and the certificate suites.
 # ---------------------------------------------------------------------------
 
+def _summing_score(n: InterlacedTuple, m: InterlacedTuple) -> float:
+    """||s(n) - s(m)||_inf as max |h| over the profile heights."""
+    return float(max((abs(h) for _, h in walk_profile(n, m)), default=0))
+
+
+def _branch_score(n: InterlacedTuple, m: InterlacedTuple) -> float:
+    """||g(n) - g(m)||_JT as (2k)^(-1/2) times the 2-variation of the heights."""
+    heights = FinSeq((0.0, *(float(h) for _, h in walk_profile(n, m))))
+    return (1.0 / math.sqrt(2 * n.arity)) * james_norm(heights, 2.0)
+
+
 def summing_map_sample(k: int, max_entry: int) -> MapSample:
-    """Summing-basis embedding of the arity-k tuples over {1..max_entry} into c0."""
+    """Summing-basis embedding of the arity-k tuples over {1..max_entry} into c0.
+
+    The images are the tuples; a pair scores max |h| over its profile heights.
+    """
     pts = enumerate_tuples(range(1, max_entry + 1), k)
-    imgs = [summing_image(t) for t in pts]
-    return MapSample(
-        pts,
-        dist,
-        imgs,
-        lambda x, y: sup_norm(x - y),
-    )
+    return MapSample(pts, dist, pts, _summing_score)
 
 
 def g_map_sample(k: int, max_entry: int) -> MapSample:
-    """Branch embedding into the James-tree space, measured by jt_norm_exact."""
-    sigma = Branch("0" * max_entry)
+    """Branch embedding of the arity-k tuples into the James-tree space.
+
+    The images are the tuples; a pair scores (2k)^(-1/2) var_2(h) over its
+    profile heights, the JT norm of the difference of the branch images.
+    """
     pts = enumerate_tuples(range(1, max_entry + 1), k)
-    imgs = [g_embed(sigma, t) for t in pts]
-    return MapSample(
-        pts,
-        dist,
-        imgs,
-        lambda x, y: jt_norm_exact(x - y)[0],
-    )
+    return MapSample(pts, dist, pts, _branch_score)
 
 
 def identity_map_sample(k: int, max_entry: int) -> MapSample:

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, dist
@@ -52,16 +53,10 @@ class FinSeq:
         try:
             vals = [float(v) for v in self.coeffs]
             t = float(self.tail)
-        except (TypeError, ValueError):
-            raise InvalidInput(
-                f"sequence values must be numbers: {self.coeffs!r}, tail {self.tail!r}"
-            ) from None
-        except OverflowError:  # an int beyond the float range
-            raise InvalidInput(
-                f"sequence values must be finite: {self.coeffs!r}, tail {self.tail!r}"
-            ) from None
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInput(_first_bad_value(self.coeffs, self.tail)) from None
         if not (math.isfinite(t) and all(map(math.isfinite, vals))):
-            raise InvalidInput(f"sequence values must be finite: {vals!r}, tail {t!r}")
+            raise InvalidInput(_first_bad_value(vals, t))
         while vals and vals[-1] == t:  # canonical form: no stored trailing tail values
             vals.pop()
         object.__setattr__(self, "coeffs", tuple(vals))
@@ -97,6 +92,22 @@ class FinSeq:
     def __repr__(self) -> str:
         body = ",".join(f"{v:g}" for v in self.coeffs)
         return f"FinSeq([{body}], tail={self.tail:g})"
+
+
+def _first_bad_value(coeffs: Sequence[Any], tail: Any) -> str:
+    """The error message naming the first value that is not a finite number."""
+    values = (*coeffs, tail)
+    for i, v in enumerate(values, 1):
+        where = f"index {i}" if i < len(values) else "the tail"
+        try:
+            if math.isfinite(float(v)):
+                continue
+        except (TypeError, ValueError):
+            return f"sequence values must be numbers: {reprlib.repr(v)} at {where}"
+        except OverflowError:  # an int beyond the float range
+            return f"sequence values must be finite: an integer beyond the float range at {where}"
+        return f"sequence values must be finite: {reprlib.repr(v)} at {where}"
+    return "sequence values must be finite numbers"
 
 
 def sup_norm(x: FinSeq) -> float:

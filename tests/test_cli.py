@@ -87,6 +87,18 @@ def test_james_norm_malformed_file_is_invalid_input(tmp_path, capsys, doc, text)
     assert error["kind"] == "invalid-input" and text in error["message"]
 
 
+def test_a_bad_value_in_a_long_sequence_file_gives_a_short_error(tmp_path, capsys):
+    coeffs = [float(i % 7) for i in range(10**5)]
+    coeffs[70_000] = math.nan  # json writes NaN, and json.loads reads it back
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"coeffs": coeffs, "tail": 0.0}))
+    code, out = run_cli(capsys, "james-norm", "--input", str(path))
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert len(out.encode()) < 1024
+    assert error["message"] == "sequence values must be finite: nan at index 70001"
+
+
 def test_james_norm_rescales_huge_and_tiny_values(capsys):
     code, out = run_cli(capsys, "james-norm", "--coeffs", "1e200", "--p", "2")
     assert code == 0
@@ -307,6 +319,25 @@ def test_embed_c0_writes_table(tmp_path, capsys):
         sup = sup_norm(summing_image(n) - summing_image(m))
         assert float(sup_text) == float(f"{sup:.12g}")
         assert float(ratio_text) == float(f"{summing_distortion_check(n, m)[0]:.12g}")
+
+
+def test_embed_c0_checks_the_profile_score_against_the_images(tmp_path, capsys, monkeypatch):
+    import interlace.cli as cli
+    from interlace.moduli import summing_map_sample
+
+    def doubled(k, max_entry):
+        sample = summing_map_sample(k, max_entry)
+        score = sample.d_target
+        sample.d_target = lambda n, m: 2.0 * score(n, m)
+        return sample
+
+    monkeypatch.setattr(cli, "summing_map_sample", doubled)
+    code, out = run_cli(
+        capsys, "embed-c0", "--k", "2", "--max-entry", "5", "--out", str(tmp_path)
+    )
+    error = json.loads(out)["error"]
+    assert code == 1
+    assert error["kind"] == "internal" and "AssertionError: profile score" in error["message"]
 
 
 def test_orlicz_norm_and_delta(capsys):

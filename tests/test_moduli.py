@@ -1,6 +1,7 @@
 """Empirical moduli, Lipschitz constants, probes, and the equicoarse table."""
 
 import itertools
+import json
 import math
 
 import pytest
@@ -8,16 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interlace import (
+    Branch,
     FinSeq,
     InvalidInput,
     MapSample,
     compute_moduli,
     concentration_probe,
+    dist,
+    enumerate_tuples,
     equicoarse_report,
+    g_embed,
     itup,
+    james_norm,
+    jt_norm_exact,
     lipschitz_constant,
+    summing_image,
     sup_norm,
+    walk_profile,
 )
+from interlace.cli import main
 from interlace.errors import ResourceLimit
 from interlace.moduli import (
     constant_map_sample,
@@ -281,3 +291,79 @@ class TestEquicoarse:
         for row in rows:
             assert row.omega_at_1 <= 1.0 + 1e-9
             assert row.rho_at_k > 0.0
+
+
+def _box_pairs(sample):
+    """Each pair of the sample's tuples with its (source, image) distances."""
+    return zip(itertools.combinations(sample.points, 2), sample.pair_distances())
+
+
+class TestProfileScores:
+    """The summing and branch samples score pairs from the walk profile; the
+    norms of the image differences are the independent side."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_summing_score_is_the_sup_norm_of_the_image_difference(self, k):
+        sample = summing_map_sample(k, 8)
+        assert sample.images == sample.points
+        images = {t: summing_image(t) for t in sample.points}
+        for (n, m), (_, score) in _box_pairs(sample):
+            assert score == sup_norm(images[n] - images[m])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_branch_score_is_the_jt_norm_of_the_image_difference(self, k):
+        sample = g_map_sample(k, 8)
+        assert sample.images == sample.points
+        sigma = Branch("0" * 8)
+        images = {t: g_embed(sigma, t) for t in sample.points}
+        for (n, m), (_, score) in _box_pairs(sample):
+            want = jt_norm_exact(images[n] - images[m])[0]
+            assert abs(score - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_the_heights_carry_the_j_p_norm_of_the_image_difference(self, k):
+        pts = enumerate_tuples(range(1, 9), k)
+        images = {t: summing_image(t) for t in pts}
+        for n, m in itertools.combinations(pts, 2):
+            heights = FinSeq((0.0, *(float(h) for _, h in walk_profile(n, m))))
+            for p in (1.5, 2.0, 3.0):
+                assert james_norm(heights, p) == james_norm(images[n] - images[m], p)
+
+
+def _image_g_sample(k, max_entry):
+    """The branch map with TreeVec images, measured by jt_norm_exact."""
+    sigma = Branch("0" * max_entry)
+    pts = enumerate_tuples(range(1, max_entry + 1), k)
+    return MapSample(
+        pts, dist, [g_embed(sigma, t) for t in pts], lambda x, y: jt_norm_exact(x - y)[0]
+    )
+
+
+def _r12(value):
+    return float(f"{value:.12g}")
+
+
+class TestProfileScoredCli:
+    def test_moduli_table_matches_the_image_based_sample(self, tmp_path, capsys):
+        argv = ["moduli", "--family", "g", "--k", "3", "--max-entry", "8", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        report = compute_moduli(_image_g_sample(3, 8))
+        assert rows == [
+            {"t": _r12(t), "rho_hat": _r12(r), "omega_hat": _r12(w)} for t, r, w in report.rows()
+        ]
+
+    def test_equicoarse_table_matches_the_image_based_samples(self, tmp_path, capsys):
+        argv = ["moduli", "--equicoarse", "--family", "g", "--ks", "1,2,3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        report = equicoarse_report([(k, _image_g_sample(k, 2 * k)) for k in (1, 2, 3)])
+        assert rows == [
+            {
+                "k": r.k,
+                "rho_hat_k": _r12(r.rho_at_k),
+                "omega_hat_1": _r12(r.omega_at_1),
+                "ratio": _r12(r.ratio),
+            }
+            for r in report
+        ]

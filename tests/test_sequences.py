@@ -63,6 +63,21 @@ class TestFinSeq:
         with pytest.raises(InvalidInput, match="must be numbers"):
             FinSeq(coeffs, tail)
 
+    @pytest.mark.parametrize(
+        "coeffs, tail, text",
+        [
+            ((1.0, math.nan, math.inf), 0.0, "finite: nan at index 10002"),
+            ((1.0, 2.0), -math.inf, "finite: -inf at the tail"),
+            ((1, 10**400), 0.0, "finite: an integer beyond the float range at index 10002"),
+            ((1.0, "x" * 10**4), 0.0, "numbers: 'xxxxxxxxxxxx...xxxxxxxxxxxxx' at index 10002"),
+            ((1.0,), None, "numbers: None at the tail"),
+        ],
+    )
+    def test_errors_name_only_the_first_bad_value(self, coeffs, tail, text):
+        with pytest.raises(InvalidInput) as info:
+            FinSeq((0.0,) * 10**4 + coeffs, tail)
+        assert str(info.value) == "sequence values must be " + text
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.floats(-1e6, 1e6), max_size=8),
