@@ -50,11 +50,14 @@ class FinSeq:
     tail: float = 0.0
 
     def __post_init__(self) -> None:
+        coeffs = self.coeffs
         try:
-            vals = [float(v) for v in self.coeffs]
+            if not isinstance(coeffs, (tuple, list)):
+                coeffs = tuple(coeffs)  # an iterator is read once, here
+            vals = [float(v) for v in coeffs]
             t = float(self.tail)
         except (TypeError, ValueError, OverflowError):
-            raise InvalidInput(_first_bad_value(self.coeffs, self.tail)) from None
+            raise InvalidInput(_first_bad_value(coeffs, self.tail)) from None
         if not (math.isfinite(t) and all(map(math.isfinite, vals))):
             raise InvalidInput(_first_bad_value(vals, t))
         while vals and vals[-1] == t:  # canonical form: no stored trailing tail values
@@ -96,7 +99,10 @@ class FinSeq:
 
 def _first_bad_value(coeffs: Sequence[Any], tail: Any) -> str:
     """The error message naming the first value that is not a finite number."""
-    values = (*coeffs, tail)
+    try:
+        values = (*coeffs, tail)
+    except TypeError:
+        return f"sequence values must be numbers: coeffs {reprlib.repr(coeffs)} is not iterable"
     for i, v in enumerate(values, 1):
         where = f"index {i}" if i < len(values) else "the tail"
         try:

@@ -58,10 +58,23 @@ class TestFinSeq:
         with pytest.raises(InvalidInput):
             FinSeq((1.0,), tail=bad)
 
-    @pytest.mark.parametrize("coeffs, tail", [((1.0, None), 0.0), ((1.0,), "x"), ((1.0,), None)])
+    @pytest.mark.parametrize(
+        "coeffs, tail", [((1.0, None), 0.0), ((1.0,), "x"), ((1.0,), None), (5, 0.0)]
+    )
     def test_rejects_values_that_are_not_numbers(self, coeffs, tail):
         with pytest.raises(InvalidInput, match="must be numbers"):
             FinSeq(coeffs, tail)
+
+    def test_rejects_coeffs_that_are_not_iterable(self):
+        with pytest.raises(InvalidInput) as info:
+            FinSeq(5)
+        assert str(info.value) == "sequence values must be numbers: coeffs 5 is not iterable"
+
+    def test_iterator_coeffs_are_read_once(self):
+        assert FinSeq(v for v in (1, 2.5, 0)).coeffs == (1.0, 2.5)
+        with pytest.raises(InvalidInput) as info:
+            FinSeq(v for v in (1.0, 2.0, None))
+        assert str(info.value) == "sequence values must be numbers: None at index 3"
 
     @pytest.mark.parametrize(
         "coeffs, tail, text",
