@@ -35,6 +35,7 @@ report of observed violations instead of raising.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -187,7 +188,8 @@ def validate_modulus(spec: ModulusSpec) -> ValidationReport:
 def _finite(x: Sequence[float]) -> list[float]:
     vals = [float(v) for v in x]
     if not all(map(math.isfinite, vals)):
-        raise InvalidInput(f"vector entries must be finite: {vals!r}")
+        i, v = next((i, v) for i, v in enumerate(vals, 1) if not math.isfinite(v))
+        raise InvalidInput(f"vector entries must be finite: {reprlib.repr(v)} at index {i}")
     return vals
 
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import reprlib
 import sys
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, dist
@@ -75,16 +76,22 @@ class FinSeq:
         """Indices with nonzero stored coefficient (meaningful when tail == 0)."""
         return tuple(i + 1 for i, v in enumerate(self.coeffs) if v != 0.0)
 
-    def __add__(self, other: "FinSeq") -> "FinSeq":
+    def _combine(self, other: "FinSeq", op: Callable[[float, float], float]) -> "FinSeq":
+        # pad both coefficient tuples with their tails, then combine in one pass
         L = max(len(self.coeffs), len(other.coeffs))
-        vals = [self.value_at(i) + other.value_at(i) for i in range(1, L + 1)]
-        return FinSeq(tuple(vals), self.tail + other.tail)
+        a = self.coeffs + (self.tail,) * (L - len(self.coeffs))
+        b = other.coeffs + (other.tail,) * (L - len(other.coeffs))
+        return FinSeq(tuple(map(op, a, b)), op(self.tail, other.tail))
+
+    def __add__(self, other: "FinSeq") -> "FinSeq":
+        return self._combine(other, operator.add)
 
     def __neg__(self) -> "FinSeq":
         return FinSeq(tuple(-v for v in self.coeffs), -self.tail)
 
     def __sub__(self, other: "FinSeq") -> "FinSeq":
-        return self + (-other)
+        # a - b is a + (-b) in IEEE arithmetic, signed zeros included
+        return self._combine(other, operator.sub)
 
     def __mul__(self, scalar: float) -> "FinSeq":
         s = float(scalar)
@@ -288,20 +295,33 @@ def james_norm(x: FinSeq, p: float = 2.0) -> float:
 
 
 def james_norm_bruteforce(x: FinSeq, p: float = 2.0) -> float:
-    """Exhaustive maximum over all increasing index subsets; the independent oracle."""
+    """Exhaustive maximum over all increasing index chains; the independent oracle.
+
+    Every increasing chain of two or more canonical indices is formed and its
+    sum of p-th power increments taken; the result is the largest sum's p-th
+    root.  No chain is pruned, so the oracle shares no reduction with
+    `james_norm`.  A chain ending a -> b is enumerated by extension: its sum is
+    the sum of the chain ending at a plus |vals[b] - vals[a]|^p, a power
+    computed once per pair a < b, so each sum is its increments added left to
+    right.  The sums of all chains ending at b (the one-point chain b, with
+    sum 0, included) are kept per b.  Cost for L canonical values: O(L^2)
+    powers and 2^L - L - 1 additions, one per chain; 2^L sums are held at once.
+    """
     p = _check_p(p)
     vals = _canonical_values(x)
     if len(vals) > BRUTE_FORCE_CAP:
         raise ResourceLimit(
             f"canonical index set of size {len(vals)} exceeds the cap {BRUTE_FORCE_CAP}"
         )
+    ends: list[list[float]] = []  # ends[b]: the sums of all chains ending at b
     best = 0.0
-    idx = range(len(vals))
-    for size in range(2, len(vals) + 1):
-        for comb in itertools.combinations(idx, size):
-            s = sum(abs(vals[b] - vals[a]) ** p for a, b in zip(comb, comb[1:]))
-            if s > best:
-                best = s
+    for b, v in enumerate(vals):
+        sums = [0.0]
+        for a in range(b):
+            t = abs(v - vals[a]) ** p
+            sums += [s + t for s in ends[a]]
+        ends.append(sums)
+        best = max(best, max(sums))
     return best ** (1.0 / p)
 
 

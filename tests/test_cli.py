@@ -99,6 +99,15 @@ def test_a_bad_value_in_a_long_sequence_file_gives_a_short_error(tmp_path, capsy
     assert error["message"] == "sequence values must be finite: nan at index 70001"
 
 
+def test_a_bad_entry_in_a_long_orlicz_vector_gives_a_short_error(capsys):
+    x = ",".join(["1"] * 5_000 + ["nan"] + ["1"] * 5_000)
+    code, out = run_cli(capsys, "orlicz", "--op", "norm", "--phi", "huber", "--x", x)
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert len(out.encode()) < 300
+    assert error["message"] == "vector entries must be finite: nan at index 5001"
+
+
 def test_james_norm_rescales_huge_and_tiny_values(capsys):
     code, out = run_cli(capsys, "james-norm", "--coeffs", "1e200", "--p", "2")
     assert code == 0

@@ -32,6 +32,21 @@ finseqs = st.builds(
     ).map(tuple),
 )
 
+SIGNED_ZEROS_AND_FLOATS = st.builds(
+    FinSeq,
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e6, 1e6), max_size=8).map(
+        tuple
+    ),
+    st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e6, 1e6),
+)
+
+
+def _signed(v):
+    # a float as (value, sign), so 0.0 and -0.0 differ; a FinSeq coefficient by coefficient
+    if isinstance(v, FinSeq):
+        return [_signed(c) for c in v.coeffs], _signed(v.tail)
+    return v, math.copysign(1.0, v)
+
 
 class TestFinSeq:
     def test_canonical_form_strips_tail_values(self):
@@ -115,6 +130,22 @@ class TestFinSeq:
         with pytest.raises(InvalidInput):
             FinSeq((1e308,)) + FinSeq((1e308,))
 
+    @settings(max_examples=200, deadline=None)
+    @given(SIGNED_ZEROS_AND_FLOATS, SIGNED_ZEROS_AND_FLOATS)
+    def test_sum_and_difference_are_the_per_index_values(self, x, y):
+        # a - b is a + (-b), and a + b the per-index sum, signed zeros included
+        assert _signed(x - y) == _signed(x + (-y))
+        L = max(len(x.coeffs), len(y.coeffs))
+        per_index = [x.value_at(i) + y.value_at(i) for i in range(1, L + 2)]
+        total = x + y
+        assert _signed(total.tail) == _signed(x.tail + y.tail)
+        # canonical form: the stored block is the per-index sums up to the last
+        # one that differs from the tail
+        kept = len(per_index)
+        while kept and per_index[kept - 1] == total.tail:
+            kept -= 1
+        assert _signed(total)[0] == [_signed(v) for v in per_index[:kept]]
+
 
 class TestSupNorm:
     def test_zero(self):
@@ -196,6 +227,20 @@ def _all_pairs_dp(x, p):
         if b > overall:
             overall = b
     return overall ** (1.0 / p)
+
+
+def _every_chain(x, p):
+    # the definition: every increasing chain of two or more canonical indices,
+    # its increments added left to right (not sum(), which may compensate)
+    vals = list(x.coeffs) + [x.tail]
+    best = 0.0
+    for size in range(2, len(vals) + 1):
+        for chain in itertools.combinations(range(len(vals)), size):
+            s = 0.0
+            for a, b in zip(chain, chain[1:]):
+                s += abs(vals[b] - vals[a]) ** p
+            best = max(best, s)
+    return best ** (1.0 / p)
 
 
 def _with_tails(values, max_size):
@@ -346,6 +391,19 @@ class TestJamesNorm:
     def test_bruteforce_cap(self):
         with pytest.raises(ResourceLimit):
             james_norm_bruteforce(FinSeq((1.0, 0.0) * 10), 2.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_with_tails(TIE_HEAVY, 9) | _with_tails(WIDE, 9), EXPONENTS)
+    def test_bruteforce_equals_the_chain_definition_bit_for_bit(self, x, p):
+        assert james_norm_bruteforce(x, p) == _every_chain(x, p)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_bruteforce_at_the_cap(self, p):
+        r = random.Random(13)
+        x = FinSeq(tuple(r.uniform(-1.0, 1.0) for _ in range(15)))  # 16 canonical values
+        assert james_norm_bruteforce(x, p) == james_norm(x, p)
+        with pytest.raises(ResourceLimit, match="size 17 exceeds the cap 16"):
+            james_norm_bruteforce(FinSeq(x.coeffs + (0.5,)), p)
 
     @settings(max_examples=80, deadline=None)
     @given(finseqs, st.sampled_from([1.5, 2.0, 3.0]))
