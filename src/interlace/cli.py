@@ -336,11 +336,9 @@ def _cmd_moduli(args: argparse.Namespace) -> dict:
     if args.probe:
         if args.c is None:
             raise InvalidInput("the probe needs --c (no canonical default exists)")
-        sample_fn = _FAMILIES[args.family]
-        sample = sample_fn(args.k, args.max_entry)
-        image_of = dict(zip(sample.points, sample.images))
+        sample = _FAMILIES[args.family](args.k, args.max_entry)
         result = concentration_probe(
-            lambda t: image_of[t],
+            lambda t: t,  # each family's images are its tuples
             sample.d_target,
             range(1, args.max_entry + 1),
             args.k,

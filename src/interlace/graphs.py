@@ -21,6 +21,7 @@ geodesics have one rule, `geodesic_step`; `geodesic_path` is its walk.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -87,19 +88,16 @@ def _check_same_arity(n: InterlacedTuple, m: InterlacedTuple) -> None:
         raise InvalidInput(f"arity mismatch: {n.arity} vs {m.arity}")
 
 
+def _interlaces(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """a_1 <= b_1 <= a_2 <= ... <= a_k <= b_k."""
+    return all(map(operator.le, a, b)) and all(map(operator.le, b, a[1:]))
+
+
 def is_adjacent(n: InterlacedTuple, m: InterlacedTuple) -> bool:
     """True iff n != m and the entries interlace in one of the two orders."""
     _check_same_arity(n, m)
-    if n.entries == m.entries:
-        return False
-
-    def chain(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        k = len(a)
-        return all(a[i] <= b[i] for i in range(k)) and all(
-            b[i] <= a[i + 1] for i in range(k - 1)
-        )
-
-    return chain(n.entries, m.entries) or chain(m.entries, n.entries)
+    a, b = n.entries, m.entries
+    return a != b and (_interlaces(a, b) or _interlaces(b, a))
 
 
 def walk_profile(n: InterlacedTuple, m: InterlacedTuple) -> tuple[tuple[int, int], ...]:

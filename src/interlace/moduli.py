@@ -13,9 +13,10 @@ probe searches for a small sub-universe on which the image of the tuple graph
 has small diameter; a finite search cannot certify the infinite concentration
 phenomenon, so its verdict is observational.
 
-The summing and branch samples are scored from the walk profile.  Their
-`images` are the tuples themselves, and with h = (0, h_1, ..., h_2k) the
-step heights of `walk_profile(n, m)`:
+The canonical samples below have the tuples themselves as their `images`,
+and their `d_target` scores a pair of tuples.  The summing and branch samples
+score from the walk profile: with h = (0, h_1, ..., h_2k) the step heights of
+`walk_profile(n, m)`,
 
     ||s(n) - s(m)||_inf = max |h|            (the difference at j is -F(j-1))
     ||g(n) - g(m)||_JT  = (2k)^(-1/2) var_2(h)
@@ -35,7 +36,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, dist, enumerate_tuples, walk_profile
-from .sequences import FinSeq, james_norm, sup_norm
+from .sequences import FinSeq, james_norm
 
 __all__ = [
     "MapSample",
@@ -194,7 +195,10 @@ def concentration_probe(
         raise InvalidInput("universe must have at least k + 1 elements")
     if mode == "exhaustive":
         if len(uni) > EXHAUSTIVE_PROBE_CAP:
-            raise ResourceLimit(f"exhaustive probe capped at |U| <= {EXHAUSTIVE_PROBE_CAP}")
+            raise ResourceLimit(
+                f"universe of size {len(uni)} exceeds the exhaustive probe cap "
+                f"EXHAUSTIVE_PROBE_CAP = {EXHAUSTIVE_PROBE_CAP}"
+            )
         size = 2 * k if subset_size is None else int(subset_size)
         if not (k + 1 <= size <= len(uni)):
             raise InvalidInput(
@@ -280,38 +284,33 @@ def _branch_score(n: InterlacedTuple, m: InterlacedTuple) -> float:
     return (1.0 / math.sqrt(2 * n.arity)) * james_norm(heights, 2.0)
 
 
+def _tuple_sample(k: int, max_entry: int, score: Callable[[Any, Any], float]) -> MapSample:
+    pts = enumerate_tuples(range(1, max_entry + 1), k)
+    return MapSample(pts, dist, pts, score)
+
+
 def summing_map_sample(k: int, max_entry: int) -> MapSample:
     """Summing-basis embedding of the arity-k tuples over {1..max_entry} into c0.
 
-    The images are the tuples; a pair scores max |h| over its profile heights.
+    A pair scores max |h| over its profile heights.
     """
-    pts = enumerate_tuples(range(1, max_entry + 1), k)
-    return MapSample(pts, dist, pts, _summing_score)
+    return _tuple_sample(k, max_entry, _summing_score)
 
 
 def g_map_sample(k: int, max_entry: int) -> MapSample:
     """Branch embedding of the arity-k tuples into the James-tree space.
 
-    The images are the tuples; a pair scores (2k)^(-1/2) var_2(h) over its
-    profile heights, the JT norm of the difference of the branch images.
+    A pair scores (2k)^(-1/2) var_2(h) over its profile heights, the JT norm
+    of the difference of the branch images.
     """
-    pts = enumerate_tuples(range(1, max_entry + 1), k)
-    return MapSample(pts, dist, pts, _branch_score)
+    return _tuple_sample(k, max_entry, _branch_score)
 
 
 def identity_map_sample(k: int, max_entry: int) -> MapSample:
     """The identity map on a tuple box; moduli collapse onto the diagonal."""
-    pts = enumerate_tuples(range(1, max_entry + 1), k)
-    return MapSample(pts, dist, list(pts), dist)
+    return _tuple_sample(k, max_entry, dist)
 
 
 def constant_map_sample(k: int, max_entry: int) -> MapSample:
     """A constant map; expansion vanishes identically."""
-    pts = enumerate_tuples(range(1, max_entry + 1), k)
-    zero = FinSeq()
-    return MapSample(
-        pts,
-        dist,
-        [zero] * len(pts),
-        lambda x, y: sup_norm(x - y),
-    )
+    return _tuple_sample(k, max_entry, lambda n, m: 0.0)

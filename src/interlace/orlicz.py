@@ -10,12 +10,11 @@ fewer evaluations of the O(n) sum total(r) = sum phi(|x_n| / r).  For a phi
 that is non-decreasing at the float level, total is non-increasing in r in
 floats too: v / r is correctly rounded, phi keeps its order, and a fixed-order
 sum of nonnegative terms keeps it again.  So two points a < b with total(a) > 1
->= total(b) decide every bisection midpoint outside (a, b) without a sum.
-Illinois (modified regula falsi) steps narrow such a pair first, and the
-bisection is then replayed, summing only at the midpoints inside (a, b).  The
-guarantee needs phi non-decreasing at the float level; for a phi that is so
-only up to rounding, the two searches can end at different points of the
-region where the sum is 1 up to rounding.
+>= total(b) decide every bisection midpoint outside (a, b) without a sum, and
+the replayed bisection sums only to narrow (a, b) past a midpoint inside it,
+by an Illinois (modified regula falsi) step.  For a phi non-decreasing only up
+to rounding, the two searches can end at different points of the region where
+the sum is 1 up to rounding.
 
 For a phi that is 1-Lipschitz with slope limit 1 at infinity, the two-variable
 rule
@@ -202,16 +201,13 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
     The entries and `tol` are scaled by the power of two of max|x_n| and the
     result is scaled back; this is exact, and the bracket cannot overflow.
 
-    The bisection is not run as such.  Illinois steps on total(r) - 1 first
-    narrow a pair a < b with total(a) > 1 >= total(b) inside the bracket, until
-    b - a <= tol or MAX_BRACKET_STEPS steps.  A secant point is kept at least
-    tol/2 and one ulp inside (a, b); where that fails, or where an end value is
-    infinite, the step takes the midpoint.  The bisection is then replayed: a
-    midpoint at or beyond b moves the upper end and one at or below a the lower
-    end, because total is non-increasing in r, and only a midpoint inside
-    (a, b) is summed.  When phi is non-decreasing at the float level, the
-    result is the float the plain bisection returns; about a third of its sums
-    are evaluated on large inputs.
+    The bisection keeps a pair a < b, first the bracket, with total(a) > 1 >=
+    total(b).  A midpoint at or beyond b, or at or below a, moves an end with no
+    sum.  One inside (a, b) is summed at the Illinois secant point of total - 1,
+    kept max(tol/2, ulp(b)) inside (a, b), which moves a or b; at the midpoint
+    itself if that point is unusable, total(a) is infinite, or MAX_BRACKET_STEPS
+    such sums were taken.  For phi non-decreasing at the float level, the result
+    is the plain bisection's float, for about a third of its sums on large inputs.
     """
     if not tol > 0:  # also rejects NaN
         raise InvalidInput("tol must be positive")
@@ -245,7 +241,9 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
             if t_hi <= 1.0:
                 break
         else:
-            raise ResourceLimit("bracket search exceeded the doubling cap")
+            raise ResourceLimit(
+                f"bracket search exceeded the doubling cap MAX_BRACKET_STEPS = {MAX_BRACKET_STEPS}"
+            )
     else:
         for _ in range(MAX_BRACKET_STEPS):
             hi, lo = lo, lo / 2.0
@@ -255,23 +253,28 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
             t_hi = t_lo
         else:
             return 0.0  # the constraint holds for every r > 0: the infimum is 0
-    # Narrow a < b, with total(a) > 1 >= total(b), by Illinois steps on total - 1.
-    # Each step keeps tol / 2, and at least one ulp, away from both ends: once
-    # one end sits on the root, the next step brings the other within tol of it.
+    # total is non-increasing in r, so a midpoint outside (a, b) is decided by
+    # the end it lies beyond; one inside is passed by narrowing (a, b).
     a, b, fa, fb = lo, hi, t_lo - 1.0, t_hi - 1.0
-    side = 0  # +1 after a step that moved a, -1 after one that moved b
-    for _ in range(MAX_BRACKET_STEPS):
-        if b - a <= tol:
+    side = steps = 0  # side: +1 after a sum that moved a, -1 after one that moved b
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
             break
-        c = 0.5 * (a + b)  # the step where the secant point is unusable
-        if math.isfinite(fa):
-            secant = a + (b - a) * (fa / (fa - fb))
+        if mid >= b:
+            hi = mid
+            continue
+        if mid <= a:
+            lo = mid
+            continue
+        c = mid
+        if steps < MAX_BRACKET_STEPS and math.isfinite(fa):
+            # once one end sits on the root, the next step brings the other within tol
             gap = max(0.5 * tol, math.ulp(b))
-            secant = min(max(secant, a + gap), b - gap)
+            secant = min(max(a + (b - a) * (fa / (fa - fb)), a + gap), b - gap)
             if a < secant < b:
                 c = secant
-        if not a < c < b:  # a and b are adjacent floats
-            break
+        steps += 1
         fc = total(c) - 1.0
         if fc > 0.0:
             a, fa = c, fc
@@ -283,20 +286,6 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
             if side < 0:
                 fa *= 0.5
             side = -1
-    # Replay the bisection; total is non-increasing in r, so a midpoint outside
-    # (a, b) is decided by the end it lies beyond, without a sum.
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if mid >= b:
-            hi = mid
-        elif mid <= a:
-            lo = mid
-        elif total(mid) <= 1.0:
-            hi = b = mid
-        else:
-            lo = a = mid
     try:
         return math.ldexp(hi, exp)
     except OverflowError:

@@ -311,7 +311,8 @@ def james_norm_bruteforce(x: FinSeq, p: float = 2.0) -> float:
     vals = _canonical_values(x)
     if len(vals) > BRUTE_FORCE_CAP:
         raise ResourceLimit(
-            f"canonical index set of size {len(vals)} exceeds the cap {BRUTE_FORCE_CAP}"
+            f"canonical index set of size {len(vals)} exceeds the cap {BRUTE_FORCE_CAP} "
+            "(BRUTE_FORCE_CAP)"
         )
     ends: list[list[float]] = []  # ends[b]: the sums of all chains ending at b
     best = 0.0

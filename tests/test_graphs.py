@@ -81,6 +81,22 @@ class TestAdjacency:
         with pytest.raises(InvalidInput):
             is_adjacent(itup(1), itup(1, 2))
 
+    def test_every_ordered_pair_over_a_small_box(self):
+        def alternates(a, b):
+            # the zipped sequence a_1, b_1, a_2, b_2, ..., a_k, b_k is sorted
+            zipped = [v for pair in zip(a, b) for v in pair]
+            return zipped == sorted(zipped)
+
+        pairs = 0
+        for k in range(1, 5):
+            tuples = enumerate_tuples(range(1, 10), k)
+            for n, m in itertools.product(tuples, repeat=2):
+                a, b = n.entries, m.entries
+                want = a != b and (alternates(a, b) or alternates(b, a))
+                assert is_adjacent(n, m) == want, (n, m)
+                pairs += 1
+        assert pairs == 24_309
+
 
 class TestWalkProfile:
     @settings(max_examples=100, deadline=None)

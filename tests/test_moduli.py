@@ -212,7 +212,7 @@ class TestConcentrationProbe:
     def test_exhaustive_cap(self):
         sample = summing_map_sample(1, 14)
         table = _image_table(sample)
-        with pytest.raises(ResourceLimit):
+        with pytest.raises(ResourceLimit, match="size 14 exceeds .* EXHAUSTIVE_PROBE_CAP = 12"):
             concentration_probe(
                 lambda t: table[t],
                 sample.d_target,

@@ -259,6 +259,32 @@ class TestReplayedBisection:
         assert calls <= 25 * len(vec)
         assert got == plain_bisection(vec, huber)
 
+    def test_secant_steps_creeping_by_one_gap_are_capped(self):
+        # total(r) = 2 phi(1/r) is 2 up to r = 0.5 and exactly 1 on (0.5, 1], so
+        # every secant point lands one gap below b; past MAX_BRACKET_STEPS such
+        # sums the undecided midpoints are summed themselves
+        def step(t):
+            return 0.0 if t < 1.0 else 0.5 if t < 2.0 else 1.0
+
+        def counted(norm):
+            calls = 0
+
+            def fn(t):
+                nonlocal calls
+                calls += 1
+                return step(t)
+
+            return norm([1.0, 1.0], OrliczSpec(fn)), calls // 2
+
+        got, sums = counted(orlicz_norm)
+        want, plain_sums = counted(plain_bisection)
+        assert got == want
+        assert sums <= plain_sums + MAX_BRACKET_STEPS
+
+    def test_doubling_cap_is_named(self):
+        with pytest.raises(ResourceLimit, match="MAX_BRACKET_STEPS = 64"):
+            orlicz_norm([1.0], OrliczSpec(lambda t: 2.0))
+
 
 class TestNNorm:
     def test_zero_first_coordinate(self):

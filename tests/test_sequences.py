@@ -389,7 +389,7 @@ class TestJamesNorm:
             james_norm_bruteforce(FinSeq((1.0,)), 0.5)
 
     def test_bruteforce_cap(self):
-        with pytest.raises(ResourceLimit):
+        with pytest.raises(ResourceLimit, match="BRUTE_FORCE_CAP"):
             james_norm_bruteforce(FinSeq((1.0, 0.0) * 10), 2.0)
 
     @settings(max_examples=150, deadline=None)
