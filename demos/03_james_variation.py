@@ -36,5 +36,5 @@ print("\n== norm of a sum of successive blocks ==")
 blocks = [FinSeq((0.0,) * (3 * i) + (1.0, -1.0)) for i in range(4)]
 for p in (1.5, 2.0, 3.0):
     r = successive_block_ratio(blocks, p)
-    print(f"  p={p}: ||sum||^p / sum ||.||^p = {r:.4f}")
-print("  (a measurement only: the bounding constant is not pinned down)")
+    print(f"  p={p}: ||sum||^p / sum ||.||^p = {r:.4f}, within [1, 2^(p-1)] = [1, {2 ** (p - 1):.4f}]")
+print("  (the upper bound holds for any successive blocks, the lower one when supports leave a gap)")

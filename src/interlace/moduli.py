@@ -14,23 +14,29 @@ has small diameter; a finite search cannot certify the infinite concentration
 phenomenon, so its verdict is observational.
 
 The canonical samples below have the tuples themselves as their `images`,
-and their `d_target` scores a pair of tuples.  The summing and branch samples
-score from the walk profile: with h = (0, h_1, ..., h_2k) the step heights of
-`walk_profile(n, m)`,
+and their `d_target` scores a pair of tuples from the heights
+h = (0, h_1, ..., h_r) of `walk_profile(n, m)` alone:
 
-    ||s(n) - s(m)||_inf = max |h|            (the difference at j is -F(j-1))
-    ||g(n) - g(m)||_JT  = (2k)^(-1/2) var_2(h)
+    summing   ||s(n) - s(m)||_inf = max |h|      (the difference at j is -F(j-1))
+    g         ||g(n) - g(m)||_JT  = (2k)^(-1/2) var_2(h)
+    identity  dist(n, m)          = max h - min h
+    constant  0
 
-since the branch map into JT is the summing map into J_2, rescaled.  Neither
-score builds a `FinSeq` or `TreeVec` difference; the norms of the image
-differences (`sup_norm` of `summing_image` differences, `jt_norm_exact` of
-`g_embed` differences) are the independent side, checked by criterion 14.
+since the branch map into JT is the summing map into J_2, rescaled.  No score
+builds a `FinSeq` or `TreeVec` difference; the norms of the image differences
+(`sup_norm` of `summing_image` differences, `jt_norm_exact` of `g_embed`
+differences) are the independent side, checked by criterion 14.  As the source
+distance is a function of h too, `MapSample.pair_distances` reads each pair's
+profile once for such a sample and scores each distinct h once, from a table
+that lives for that one call.  A tuple box repeats few h: the 21,945 pairs of
+the arity-4 tuples over [1..10] have 49.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -75,11 +81,35 @@ class MapSample:
             raise InvalidInput("a sample needs at least two points")
 
     def pair_distances(self) -> list[tuple[float, float]]:
-        """(source distance, image distance) per pair, in `itertools.combinations` order."""
+        """(source distance, image distance) per pair, in `itertools.combinations` order.
+
+        When the source metric is `dist`, the target metric a height score and
+        every image its own point, both distances are functions of the pair's
+        profile heights h: each pair's profile is read once, and each distinct
+        h is scored once, in a table kept for this call only.  Any other sample
+        evaluates both callbacks on every pair.
+        """
+        points, images, score = self.points, self.images, self.d_target
+        if (
+            self.d_source is dist
+            and isinstance(score, _HeightScore)
+            and all(map(operator.is_, images, points))
+        ):
+            # walk_profile rejects mixed arities, so a returned table has one k
+            table: dict[tuple[int, ...], tuple[float, float]] = {}
+            out = []
+            for n, m in itertools.combinations(points, 2):
+                h = _heights(n, m)
+                row = table.get(h)
+                if row is None:
+                    k = n.arity
+                    row = table[h] = (_dist_of_heights(k, h), score.of_heights(k, h))
+                out.append(row)
+            return out
         out = []
-        for i, j in itertools.combinations(range(len(self.points)), 2):
-            ds = float(self.d_source(self.points[i], self.points[j]))
-            dt = float(self.d_target(self.images[i], self.images[j]))
+        for i, j in itertools.combinations(range(len(points)), 2):
+            ds = float(self.d_source(points[i], points[j]))
+            dt = float(score(images[i], images[j]))
             out.append((ds, dt))
         return out
 
@@ -273,18 +303,53 @@ def equicoarse_report(
 # Canonical samples used by the demos, the CLI, and the certificate suites.
 # ---------------------------------------------------------------------------
 
-def _summing_score(n: InterlacedTuple, m: InterlacedTuple) -> float:
-    """||s(n) - s(m)||_inf as max |h| over the profile heights."""
-    return float(max((abs(h) for _, h in walk_profile(n, m)), default=0))
+def _heights(n: InterlacedTuple, m: InterlacedTuple) -> tuple[int, ...]:
+    """h = (0, h_1, ..., h_r): F(0), then the step heights of `walk_profile(n, m)`."""
+    return (0, *[h for _, h in walk_profile(n, m)])
 
 
-def _branch_score(n: InterlacedTuple, m: InterlacedTuple) -> float:
-    """||g(n) - g(m)||_JT as (2k)^(-1/2) times the 2-variation of the heights."""
-    heights = FinSeq((0.0, *(float(h) for _, h in walk_profile(n, m))))
-    return (1.0 / math.sqrt(2 * n.arity)) * james_norm(heights, 2.0)
+class _HeightScore:
+    """A pair score that depends only on the arity k and the profile heights h.
+
+    Called on two tuples it reads their profile; `MapSample.pair_distances`
+    calls `of_heights(k, h)` once per distinct h instead.
+    """
+
+    __slots__ = ("of_heights",)
+
+    def __init__(self, of_heights: Callable[[int, tuple[int, ...]], float]) -> None:
+        self.of_heights = of_heights
+
+    def __call__(self, n: InterlacedTuple, m: InterlacedTuple) -> float:
+        return self.of_heights(n.arity, _heights(n, m))
 
 
-def _tuple_sample(k: int, max_entry: int, score: Callable[[Any, Any], float]) -> MapSample:
+def _sup_of_heights(k: int, h: tuple[int, ...]) -> float:
+    """||s(n) - s(m)||_inf as max |h|."""
+    return float(max(map(abs, h)))
+
+
+def _branch_of_heights(k: int, h: tuple[int, ...]) -> float:
+    """||g(n) - g(m)||_JT as (2k)^(-1/2) times the 2-variation of h."""
+    return (1.0 / math.sqrt(2 * k)) * james_norm(FinSeq(h), 2.0)
+
+
+def _dist_of_heights(k: int, h: tuple[int, ...]) -> float:
+    """dist(n, m) as max h - min h."""
+    return float(max(h) - min(h))
+
+
+def _zero_of_heights(k: int, h: tuple[int, ...]) -> float:
+    return 0.0
+
+
+_summing_score = _HeightScore(_sup_of_heights)
+_branch_score = _HeightScore(_branch_of_heights)
+_identity_score = _HeightScore(_dist_of_heights)
+_constant_score = _HeightScore(_zero_of_heights)
+
+
+def _tuple_sample(k: int, max_entry: int, score: _HeightScore) -> MapSample:
     pts = enumerate_tuples(range(1, max_entry + 1), k)
     return MapSample(pts, dist, pts, score)
 
@@ -307,10 +372,13 @@ def g_map_sample(k: int, max_entry: int) -> MapSample:
 
 
 def identity_map_sample(k: int, max_entry: int) -> MapSample:
-    """The identity map on a tuple box; moduli collapse onto the diagonal."""
-    return _tuple_sample(k, max_entry, dist)
+    """The identity map on a tuple box; moduli collapse onto the diagonal.
+
+    A pair scores max h - min h over its profile heights, its distance.
+    """
+    return _tuple_sample(k, max_entry, _identity_score)
 
 
 def constant_map_sample(k: int, max_entry: int) -> MapSample:
     """A constant map; expansion vanishes identically."""
-    return _tuple_sample(k, max_entry, lambda n, m: 0.0)
+    return _tuple_sample(k, max_entry, _constant_score)

@@ -329,8 +329,20 @@ def james_norm_bruteforce(x: FinSeq, p: float = 2.0) -> float:
 def successive_block_ratio(blocks: Sequence[FinSeq], p: float = 2.0) -> float:
     """||sum x_i||^p / sum ||x_i||^p for successively supported tail-0 blocks.
 
-    A measurement, not an assertion: the constant bounding such ratios is not
-    pinned down, so callers aggregate empirical maxima themselves.
+    For blocks x_1 < ... < x_k the ratio R obeys two exact bounds:
+
+    * R <= 2^(p-1), always.  Split each increment that crosses from one block
+      to another at 0, using |u - v|^p <= 2^(p-1) (|u|^p + |v|^p).  The two
+      stubs and the increments inside a block then form a chain over that
+      block's own canonical values: those hold the tail sentinel 0 after the
+      block, and a stored 0 before it whenever an increment can cross into it.
+    * R >= 1 when consecutive supports leave a gap: the blocks' optimal
+      chains join through the zeros between them.
+
+    Both bounds are tight.  Adjacent spikes of alternating sign, (-1)^(i-1) e_i
+    for i = 1..k, give (2^p (k - 1) + 1) / (2k - 1) -> 2^(p-1); adjacent equal
+    spikes send R to 0, so without gaps there is no lower bound (the summing
+    direction of J).
     """
     p = _check_p(p)
     if not blocks:

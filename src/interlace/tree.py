@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import reprlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -135,6 +136,10 @@ class TreeVec:
             raise ResourceLimit(
                 f"{len(obj)} nodes exceed the support cap JT_SUPPORT_CAP = {JT_SUPPORT_CAP}"
             )
+        for key, val in obj.items():
+            # float() would also read JSON booleans and numeric strings
+            if type(val) not in (int, float):
+                raise InvalidInput(f"entry at {key!r} is not a number: {reprlib.repr(val)}")
         return TreeVec(dict(obj))
 
 

@@ -172,6 +172,13 @@ def test_jt_norm_rejects_non_finite_entries(capsys):
         assert json.loads(out)["error"]["kind"] == "invalid-input"
 
 
+def test_jt_norm_rejects_booleans_and_numeric_strings(capsys):
+    for text in ('{"0": "1"}', '{"0": true}'):
+        code, out = run_cli(capsys, "jt-norm", "--entries", text)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "invalid-input"
+
+
 def test_jt_norm_huge_entries_do_not_overflow(capsys):
     code, out = run_cli(capsys, "jt-norm", "--entries", '{"0": 1e200, "00": 1e200}')
     doc = json.loads(out)

@@ -330,6 +330,74 @@ class TestProfileScores:
                 assert james_norm(heights, p) == james_norm(images[n] - images[m], p)
 
 
+FAMILIES = [summing_map_sample, g_map_sample, identity_map_sample, constant_map_sample]
+
+
+def _bits(pairs):
+    return [(ds.hex(), dt.hex()) for ds, dt in pairs]
+
+
+def _count_metric_calls(monkeypatch):
+    """Count every profile read (also the one inside `dist`) and every `james_norm`."""
+    import interlace.graphs as graphs
+    import interlace.moduli as moduli
+
+    heights, norms = [], []
+
+    def counted_profile(n, m):
+        steps = walk_profile(n, m)
+        heights.append(tuple(h for _, h in steps))
+        return steps
+
+    def counted_norm(x, p=2.0):
+        norms.append(x)
+        return james_norm(x, p)
+
+    monkeypatch.setattr(graphs, "walk_profile", counted_profile)
+    monkeypatch.setattr(moduli, "walk_profile", counted_profile)
+    monkeypatch.setattr(moduli, "james_norm", counted_norm)
+    return heights, norms
+
+
+class TestPairTable:
+    """The canonical samples read each profile once per pair and score each
+    distinct height sequence once per `pair_distances()` call."""
+
+    @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("k, max_entry", [(1, 5), (2, 7), (3, 8), (4, 9)])
+    def test_table_equals_both_metrics_bit_for_bit(self, make, k, max_entry):
+        sample = make(k, max_entry)
+        want = [
+            (float(dist(n, m)), float(sample.d_target(n, m)))
+            for n, m in itertools.combinations(sample.points, 2)
+        ]
+        assert _bits(sample.pair_distances()) == _bits(want)
+
+    @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
+    def test_one_profile_per_pair_and_one_score_per_distinct_heights(self, make, monkeypatch):
+        sample = make(3, 8)
+        heights, norms = _count_metric_calls(monkeypatch)
+        pairs = math.comb(len(sample.points), 2)
+        first = sample.pair_distances()
+        assert len(heights) == pairs
+        scored = len(norms)
+        assert scored == (len(set(heights)) if make is g_map_sample else 0)
+        # no memo outlives a call: the second table is read and scored again
+        assert _bits(sample.pair_distances()) == _bits(first)
+        assert len(heights) == 2 * pairs
+        assert len(norms) == 2 * scored
+
+    def test_images_that_are_copies_take_the_two_metric_loop(self, monkeypatch):
+        sample = g_map_sample(2, 6)
+        want = sample.pair_distances()
+        copies = [itup(*t.entries) for t in sample.points]
+        heights, norms = _count_metric_calls(monkeypatch)
+        got = MapSample(sample.points, dist, copies, sample.d_target).pair_distances()
+        assert _bits(got) == _bits(want)
+        pairs = math.comb(len(copies), 2)
+        assert (len(heights), len(norms)) == (2 * pairs, pairs)
+
+
 def _image_g_sample(k, max_entry):
     """The branch map with TreeVec images, measured by jt_norm_exact."""
     sigma = Branch("0" * max_entry)

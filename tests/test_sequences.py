@@ -481,6 +481,34 @@ class TestSuccessiveBlocks:
             ratio = successive_block_ratio(blocks, p)
             assert 0.0 < ratio <= 2.0**p + 1e-12
 
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("gapped", [False, True], ids=["adjacent", "gapped"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ratio_obeys_the_block_bounds(self, p, gapped, data):
+        # each block starts and ends on a nonzero value, so adjacent supports touch
+        nonzero = st.floats(-4.0, 4.0).filter(lambda v: abs(v) >= 1e-3)
+        body = st.one_of(
+            st.tuples(nonzero),
+            st.builds(lambda a, mid, b: (a, *mid, b),
+                      nonzero, st.lists(st.floats(-4.0, 4.0), max_size=2), nonzero),
+        )
+        bodies = data.draw(st.lists(body, min_size=1, max_size=5))
+        blocks, start = [], data.draw(st.integers(0, 2))
+        for values in bodies:
+            blocks.append(FinSeq((0.0,) * start + values))
+            start += len(values) + (data.draw(st.integers(1, 2)) if gapped else 0)
+        ratio = successive_block_ratio(blocks, p)
+        assert ratio <= 2.0 ** (p - 1) * (1 + 1e-12)
+        if gapped:
+            assert ratio >= 1 - 1e-12
+
+    def test_alternating_adjacent_spikes_approach_the_upper_bound(self):
+        k = 200
+        blocks = [FinSeq((0.0,) * i + ((-1.0) ** i,)) for i in range(k)]
+        want = (4 * (k - 1) + 1) / (2 * k - 1)  # 797/399 at p = 2
+        assert abs(successive_block_ratio(blocks, 2.0) - want) <= 1e-12 * want
+
     def test_rejects_overlapping_supports(self):
         with pytest.raises(InvalidInput):
             successive_block_ratio([FinSeq((1.0, 1.0)), FinSeq((0.0, 1.0))], 2.0)
