@@ -314,7 +314,17 @@ def criterion_11(seed: int) -> str:
                val, oracle, x.entries)
         _check(abs(jt_family_value(x, wit) - val) <= 1e-12 * max(1.0, val),
                "the witness family does not attain %r on %s", val, x.entries)
-    return "300 two-branch vectors: exact solver = brute-force oracle, witnesses check out"
+    for _ in range(10):
+        # on one path, disjoint segments are disjoint intervals: the norm is the
+        # 2-variation of the partial sums, which start at 0 and keep their last value
+        bits = "".join(rng.choice("01") for _ in range(63))
+        vals = [rng.uniform(-1.0, 1.0) for _ in range(64)]
+        val, _ = jt_norm_exact(TreeVec({bits[:j]: v for j, v in enumerate(vals)}))
+        sums = tuple(itertools.accumulate(vals))
+        want = james_norm(FinSeq((0.0, *sums), sums[-1]), 2.0)
+        _check(abs(val - want) <= 1e-12 * want, "path norm %r vs variation norm %r", val, want)
+    return ("300 two-branch vectors: exact solver = brute-force oracle, witnesses check out; "
+            "10 64-node paths: norm = 2-variation of the partial sums")
 
 
 @_criterion("12", "branch embedding certificates (1-Lipschitz, sqrt(k/2))")

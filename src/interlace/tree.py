@@ -13,12 +13,16 @@ solver handles every finite support, and one independent oracle certifies it:
   its branch points (common prefixes of lexicographic neighbours).  Every
   other prefix of the support holds 0 and has one child among those
   prefixes, so a segment may be trimmed at it or extended through it without
-  changing its sum or its disjointness from the others.  For a virtual node
-  v at virtual depth d and j = 0..d, G_v[j] is the best value inside v's
-  subtree when a segment topped by v's j-th virtual ancestor is open at v;
-  it closes at v (scoring its squared sum) or continues into one child.
-  With F(v) = max(sum of F over the children, G_v[d]) the norm is
-  sqrt(F(root)).
+  changing its sum or its disjointness from the others.  With cum[w] the sum
+  of x from the root down to w, a segment open at v whose top sum is t is
+  worth G_v(t) = max over w below v of (cum[w] - t)^2 + d_w: it closes at w,
+  and d_w adds F over the subtrees hanging off the path from v to w, the
+  children of w included.  These parabolas share their curvature, so any
+  two cross at most once, and each node's envelope is a Li Chao tree over
+  the distinct top sums.  With F(v) = max(sum of F over the children,
+  G_v(top sum at v)) the norm is sqrt(F(root)).  Cost is O(n log n) on unary
+  chains and O(n log^2 n) at worst in n virtual nodes, independent of
+  string length.
 * jt_norm_bruteforce -- enumeration of disjoint families of raw segments as
   bitmasks over every prefix of the support, capped by support size.
 """
@@ -26,7 +30,6 @@ solver handles every finite support, and one independent oracle certifies it:
 from __future__ import annotations
 
 import math
-import os
 import reprlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -94,6 +97,9 @@ class TreeVec:
                 v = float(val)
             except (TypeError, ValueError):
                 raise InvalidInput(f"entry at {key!r} is not a number: {val!r}") from None
+            except OverflowError:
+                # an integer this large would echo hundreds of digits
+                raise InvalidInput(f"entry at {key!r} is beyond the float range") from None
             if not math.isfinite(v):
                 raise InvalidInput(f"entry at {key!r} is not finite: {v!r}")
             if v != 0.0:
@@ -196,9 +202,14 @@ def jt_norm_exact(x: TreeVec) -> tuple[float, list[Segment]]:
     """Exact James-tree norm and a maximizing disjoint segment family.
 
     Dynamic program over the virtual tree of the support (support nodes plus
-    branch points), in post-order with an explicit stack.  Cost is
-    O(sum of virtual depths), at most quadratic in the support size and
-    independent of the length of the node strings.
+    branch points), children before parents.  A segment open at v with top
+    sum t is worth G_v(t) = max over closing nodes w below v of
+    (cum[w] - t)^2 + d_w, one parabola per w kept in a Li Chao tree over the
+    sorted distinct `above` values, the only points ever queried.  A unary
+    node reuses its child's tree; a branch point adds each child's F to the
+    other child's parabolas as a per-tree offset and inserts the smaller tree
+    into the larger.  Cost is O(n log n) on unary chains and O(n log^2 n) at
+    worst in n virtual nodes, independent of the length of the node strings.
     """
     if not x.entries:
         return 0.0, []
@@ -208,94 +219,126 @@ def jt_norm_exact(x: TreeVec) -> tuple[float, list[Segment]]:
     virtual = set(supp)
     for a, b in zip(supp, supp[1:]):
         if not b.startswith(a):
-            virtual.add(os.path.commonprefix((a, b)))
+            # the bits agree up to the highest set bit of their XOR
+            m = min(len(a), len(b))
+            virtual.add(a[: m - (int(a[:m], 2) ^ int(b[:m], 2)).bit_length()])
     order = sorted(virtual)
     n = len(order)
+    parent = [-1] * n
     kids: list[list[int]] = [[] for _ in range(n)]
-    depth = [0] * n
     cum = [0.0] * n  # sum of x from the virtual root down to the node
     above = [0.0] * n  # the same sum stopping just above the node
-    best_open: list[list[float] | None] = [None] * n  # G_v, freed once used
-    best = [0.0] * n  # F(v)
-    back: list[bytes] = [b""] * n
-    starts = [False] * n
     path: list[int] = []  # virtual ancestors of the current node, root first
-    tops: list[float] = []  # above[a] for each a on path
-
-    def finish() -> None:
-        # G_v[j]: best value in v's subtree while the segment topped by the
-        # j-th virtual ancestor of v is open at v; back[v][j] records whether
-        # it closes at v (0) or continues into kids[v][choice - 1]
-        v = path[-1]
-        cv = cum[v]
-        ch = kids[v]
-        if not ch:
-            free = 0.0
-            g = [(s := cv - t) * s for t in tops]
-            bp = bytes(len(g))
-        elif len(ch) == 1:
-            c = ch[0]
-            free = best[c]
-            gc = best_open[c]
-            best_open[c] = None
-            close = [(s := cv - t) * s + free for t in tops]
-            g = list(map(max, close, gc))
-            bp = bytes(map(float.__lt__, close, gc))
-        else:
-            c0, c1 = ch
-            f0, f1 = best[c0], best[c1]
-            free = f0 + f1
-            into0 = [e + f1 for e in best_open[c0]]
-            into1 = [e + f0 for e in best_open[c1]]
-            best_open[c0] = best_open[c1] = None
-            close = [(s := cv - t) * s + free for t in tops]
-            g = list(map(max, close, into0, into1))
-            bp = bytes(
-                0 if m == c else 1 if m == e0 else 2
-                for m, c, e0 in zip(g, close, into0)
-            )
-        best_open[v] = g
-        back[v] = bp
-        if g[-1] > free:
-            best[v] = g[-1]
-            starts[v] = True
-        else:
-            best[v] = free
-        path.pop()
-        tops.pop()
-
     for i, node in enumerate(order):
         while path and not node.startswith(order[path[-1]]):
-            finish()
+            path.pop()
         if path:
-            parent = path[-1]
-            kids[parent].append(i)
-            depth[i] = depth[parent] + 1
-            above[i] = cum[parent]
+            p = path[-1]
+            parent[i] = p
+            kids[p].append(i)
+            above[i] = cum[p]
         cum[i] = above[i] + math.ldexp(x.entries.get(node, 0.0), -exp)
         path.append(i)
-        tops.append(above[i])
-    while path:
-        finish()
+
+    # Li Chao trees over the points xs[0..top]: the node owning the range
+    # [lo, hi] is keyed by its midpoint and holds the parabola (c, d, w) that
+    # is highest there; the loser can only win on one side of the midpoint,
+    # since two parabolas of equal curvature cross at most once
+    xs = sorted(set(above))
+    slot = {t: i for i, t in enumerate(xs)}
+    top = len(xs) - 1
+
+    def insert(tree: dict, c: float, d: float, w: int) -> None:
+        lo, hi = 0, top
+        while True:
+            mid = (lo + hi) >> 1
+            held = tree.get(mid)
+            if held is None:
+                tree[mid] = (c, d, w)
+                return
+            hc, hd, hw = held
+            t = xs[mid]
+            if (c - t) ** 2 + d > (hc - t) ** 2 + hd:
+                tree[mid] = (c, d, w)
+                c, d, w, hc, hd = hc, hd, hw, c, d
+            if lo < mid and (c - xs[lo]) ** 2 + d > (hc - xs[lo]) ** 2 + hd:
+                hi = mid - 1
+            elif mid < hi and (c - xs[hi]) ** 2 + d > (hc - xs[hi]) ** 2 + hd:
+                lo = mid + 1
+            else:
+                return
+
+    def query(tree: dict, i: int) -> tuple[float, int]:
+        t = xs[i]
+        lo, hi = 0, top
+        best_val, best_w = -math.inf, -1
+        while True:
+            mid = (lo + hi) >> 1
+            held = tree.get(mid)
+            if held is None:
+                return best_val, best_w
+            val = (held[0] - t) ** 2 + held[1]
+            if val > best_val:
+                best_val, best_w = val, held[2]
+            if i < mid:
+                hi = mid - 1
+            elif i > mid:
+                lo = mid + 1
+            else:
+                return best_val, best_w
+
+    best = [0.0] * n  # F(v): the best value in v's subtree with nothing open
+    closes = [-1] * n  # where the segment topped at v closes, or -1 if none starts
+    # G_v as (tree, offset): each d is stored less the offset added to the whole
+    # tree since it went in; freed once the parent has used it
+    envelope: list[tuple[dict, float] | None] = [None] * n
+    for v in range(n - 1, -1, -1):  # reversed preorder: children first
+        ch = kids[v]
+        if not ch:
+            tree, off, free = {}, 0.0, 0.0
+        elif len(ch) == 1:
+            (c,) = ch
+            tree, off = envelope[c]
+            envelope[c] = None
+            free = best[c]
+        else:
+            big, small = ch
+            if len(envelope[big][0]) < len(envelope[small][0]):
+                big, small = small, big
+            tree, off = envelope[big]
+            other, other_off = envelope[small]
+            envelope[big] = envelope[small] = None
+            free = best[big] + best[small]
+            off += best[small]
+            shift = other_off + best[big] - off
+            for c, d, w in other.values():
+                insert(tree, c, d + shift, w)
+        insert(tree, cum[v], free - off, v)
+        val, w = query(tree, slot[above[v]])
+        val += off
+        if val > free:
+            best[v] = val
+            closes[v] = w
+        else:
+            best[v] = free
+        envelope[v] = (tree, off)
 
     witness: list[Segment] = []
-    todo = [(0, -1, 0)]  # (node, depth of the open segment's top or -1, top)
+    todo = [0]
     while todo:
-        v, j, top = todo.pop()
-        if j < 0:
-            if not starts[v]:
-                todo.extend((c, -1, 0) for c in kids[v])
-                continue
-            j, top = depth[v], v
-        choice = back[v][j]
-        if choice == 0:
-            if cum[v] != above[top]:
-                witness.append(Segment(order[top], order[v]))
-            todo.extend((c, -1, 0) for c in kids[v])
-        else:
-            into = kids[v][choice - 1]
-            todo.append((into, j, top))
-            todo.extend((c, -1, 0) for c in kids[v] if c != into)
+        v = todo.pop()
+        w = closes[v]
+        if w < 0:
+            todo.extend(kids[v])
+            continue
+        if cum[w] != above[v]:  # a segment summing to 0 adds nothing
+            witness.append(Segment(order[v], order[w]))
+        # the subtrees hanging off the segment v..w start with nothing open
+        todo.extend(kids[w])
+        while w != v:
+            p = parent[w]
+            todo.extend(c for c in kids[p] if c != w)
+            w = p
     try:
         norm = math.ldexp(math.sqrt(best[0]), exp)
     except OverflowError:
@@ -363,9 +406,16 @@ def f_embed(sigma: Branch, n: InterlacedTuple) -> TreeVec:
 
     The counts below the root are the summing image of n.  The root is
     included among the prefixes; this shifts every image by the same multiple
-    of the root functional and cancels in all differences.
+    of the root functional and cancels in all differences.  An image of more
+    than JT_SUPPORT_CAP nodes (n_k >= JT_SUPPORT_CAP) is a ResourceLimit.
     """
     sigma.prefix(n.top)  # raises if the branch is too short
+    if n.top + 1 > JT_SUPPORT_CAP:
+        # top + 1 keys of length up to top: memory quadratic in the depth
+        raise ResourceLimit(
+            f"f image with {n.top + 1} nodes exceeds the support cap "
+            f"JT_SUPPORT_CAP = {JT_SUPPORT_CAP}"
+        )
     k = n.arity
     c = 1.0 / math.sqrt(k)
     counts = (float(k), *summing_image(n).coeffs)

@@ -465,6 +465,26 @@ def test_jt_embed_f_decomposition(capsys):
     assert doc["difference_segments"] == [["00", "00"], ["0000", "0000"]]
 
 
+def test_jt_norm_entry_beyond_the_float_range_is_invalid_input(capsys):
+    digits = "1" + "0" * 400
+    code, out = run_cli(capsys, "jt-norm", "--entries", '{"0": %s}' % digits)
+    err = json.loads(out)["error"]
+    assert code == 2
+    assert err["kind"] == "invalid-input"
+    assert "'0'" in err["message"] and "0000" not in err["message"]
+
+
+def test_jt_embed_f_beyond_the_support_cap_is_a_resource_limit(capsys):
+    # the f image of top = 4096 has 4097 nodes, one more than JT_SUPPORT_CAP
+    code, out = run_cli(
+        capsys, "jt-embed", "--map", "f", "--sigma", "0" * 4096, "--n", "4096"
+    )
+    err = json.loads(out)["error"]
+    assert code == 3
+    assert err["kind"] == "resource"
+    assert "JT_SUPPORT_CAP = 4096" in err["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from interlace import (
     Branch,
+    FinSeq,
     InvalidInput,
     ResourceLimit,
     Segment,
@@ -22,6 +24,7 @@ from interlace import (
     g_separation,
     is_adjacent,
     itup,
+    james_norm,
     jt_family_value,
     jt_norm_bruteforce,
     jt_norm_exact,
@@ -63,6 +66,50 @@ def bush_vecs():
         return TreeVec(entries)
 
     return build()
+
+
+def comb_and_spider_vecs():
+    """Long unary stems (nodes down to depth 40) forking at 2-4 branch points,
+    with at most 12 nonzero entries: a comb has legs leaving one spine, a
+    spider has 3-5 legs below one centre."""
+    vals = st.one_of(
+        st.sampled_from([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5]),
+        st.floats(-2.0, 2.0, allow_subnormal=False).filter(lambda v: abs(v) > 1e-3),
+    )
+
+    @st.composite
+    def build(draw):
+        spine = draw(st.text(alphabet="01", min_size=8, max_size=40))
+        if draw(st.booleans()):
+            forks = draw(st.lists(st.integers(0, len(spine) - 1), min_size=2, max_size=4,
+                                  unique=True))
+            flip = {"0": "1", "1": "0"}
+            tips = [spine] + [
+                spine[:d] + flip[spine[d]] + draw(st.text(alphabet="01", max_size=39 - d))
+                for d in forks
+            ]
+        else:
+            centre = spine[: draw(st.integers(0, 20))]
+            legs = st.text(alphabet="01", min_size=1, max_size=40 - len(centre))
+            tips = [centre + leg for leg in draw(st.lists(legs, min_size=3, max_size=5))]
+        entries = {tip: draw(vals) for tip in tips}
+        closure = sorted({t[:j] for t in tips for j in range(len(t) + 1)})
+        for node in draw(st.lists(st.sampled_from(closure), max_size=12 - len(entries))):
+            entries[node] = draw(vals)
+        supp = sorted(entries)
+        branch_points = {os.path.commonprefix((a, b)) for a, b in zip(supp, supp[1:])
+                         if not b.startswith(a)}
+        assume(2 <= len(branch_points) <= 4)
+        return TreeVec(entries)
+
+    return build()
+
+
+def variation_of_partial_sums(vals):
+    """The path identity: on one path the James-tree norm is the 2-variation of
+    the partial sums, which start at 0 and keep their last value as the tail."""
+    sums = tuple(itertools.accumulate(vals))
+    return james_norm(FinSeq((0.0, *sums), sums[-1]), 2.0)
 
 
 class TestSegments:
@@ -114,6 +161,11 @@ class TestTreeVec:
         for key in ("ab", "012", " ", "0\n", b"01", 5):
             with pytest.raises(InvalidInput):
                 TreeVec({key: 1.0})
+
+    def test_entry_beyond_the_float_range_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="'0' is beyond the float range") as exc:
+            TreeVec({"0": 10**400})
+        assert "0000" not in str(exc.value)  # the digits are not echoed
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", None])
     def test_rejects_non_finite_and_non_numeric_entries(self, bad):
@@ -215,6 +267,62 @@ class TestJTNorm:
         assert jt_family_value(x, witness) == 2e200
         with pytest.raises(InvalidInput):
             jt_family_value(TreeVec({"0": 1e308, "00": 1e308}), witness)
+
+    @pytest.mark.parametrize(
+        "entries, witnesses",
+        [
+            # at "0" the segments closing at "00" and at "01" are the same parabola
+            ({"0": 1.0, "00": 1.0, "01": 1.0},
+             ([Segment("0", "00"), Segment("01", "01")],
+              [Segment("0", "01"), Segment("00", "00")])),
+            ({"": 1.0, "00000": 1.0, "11111": 1.0},
+             ([Segment("", "00000"), Segment("11111", "11111")],
+              [Segment("", "11111"), Segment("00000", "00000")])),
+        ],
+    )
+    def test_tied_closing_nodes_give_a_valid_witness(self, entries, witnesses):
+        x = TreeVec(entries)
+        norm, witness = jt_norm_exact(x)
+        assert abs(norm - math.sqrt(5)) < 1e-12
+        assert witness in witnesses
+        assert abs(jt_family_value(x, witness) - norm) < 1e-12
+
+    def test_a_best_segment_summing_to_zero_is_left_out_of_the_witness(self):
+        # "", "0", "00" and "000" are branch points holding 0, and the open
+        # segment "00".."000" sums to 0; rounding can make it the best choice
+        # at "00", and it adds nothing to the family
+        x = TreeVec({"1": 0.6, "01": 0.2, "001": 1.1, "0001": 0.3, "0000": 0.7})
+        norm, witness = jt_norm_exact(x)
+        assert witness == [Segment(s, s) for s in ("1", "01", "001", "0000", "0001")]
+        assert all(pair(segment_functional(seg), x) != 0.0 for seg in witness)
+        assert abs(norm - jt_norm_bruteforce(x)) <= 1e-12 * norm
+        assert abs(jt_family_value(x, witness) - norm) <= 1e-12 * norm
+
+    @settings(max_examples=60, deadline=None)
+    @given(comb_and_spider_vecs())
+    def test_combs_and_spiders_match_the_oracle(self, x):
+        val, wit = jt_norm_exact(x)
+        assert abs(val - jt_norm_bruteforce(x)) <= 1e-12 * max(1.0, val)
+        assert abs(jt_family_value(x, wit) - val) <= 1e-12 * max(1.0, val)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(alphabet="01", max_size=299), st.data())
+    def test_path_norm_is_the_variation_of_the_partial_sums(self, bits, data):
+        entry = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+        vals = data.draw(st.lists(entry, min_size=len(bits) + 1, max_size=len(bits) + 1))
+        norm, _ = jt_norm_exact(TreeVec({bits[:j]: v for j, v in enumerate(vals)}))
+        want = variation_of_partial_sums(vals)
+        assert abs(norm - want) <= 1e-12 * want
+
+    def test_seeded_4000_node_path_matches_the_variation_norm(self):
+        rng = random.Random(4000)
+        bits = "".join(rng.choice("01") for _ in range(3999))
+        vals = [rng.uniform(-1.0, 1.0) for _ in range(4000)]
+        x = TreeVec({bits[:j]: v for j, v in enumerate(vals)})
+        norm, witness = jt_norm_exact(x)
+        want = variation_of_partial_sums(vals)
+        assert abs(norm - want) <= 1e-12 * want
+        assert abs(jt_family_value(x, witness) - norm) <= 1e-12 * norm
 
     def test_bruteforce_cap_is_named(self):
         x = TreeVec({"0" * j: 1.0 for j in range(13)})
@@ -327,6 +435,12 @@ class TestFEmbedding:
                 assert len(segs) <= k
                 nodes = [node for seg in segs for node in seg.nodes()]
                 assert len(nodes) == len(set(nodes))
+
+    def test_image_beyond_the_support_cap_is_a_resource_limit(self):
+        sigma = Branch("0" * JT_SUPPORT_CAP)
+        assert len(f_embed(sigma, itup(JT_SUPPORT_CAP - 1)).entries) == JT_SUPPORT_CAP
+        with pytest.raises(ResourceLimit, match="JT_SUPPORT_CAP = 4096"):
+            f_embed(sigma, itup(JT_SUPPORT_CAP))
 
     def test_difference_requires_adjacency(self):
         with pytest.raises(InvalidInput):
