@@ -28,8 +28,13 @@ builds a `FinSeq` or `TreeVec` difference; the norms of the image differences
 differences) are the independent side, checked by criterion 14.  As the source
 distance is a function of h too, `MapSample.pair_distances` reads each pair's
 profile once for such a sample and scores each distinct h once, from a table
-that lives for that one call.  A tuple box repeats few h: the 21,945 pairs of
-the arity-4 tuples over [1..10] have 49.
+that lives for that one call.  `compute_moduli`, `lipschitz_constant` and
+`equicoarse_report` need only the distinct rows of that table, and a full
+tuple box, every arity-k tuple over a universe U, has them without a pair: the
+pairs of a box realise exactly the h of the balanced +-1 step patterns of
+length 2j that start with +1, for 1 <= j <= min(k, |U| - k).  That is
+sum_j C(2j - 1, j - 1) sequences, 49 at k = 4 and 175 at k = 5, whatever the
+size of U.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, dist, enumerate_tuples, walk_profile
@@ -90,11 +95,7 @@ class MapSample:
         evaluates both callbacks on every pair.
         """
         points, images, score = self.points, self.images, self.d_target
-        if (
-            self.d_source is dist
-            and isinstance(score, _HeightScore)
-            and all(map(operator.is_, images, points))
-        ):
+        if self._scored_by_heights():
             # walk_profile rejects mixed arities, so a returned table has one k
             table: dict[tuple[int, ...], tuple[float, float]] = {}
             out = []
@@ -112,6 +113,18 @@ class MapSample:
             dt = float(score(images[i], images[j]))
             out.append((ds, dt))
         return out
+
+    def _scored_by_heights(self) -> bool:
+        """True when both distances of a pair are functions of its profile heights.
+
+        That is: the source metric is `dist`, the target metric a height score,
+        and every image is its own point.
+        """
+        return (
+            self.d_source is dist
+            and isinstance(self.d_target, _HeightScore)
+            and all(map(operator.is_, self.images, self.points))
+        )
 
 
 @dataclass(frozen=True)
@@ -149,24 +162,75 @@ class ProbeResult:
     omega_1: float
 
 
+def _box_shape(points: Sequence[Any]) -> tuple[int, int] | None:
+    """(k, |U|) when the points are every arity-k tuple over the union U of
+    their entries, in `itertools.combinations` order; None otherwise.
+
+    Strictly increasing points are distinct, and C(|U|, k) distinct k-subsets
+    of U are all of them.  The test costs O(T k) for T points.
+    """
+    if not all(isinstance(t, InterlacedTuple) for t in points):
+        return None
+    k = points[0].arity
+    entries = [t.entries for t in points]
+    if any(len(e) != k for e in entries) or not all(map(operator.lt, entries, entries[1:])):
+        return None
+    size = len(set().union(*entries))
+    return (k, size) if len(points) == math.comb(size, k) else None
+
+
+def _box_heights(k: int, size: int) -> Iterator[tuple[int, ...]]:
+    """The distinct profile heights h of the pairs n < m of a full box.
+
+    n △ m has 2j elements, 1 <= j <= min(k, size - k), and the first of them
+    lies in n.  Every balanced pattern of 2j steps +-1 that starts with +1
+    occurs, and h = (0, s_1, s_1 + s_2, ...) are its partial sums.
+    """
+    for j in range(1, min(k, size - k) + 1):
+        for ups in itertools.combinations(range(1, 2 * j), j - 1):
+            steps = [-1] * (2 * j)
+            for i in (0, *ups):
+                steps[i] = 1
+            yield (0, *itertools.accumulate(steps))
+
+
+def _distinct_rows(sample: MapSample) -> Collection[tuple[float, float]]:
+    """The distinct (source, image) distance rows of the sample's pairs.
+
+    A height-scored full tuple box scores its height patterns and reads no
+    pair.  Any other sample drops repeats from `pair_distances()`, keeping
+    first occurrences in order, so a min or max scan over the rows returns
+    what it returns over the pairs, NaN included.
+    """
+    if sample._scored_by_heights():
+        box = _box_shape(sample.points)
+        if box is not None:
+            k, size = box
+            score = sample.d_target.of_heights
+            return {(_dist_of_heights(k, h), score(k, h)) for h in _box_heights(k, size)}
+    return dict.fromkeys(sample.pair_distances())
+
+
 def compute_moduli(
     sample: MapSample, thresholds: Sequence[float] | None = None
 ) -> ModuliReport:
     """Empirical rho/omega over all sample pairs at the given thresholds.
 
-    Thresholds default to the realized source distances.
+    Thresholds default to the realized source distances.  The scan runs over
+    the distinct rows of the pair table; a full tuple box under a height
+    score builds them from its sum_j C(2j - 1, j - 1) height patterns.
     """
-    pairs = sample.pair_distances()
+    rows = _distinct_rows(sample)
     if thresholds is None:
-        ts = sorted({ds for ds, _ in pairs})
+        ts = sorted({ds for ds, _ in rows})
     else:
         ts = sorted(float(t) for t in thresholds)
         if not all(t >= 0 for t in ts):  # NaN fails too
             raise InvalidInput(f"thresholds must be non-negative numbers: {ts}")
     rho, omega = [], []
     for t in ts:
-        lo = [dt for ds, dt in pairs if ds >= t]
-        hi = [dt for ds, dt in pairs if ds <= t]
+        lo = [dt for ds, dt in rows if ds >= t]
+        hi = [dt for ds, dt in rows if ds <= t]
         rho.append(min(lo) if lo else math.inf)
         omega.append(max(hi) if hi else 0.0)
     return ModuliReport(tuple(ts), tuple(rho), tuple(omega))
@@ -179,12 +243,12 @@ def lipschitz_constant(sample: MapSample) -> float:
     geodesics (true for full tuple boxes); a mismatch raises rather than
     returning a silently wrong constant.
     """
-    pairs = sample.pair_distances()
-    for ds, _ in pairs:
+    rows = _distinct_rows(sample)
+    for ds, _ in rows:
         if ds < 0 or abs(ds - round(ds)) > 1e-9:
             raise InvalidInput("source distances must form an integer graph metric")
-    omega_1 = max((dt for ds, dt in pairs if ds <= 1.0), default=0.0)
-    ratio = max((dt / ds for ds, dt in pairs if ds > 0), default=0.0)
+    omega_1 = max((dt for ds, dt in rows if ds <= 1.0), default=0.0)
+    ratio = max((dt / ds for ds, dt in rows if ds > 0), default=0.0)
     if abs(omega_1 - ratio) > 1e-9 * max(1.0, ratio):
         raise AssertionError(
             f"omega_hat(1)={omega_1:g} != max ratio {ratio:g}; "
@@ -206,9 +270,9 @@ def concentration_probe(
 
     Greedy mode repeatedly removes the element whose removal most reduces the
     image diameter of the arity-k tuples over M, stopping at |M| = k + 1 or at
-    a local minimum.  Exhaustive mode (|U| <= 12) scans every subset of size
-    `subset_size`, which defaults to 2k: that is the smallest sub-universe
-    whose tuple graph attains the full diameter k.  Anything smaller is
+    a local minimum; it takes no `subset_size`.  Exhaustive mode (|U| <= 12)
+    scans every subset of size `subset_size`, which defaults to 2k: that is
+    the smallest sub-universe whose tuple graph attains the full diameter k.  Anything smaller is
     degenerate -- over k + 1 elements all tuples are pairwise adjacent, so the
     flag would hold trivially.  The flag is observational either way: no
     finite search proves concentration.
@@ -236,6 +300,11 @@ def concentration_probe(
             )
     elif mode != "greedy":
         raise InvalidInput(f"unknown probe mode {mode!r}")
+    elif subset_size is not None:
+        raise InvalidInput(
+            f"subset size {subset_size!r} (--subset-size) applies to the exhaustive "
+            "probe only; the greedy probe stops at |M| = k + 1"
+        )
     all_tuples = enumerate_tuples(uni, k)
     pairs = MapSample(all_tuples, dist, [f(t) for t in all_tuples], d_target).pair_distances()
     omega_1 = max((dt for ds, dt in pairs if ds <= 1.0), default=0.0)

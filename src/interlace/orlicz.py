@@ -332,6 +332,8 @@ def delta_transform(mod: ModulusSpec, t: float, steps: int = 256) -> float:
     t = float(t)
     if not math.isfinite(t) or t < 0:
         raise InvalidInput(f"t must be finite and non-negative, got {t!r}")
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise InvalidInput(f"steps must be an int, got {steps!r}")
     if steps < 16:
         raise InvalidInput("steps must be >= 16")
     if t == 0.0:

@@ -535,6 +535,17 @@ def test_moduli_probe_requires_c(capsys):
     assert code == 2
 
 
+def test_greedy_probe_rejects_a_subset_size(capsys):
+    code, out = run_cli(
+        capsys,
+        "moduli", "--probe", "--k", "2", "--max-entry", "6", "--c", "1", "--subset-size", "3",
+    )
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "invalid-input"
+    assert "--subset-size" in error["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -261,6 +261,13 @@ class TestConcentrationProbe:
         assert res.diameter == direct
         assert res.omega_1 == lipschitz_constant(sample)
 
+    def test_greedy_mode_rejects_a_subset_size(self):
+        sample = summing_map_sample(2, 6)
+        with pytest.raises(InvalidInput, match="--subset-size"):
+            concentration_probe(
+                lambda t: t, sample.d_target, range(1, 7), 2, c=1.0, subset_size=3
+            )
+
     def test_universe_too_small(self):
         with pytest.raises(InvalidInput):
             concentration_probe(
@@ -435,3 +442,89 @@ class TestProfileScoredCli:
             }
             for r in report
         ]
+
+
+def _report_bits(report):
+    return [tuple(v.hex() for v in row) for row in report.rows()]
+
+
+def _boxes():
+    """Every box with k <= 5 and |U| <= 10 that has a pair, over [1..|U|] and
+    over the first |U| odd numbers."""
+    for size in range(2, 11):
+        for k in range(1, min(5, size - 1) + 1):
+            yield k, range(1, size + 1)
+            yield k, range(1, 2 * size, 2)
+
+
+class TestBoxPatterns:
+    """`compute_moduli` takes the distinct rows of a full tuple box from its
+    height patterns; every other sample dedups its pair table."""
+
+    @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
+    def test_pattern_rows_equal_the_pair_table(self, make):
+        from interlace.moduli import _distinct_rows
+
+        score = make(1, 2).d_target
+        for k, universe in _boxes():
+            pts = enumerate_tuples(universe, k)
+            sample = MapSample(pts, dist, pts, score)
+            rows = _distinct_rows(sample)
+            assert isinstance(rows, set)  # built from the patterns, not the pairs
+            assert set(_bits(rows)) == set(_bits(sample.pair_distances())), (k, universe)
+
+    @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
+    def test_samples_that_are_not_boxes_take_the_pair_table(self, make, monkeypatch):
+        box = make(3, 7)
+        pts = list(box.points)
+        shuffled = pts[1:] + pts[:1]
+        short = pts[:10] + pts[11:]
+        copies = [itup(*t.entries) for t in pts]
+        want = compute_moduli(box)
+        heights, _ = _count_metric_calls(monkeypatch)
+        for points, images, same_pairs in (
+            (shuffled, shuffled, True),
+            (short, short, False),
+            (pts, copies, True),
+        ):
+            sample = MapSample(points, dist, images, box.d_target)
+            read = len(heights)
+            got = compute_moduli(sample)
+            assert len(heights) > read  # the pairs were read
+            if same_pairs:
+                assert _report_bits(got) == _report_bits(want)
+            table = sample.pair_distances()
+            ts = sorted({ds for ds, _ in table})
+            assert got.thresholds == tuple(ts)
+            assert got.rho_hat == tuple(
+                min((dt for ds, dt in table if ds >= t), default=math.inf) for t in ts
+            )
+            assert got.omega_hat == tuple(
+                max((dt for ds, dt in table if ds <= t), default=0.0) for t in ts
+            )
+
+    @pytest.mark.parametrize("k, max_entry, patterns", [(4, 10, 49), (5, 11, 175)])
+    def test_a_box_reads_no_profile_and_scores_each_pattern_once(
+        self, k, max_entry, patterns, monkeypatch
+    ):
+        sample = g_map_sample(k, max_entry)
+        heights, norms = _count_metric_calls(monkeypatch)
+        compute_moduli(sample)
+        assert (len(heights), len(norms)) == (0, patterns)
+        assert patterns == sum(math.comb(2 * j - 1, j - 1) for j in range(1, k + 1))
+        lipschitz_constant(sample)
+        assert (len(heights), len(norms)) == (0, 2 * patterns)
+
+    def test_equicoarse_report_reads_no_profile(self, monkeypatch):
+        samples = [(k, summing_map_sample(k, 2 * k)) for k in (1, 2, 3, 4, 5)]
+        heights, _ = _count_metric_calls(monkeypatch)
+        rows = equicoarse_report(samples)
+        assert heights == []
+        by_pairs = equicoarse_report(
+            [
+                (k, MapSample(s.points, dist, [itup(*t.entries) for t in s.points], s.d_target))
+                for k, s in samples
+            ]
+        )
+        assert len(heights) > 0
+        assert rows == by_pairs

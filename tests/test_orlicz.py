@@ -440,6 +440,11 @@ class TestDeltaTransform:
         with pytest.raises(InvalidInput):
             delta_transform(mod, 1.0, steps=8)
 
+    @pytest.mark.parametrize("steps", [16.0, True, "256", None])
+    def test_steps_must_be_an_int(self, steps):
+        with pytest.raises(InvalidInput, match=f"steps must be an int, got {steps!r}"):
+            delta_transform(modulus_fixture("identity"), 1.0, steps=steps)
+
     def test_result_beyond_the_float_range(self):
         # s^2/(1+s) overflows for s above about 1.3e154
         with pytest.raises(InvalidInput, match=r"delta\(1e\+200\) for modulus 'rational'"):
