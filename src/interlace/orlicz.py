@@ -10,11 +10,14 @@ fewer evaluations of the O(n) sum total(r) = sum phi(|x_n| / r).  For a phi
 that is non-decreasing at the float level, total is non-increasing in r in
 floats too: v / r is correctly rounded, phi keeps its order, and a fixed-order
 sum of nonnegative terms keeps it again.  So two points a < b with total(a) > 1
->= total(b) decide every bisection midpoint outside (a, b) without a sum, and
-the replayed bisection sums only to narrow (a, b) past a midpoint inside it,
-by an Illinois (modified regula falsi) step.  For a phi non-decreasing only up
-to rounding, the two searches can end at different points of the region where
-the sum is 1 up to rounding.
+>= total(b) decide, without a sum, every bracket end and bisection midpoint
+outside (a, b).  One search narrows (a, b) at secant points of log total
+against log r, where total is close to a line for power-like phi: first until
+no bracket end is left inside (a, b), then past each midpoint of the replayed
+bisection inside it.  It takes 4 to 9 sums per call on 30,000 entries, where
+the plain bisection takes 45 to 47.  For a phi non-decreasing only up to
+rounding, the two searches can end at different points of the region where the
+sum is 1 up to rounding.
 
 For a phi that is 1-Lipschitz with slope limit 1 at infinity, the two-variable
 rule
@@ -192,25 +195,53 @@ def _finite(x: Sequence[float]) -> list[float]:
     return vals
 
 
+def _loglog_root(
+    r1: float, t1: float, r2: float, t2: float, w1: float = 1.0, w2: float = 1.0
+) -> float | None:
+    """Where the line through (log r1, w1 log t1) and (log r2, w2 log t2) meets 0.
+
+    None if a total is 0 or infinite or the line is flat.  The step from r2 is
+    capped at a factor e^90 > 2^129, past every point the bracket search sums at.
+    """
+    if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
+        return None
+    g1, g2 = w1 * math.log(t1), w2 * math.log(t2)
+    if g1 == g2:
+        return None
+    step = g2 / (g1 - g2) * math.log(r2 / r1)
+    return r2 * math.exp(min(max(step, -90.0), 90.0))
+
+
 def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> float:
     """Luxemburg value inf { r : sum phi(|x_n|/r) <= 1 }, within `tol` of the infimum.
 
-    Bracket by doubling/halving from max|x_n|, then bisect.  The returned value
-    is the feasible (upper) end of the final bracket.  Bisection stops early if
-    the bracket collapses to adjacent floats, so very large scales terminate.
-    The entries and `tol` are scaled by the power of two of max|x_n| and the
-    result is scaled back; this is exact, and the bracket cannot overflow.
+    The value is the float of the plain bisection.  Its bracket [p/2, p] is
+    found by doubling or halving p from max|x_n| until total(p) <= 1 <
+    total(p/2); past MAX_BRACKET_STEPS doublings that is ResourceLimit, past as
+    many halvings the value is 0.0.  Bisection runs while the bracket is wider
+    than `tol` (positive and finite) and its ends are not adjacent floats, and
+    the feasible (upper) end is returned.  The entries and `tol` are scaled by
+    the power of two of max|x_n| and the result is scaled back; this is exact,
+    and no point the search sums at overflows.
 
-    The bisection keeps a pair a < b, first the bracket, with total(a) > 1 >=
-    total(b).  A midpoint at or beyond b, or at or below a, moves an end with no
-    sum.  One inside (a, b) is summed at the Illinois secant point of total - 1,
-    kept max(tol/2, ulp(b)) inside (a, b), which moves a or b; at the midpoint
-    itself if that point is unusable, total(a) is infinite, or MAX_BRACKET_STEPS
-    such sums were taken.  For phi non-decreasing at the float level, the result
-    is the plain bisection's float, for about a third of its sums on large inputs.
+    One search finds that float.  It keeps a < b with total(a) > 1 >= total(b),
+    which decide every power and midpoint outside (a, b) with no sum.  It sums
+    first at max|x_n|, then where a line in (log r, log total) meets total = 1:
+    the Illinois secant through a and b, or with one end unknown the line
+    through the last two sums (after the first sum, the line of slope -1).  A
+    point outside (a, b) gives way to the median power inside it, or with one
+    end unknown to the first power 2^(+-2^j) beyond the known one; with
+    b <= 2a the one power left inside is summed itself.  Once no power lies
+    inside (a, b), the bisection of the bracket is replayed: a midpoint inside
+    (a, b) is passed by one sum at the log-log Illinois secant point (the
+    linear one when total(b) = 0), kept max(tol/2, ulp(b)) inside (a, b); at
+    the midpoint itself if that point is unusable, total(a) is infinite, or
+    MAX_BRACKET_STEPS sums were taken.  For phi non-decreasing at the float
+    level, the result is the plain bisection's float, for 4 to 9 sums on
+    30,000 entries where the plain bisection takes 45 to 47.
     """
-    if not tol > 0:  # also rejects NaN
-        raise InvalidInput("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):  # also rejects NaN
+        raise InvalidInput(f"tol must be positive and finite, got {tol!r}")
     xs = [abs(v) for v in _finite(x) if v != 0.0]
     if not xs:
         return 0.0
@@ -231,32 +262,78 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
             raise InvalidInput("phi returned NaN")
         return s
 
-    hi = max(xs)
-    lo = hi
-    t_hi = total(hi)
-    if t_hi > 1.0:
-        for _ in range(MAX_BRACKET_STEPS):
-            lo, hi, t_lo = hi, hi * 2.0, t_hi
-            t_hi = total(hi)
-            if t_hi <= 1.0:
-                break
+    # The bracket's ends are powers m 2^k, -64 <= k <= 64.  total is
+    # non-increasing in r, so a < b with total(a) > 1 >= total(b) decide every
+    # power and midpoint outside (a, b); an unknown a reads as 0, an unknown b as inf.
+    m = max(xs)  # in [0.5, 1)
+    r_min, r_max = math.ldexp(m, -MAX_BRACKET_STEPS), math.ldexp(m, MAX_BRACKET_STEPS)
+    a, b, ta, tb = 0.0, math.inf, math.inf, 0.0
+    wa = wb = 1.0  # Illinois weights of the ends' log totals (linear: totals - 1)
+    side = steps = 0  # side: +1 after a sum that moved a, -1 after one that moved b
+
+    def octave(r: float) -> int:
+        """The least k with m 2^k >= r."""
+        frac, e = math.frexp(r)
+        return e if frac <= m else e + 1
+
+    def narrow(c: float) -> tuple[float, float]:
+        """Sum at c in (a, b) and move the end on its side there."""
+        nonlocal a, b, ta, tb, wa, wb, side, steps
+        steps += 1
+        tc = total(c)
+        if tc > 1.0:
+            a, ta, wa = c, tc, 1.0
+            if side > 0:
+                wb *= 0.5
+            side = 1
         else:
+            b, tb, wb = c, tc, 1.0
+            if side < 0:
+                wa *= 0.5
+            side = -1
+        return c, tc
+
+    # the bracket: sum until no power lies strictly inside (a, b)
+    prev, last = None, narrow(m)
+    while True:
+        if b <= r_min:
+            return 0.0  # the constraint holds for every r > 0: the infimum is 0
+        if a >= r_max:
             raise ResourceLimit(
                 f"bracket search exceeded the doubling cap MAX_BRACKET_STEPS = {MAX_BRACKET_STEPS}"
             )
-    else:
-        for _ in range(MAX_BRACKET_STEPS):
-            hi, lo = lo, lo / 2.0
-            t_lo = total(lo)
-            if t_lo > 1.0:
-                break
-            t_hi = t_lo
+        k = octave(b) if b < math.inf else MAX_BRACKET_STEPS + 1
+        below_b = math.ldexp(m, k - 1)  # the largest power below b
+        if below_b <= a:
+            break
+        if a and b <= 2.0 * a:
+            c = below_b  # the one power inside (a, b): a sum there decides it
         else:
-            return 0.0  # the constraint holds for every r > 0: the infimum is 0
-    # total is non-increasing in r, so a midpoint outside (a, b) is decided by
-    # the end it lies beyond; one inside is passed by narrowing (a, b).
-    a, b, fa, fb = lo, hi, t_lo - 1.0, t_hi - 1.0
-    side = steps = 0  # side: +1 after a sum that moved a, -1 after one that moved b
+            if steps >= MAX_BRACKET_STEPS:
+                c = None
+            elif a and b < math.inf:
+                c = _loglog_root(a, ta, b, tb, wa, wb)
+            elif prev is None:
+                # for convex phi with phi(0) = 0, total(m T) is <= 1 if T = total(m) >= 1,
+                # and >= 1 if T <= 1
+                c = m * last[1]
+            else:
+                c = _loglog_root(*prev, *last)
+            if c is not None:
+                c = min(max(c, r_min), r_max)
+            if c is None or not a < c < b:
+                # the median power inside (a, b); with one end unknown, the
+                # first power m 2^(+-2^j) beyond the known one
+                if not a:
+                    j = -(1 << (-k).bit_length())
+                else:
+                    lowest = octave(a) + (math.ldexp(m, octave(a)) == a)
+                    j = 1 << (lowest - 1).bit_length() if b == math.inf else (lowest + k - 1) // 2
+                c = math.ldexp(m, j)
+        prev, last = last, narrow(c)
+    # replay the bisection of the bracket: a midpoint outside (a, b) is decided
+    # by the end it lies beyond; one inside is passed by narrowing (a, b)
+    lo, hi = below_b, math.ldexp(m, k)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -268,24 +345,17 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
             lo = mid
             continue
         c = mid
-        if steps < MAX_BRACKET_STEPS and math.isfinite(fa):
+        if steps < MAX_BRACKET_STEPS and ta < math.inf:
             # once one end sits on the root, the next step brings the other within tol
             gap = max(0.5 * tol, math.ulp(b))
-            secant = min(max(a + (b - a) * (fa / (fa - fb)), a + gap), b - gap)
+            secant = _loglog_root(a, ta, b, tb, wa, wb)
+            if secant is None:  # total(b) = 0: the linear Illinois point
+                fa, fb = wa * (ta - 1.0), wb * (tb - 1.0)
+                secant = a + (b - a) * (fa / (fa - fb))
+            secant = min(max(secant, a + gap), b - gap)
             if a < secant < b:
                 c = secant
-        steps += 1
-        fc = total(c) - 1.0
-        if fc > 0.0:
-            a, fa = c, fc
-            if side > 0:
-                fb *= 0.5
-            side = 1
-        else:
-            b, fb = c, fc
-            if side < 0:
-                fa *= 0.5
-            side = -1
+        narrow(c)
     try:
         return math.ldexp(hi, exp)
     except OverflowError:
@@ -321,13 +391,17 @@ def n_norm(s: Sequence[float], spec: OrliczSpec) -> float:
 
 
 def delta_transform(mod: ModulusSpec, t: float, steps: int = 256) -> float:
-    """delta(t) = integral of mod(s)/s over (0, t], composite midpoint rule.
+    """delta(t) = integral of f(s) = mod(s)/s over (0, t], composite midpoint rule.
 
-    The integrand is non-decreasing, so the head piece over [0, eps] with
-    eps = t/steps^2 is bounded by eps * mod(eps)/eps = mod(eps); that bound is
-    used as the head contribution and keeps the total error well under 1% for
-    smooth moduli at the default resolution.  A sum beyond the float range is
-    InvalidInput.
+    f is non-decreasing, so the head piece over (0, eps], eps = t/steps^2, lies
+    in [0, mod(eps)]; mod(eps) is taken as the head.  On [eps, t], in `steps`
+    pieces of width h = (t - eps)/steps, a piece's midpoint value and its mean
+    of f both lie in [f(left), f(right)], and these ranges telescope:
+
+        |midpoint sum - int_eps^t f| <= h (f(t) - f(eps)),
+
+    so the returned value is within h (f(t) - f(eps)) + mod(eps) of delta(t),
+    up to rounding.  A sum beyond the float range is InvalidInput.
     """
     t = float(t)
     if not math.isfinite(t) or t < 0:
@@ -447,8 +521,8 @@ def orlicz_fixture(key: str) -> OrliczSpec:
             p = float(key.split(":", 1)[1])
         except ValueError:
             raise InvalidInput(f"cannot parse the exponent of Orlicz fixture {key!r}") from None
-        if p < 1.0:
-            raise InvalidInput("pow fixtures need p >= 1")
+        if not (math.isfinite(p) and p >= 1.0):  # a NaN p fails p < 1 too
+            raise InvalidInput(f"Orlicz fixture {key!r} needs a finite exponent p >= 1")
         flags = p == 1.0
         return OrliczSpec(lambda t, _p=p: t**_p, flags, flags, key)
     raise InvalidInput(f"unknown Orlicz fixture {key!r}; known: {ORLICZ_FIXTURE_KEYS}")

@@ -227,6 +227,8 @@ def test_orlicz_missing_flag_is_invalid_input(capsys, argv, flag):
     [
         (["--op", "norm", "--phi", "pow:2", "--x", "3,4", "--tol", "nan"], "tol"),
         (["--op", "compare-lp", "--phi", "pow:2", "--samples", "-3"], "--samples"),
+        # an infinite tol used to print the upper end of the doubling bracket
+        (["--op", "norm", "--phi", "huber", "--x", "1,2", "--tol", "inf"], "tol"),
     ],
 )
 def test_orlicz_argument_outside_its_domain_is_invalid_input(capsys, argv, text):
@@ -254,6 +256,9 @@ def test_orlicz_argument_outside_its_domain_is_invalid_input(capsys, argv, text)
             ["--op", "delta", "--modulus", "rational", "--t", "1.342e154"],
             "modulus 'rational' at t = 1.342e+154",
         ),
+        # a NaN exponent used to pass the p >= 1 check, and pow:inf printed a norm
+        (["--op", "norm", "--phi", "pow:inf", "--x", "1,2"], "'pow:inf'"),
+        (["--op", "validate", "--phi", "pow:nan"], "'pow:nan'"),
     ],
 )
 def test_orlicz_boundary_cases_are_invalid_input(capsys, argv, text):

@@ -129,6 +129,12 @@ class TestValidation:
         with pytest.raises(InvalidInput, match="'pow:abc'"):
             orlicz_fixture("pow:abc")
 
+    @pytest.mark.parametrize("key", ["pow:nan", "pow:inf", "pow:-inf", "pow:0.5"])
+    def test_pow_exponent_outside_its_domain(self, key):
+        # a NaN exponent fails p < 1 as well as p >= 1, so it used to build a fixture
+        with pytest.raises(InvalidInput, match=f"'{key}' needs a finite exponent p >= 1"):
+            orlicz_fixture(key)
+
     def test_grid_is_geometric_with_exact_ends(self):
         assert len(GRID) == 512
         assert GRID[0] == 1e-6 and GRID[-1] == 1e3
@@ -188,7 +194,7 @@ class TestOrliczNorm:
         with pytest.raises(InvalidInput):
             orlicz_norm([1.0], orlicz_fixture("identity"), tol=0.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_tol_outside_its_domain_is_invalid_input(self, tol):
         # a NaN tol used to skip the bisection and return the bracket's upper end
         with pytest.raises(InvalidInput, match="tol must be positive"):
@@ -284,6 +290,113 @@ class TestReplayedBisection:
     def test_doubling_cap_is_named(self):
         with pytest.raises(ResourceLimit, match="MAX_BRACKET_STEPS = 64"):
             orlicz_norm([1.0], OrliczSpec(lambda t: 2.0))
+
+    def test_an_overflowing_tol_still_ends_at_the_bracket(self):
+        # ldexp(1e300, 40) overflows: the bracket is returned with no bisection step
+        vec = [math.ldexp(1.0, -40), 3e-13]
+        huber = orlicz_fixture("huber")
+        assert orlicz_norm(vec, huber, 1e300) == plain_bisection(vec, huber, 1e300)
+
+
+class TestBracketSearch:
+    """The powers max|x_n| 2^k that end the plain bisection's bracket, found by secant steps."""
+
+    @staticmethod
+    def counted(vec, spec, tol=1e-10):
+        """orlicz_norm of vec and the number of O(n) sums it took."""
+        calls = 0
+
+        def fn(t):
+            nonlocal calls
+            calls += 1
+            return spec.fn(t)
+
+        got = orlicz_norm(vec, OrliczSpec(fn), tol)
+        return got, calls / sum(1 for v in vec if v != 0.0)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-300])
+    @pytest.mark.parametrize(
+        "vec",
+        [
+            [1.0, 1.0, 1.0, 1.0],  # the root is the power 4 = 1 * 2^2 itself
+            [1.0, 1.0, 1.0, 1.0 - 2.0**-51],  # one ulp below it
+            [1.0, 1.0, 1.0, 1.0, 2.0**-50],  # one ulp above it
+        ],
+    )
+    def test_roots_on_and_beside_a_power_of_two(self, vec, tol):
+        identity = orlicz_fixture("identity")
+        got, sums = self.counted(vec, identity, tol)
+        assert got == plain_bisection(vec, identity, tol)
+        assert abs(got - math.fsum(vec)) <= tol + 4 * math.ulp(4.0)
+        assert sums <= 6  # 3 to 5; a secant point equal to b, summed again, led to 100
+
+    def test_a_root_below_max_abs_x(self):
+        # huber(1) = 0.5 <= 1: one halving gives the bracket [|x|/2, |x|] of the root |x|/1.5
+        huber = orlicz_fixture("huber")
+        for x in (1.0, 3.7, -1e-9, 2.5e12):
+            got = orlicz_norm([x], huber)
+            assert got == plain_bisection([x], huber)
+            assert got == pytest.approx(abs(x) / 1.5, rel=1e-12, abs=1e-10)
+
+    @staticmethod
+    def step_at(k):
+        """phi with total(r) = 2 for r < 2^k and 0 from there on, for x = [1.0]."""
+        return OrliczSpec(lambda t: 2.0 if t > math.ldexp(1.0, -k) else 0.0)
+
+    @pytest.mark.parametrize("k", [-63, -1, 0, 1, 64])
+    def test_brackets_up_to_both_caps(self, k):
+        # the root is the power 2^k = max|x_n| 2^k; k = -63 and 64 are the last
+        # bracket ends MAX_BRACKET_STEPS halvings or doublings reach
+        got, sums = self.counted([1.0], self.step_at(k))
+        assert got == plain_bisection([1.0], self.step_at(k)) == math.ldexp(1.0, k)
+        # a total that is 2 or 0 gives no secant: the bracket is found by powers
+        # 2^(+-2^j), then halved; 8 to 22 sums here, where the plain bisection takes
+        # 35 to 117
+        assert sums <= 25
+
+    def test_past_the_halving_cap_the_norm_is_zero(self):
+        assert self.counted([1.0], self.step_at(-64)) == (0.0, 2)
+        assert plain_bisection([1.0], self.step_at(-64)) == 0.0
+        assert orlicz_norm([1.0, -2.0], OrliczSpec(lambda t: 0.0)) == 0.0
+
+    def test_past_the_doubling_cap_is_a_named_resource_limit(self):
+        with pytest.raises(ResourceLimit, match="the doubling cap MAX_BRACKET_STEPS = 64"):
+            self.counted([1.0], self.step_at(65))
+        with pytest.raises(ResourceLimit):
+            plain_bisection([1.0], self.step_at(65))
+
+    def test_sums_per_call_on_a_large_huber_vector(self):
+        rng = random.Random(3)
+        vec = [rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-1.0, 1.0) for _ in range(3000)]
+        huber = orlicz_fixture("huber")
+        got, sums = self.counted(vec, huber)
+        # 5 sums here, where the plain bisection takes 45
+        assert sums <= 6
+        assert got == plain_bisection(vec, huber)
+
+    @pytest.mark.parametrize("key", ["square", "pow:1.5", "pow:3"])
+    def test_sums_per_call_over_eight_decades(self, key):
+        # log total is close to a line in log r for a power-like phi: at most 6 sums
+        # on each vector here, where a linear secant in the replay takes up to 11
+        spec = orlicz_fixture(key)
+        rng = random.Random(key)
+        for _ in range(20):
+            vec = [rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-4.0, 4.0) for _ in range(30)]
+            got, sums = self.counted(vec, spec, 1e-6)
+            assert got == plain_bisection(vec, spec, 1e-6)
+            assert sums <= 7
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sums_per_call_where_the_total_is_1_over_several_ulps(self, seed):
+        # sqrt over 10^(+-4) at tol 1e-10: total(r) is exactly 1 over several ulps,
+        # which Illinois steps can pass one ulp at a time; 5 to 7 sums here, where
+        # the plain bisection takes 66
+        rng = random.Random(seed)
+        vec = [rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-4.0, 4.0) for _ in range(1000)]
+        root = orlicz_fixture("sqrt")
+        got, sums = self.counted(vec, root)
+        assert sums <= 8
+        assert got == plain_bisection(vec, root)
 
 
 class TestNNorm:
@@ -421,6 +534,20 @@ class TestDeltaTransform:
         for t in (0.1, 0.5, 1.0, 2.0):
             want = t - math.log1p(t)
             assert abs(delta_transform(mod, t) - want) <= 0.01 * want
+
+    @pytest.mark.parametrize("steps", [16, 256])
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 2.0, 50.0])
+    @pytest.mark.parametrize(
+        "key, closed_form", [("identity", lambda t: t), ("rational", lambda t: t - math.log1p(t))]
+    )
+    def test_midpoint_enclosure(self, key, closed_form, t, steps):
+        # f(s) = mod(s)/s is non-decreasing: the midpoint sum over [eps, t] is within
+        # h (f(t) - f(eps)) of the integral, and the head mod(eps) within mod(eps) of its piece
+        mod = modulus_fixture(key)
+        eps = t / (steps * steps)
+        h = (t - eps) / steps
+        bound = h * (mod.fn(t) / t - mod.fn(eps) / eps) + mod.fn(eps)
+        assert abs(delta_transform(mod, t, steps) - closed_form(t)) <= bound + 1e-13 * t
 
     def test_sandwich(self):
         for key in ("identity", "rational"):
