@@ -101,8 +101,20 @@ def _round_floats(obj: Any) -> Any:
     return obj
 
 
+# the options each `orlicz --op` reads; the echo of an op leaves out the others
+_ORLICZ_OP_OPTIONS = {
+    "norm": {"phi", "x", "tol"},
+    "nnorm": {"phi", "x"},
+    "delta": {"modulus", "t", "steps"},
+    "validate": {"phi", "modulus"},
+    "compare-lp": {"phi", "p", "side", "samples", "seed"},
+}
+
+
 def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
     skip = {"handler", "func"}
+    if args.command == "orlicz":
+        skip |= set.union(*_ORLICZ_OP_OPTIONS.values()) - _ORLICZ_OP_OPTIONS[args.op]
     return {
         k: (v if not isinstance(v, Path) else str(v))
         for k, v in sorted(vars(args).items())
@@ -178,8 +190,9 @@ def _cmd_dist(args: argparse.Namespace) -> dict:
 
 
 def _cmd_embed_c0(args: argparse.Namespace) -> dict:
-    # the sample scores sup_diff from the walk profile; the ratio comes from the
-    # c0 images, built once per tuple, so each row checks one against the other
+    # the sample scores d and sup_diff from the walk profile, read once per pair;
+    # the ratio comes from the c0 images, built once per tuple, and the
+    # certificate verifies the table's d, so each row checks one against the other
     sample = summing_map_sample(args.k, args.max_entry)
     pairs = zip(
         itertools.combinations(sample.points, 2),
@@ -188,7 +201,7 @@ def _cmd_embed_c0(args: argparse.Namespace) -> dict:
     )
     rows = []
     for (n, m), images, (d, sup_diff) in pairs:
-        ratio, _ = summing_distortion_check(n, m, images=images)
+        ratio, _ = summing_distortion_check(n, m, images=images, d=d)
         if sup_diff / d != ratio:
             raise AssertionError(
                 f"profile score {sup_diff!r} / {d!r} != image ratio {ratio!r} at {n}, {m}"

@@ -150,24 +150,41 @@ def summing_distortion_check(
     m: InterlacedTuple,
     *,
     images: tuple[FinSeq, FinSeq] | None = None,
+    d: float | None = None,
 ) -> tuple[float, float]:
     """Certify (1/2) d(n,m) <= ||image(n) - image(m)||_inf <= d(n,m).
 
     Returns the ratio pair (sup-norm / distance, 1.0); for n == m the ratio is
-    undefined and (nan, nan) is returned.  Also verifies, in integer
-    arithmetic, that max - min of the coordinatewise difference (trailing zero
-    included) equals the graph distance; the difference at coordinate j is
-    -F(j-1), so this is the profile identity in c0 clothing.  A caller that
-    certifies many pairs passes `images=(summing_image(n), summing_image(m))`
-    built once per tuple; without it both images are built here.
+    undefined and (nan, nan) is returned.  Also verifies, exactly, that max -
+    min of the coordinatewise difference (trailing zero included) equals the
+    graph distance; the difference at coordinate j is -F(j-1), so this is the
+    profile identity in c0 clothing.  The coordinates of a summing image are
+    small integers, so every difference and comparison is exact in floats.
+
+    A caller that certifies many pairs passes `images=(summing_image(n),
+    summing_image(m))` built once per tuple, and may pass `d`, the distance
+    it already holds; without them both images are built here and d is
+    `dist(n, m)`.  A passed `d` is verified, not trusted: the same bounds and
+    identity apply, and d == 0 holds only for n == m with a vanishing
+    difference.  An image with a nonzero tail is InvalidInput, as in
+    `sup_norm`.
     """
-    d = dist(n, m)
-    if d == 0:
-        return (math.nan, math.nan)
+    if d is None:
+        d = dist(n, m)
     img_n, img_m = images if images is not None else (summing_image(n), summing_image(m))
-    diff = img_n - img_m
-    vals = [*map(int, diff.coeffs), 0]  # the stored coordinates and the zero tail
+    if img_n.tail != 0.0 or img_m.tail != 0.0:
+        raise InvalidInput("summing images are tail-0 sequences")
+    # the coordinatewise difference read straight from the coefficients, with no
+    # FinSeq built for it: both tails are 0, so each image is padded with zeros
+    # and the zero tail difference is appended
+    a, b = img_n.coeffs, img_m.coeffs
+    L = max(len(a), len(b))
+    vals = [*map(operator.sub, a + (0.0,) * (L - len(a)), b + (0.0,) * (L - len(b))), 0.0]
     hi, lo = max(vals), min(vals)
+    if d == 0:
+        if n != m or hi != lo:
+            raise AssertionError(f"distance 0 for distinct tuples or images at {n}, {m}")
+        return (math.nan, math.nan)
     s = max(hi, -lo)
     if not (2 * s >= d and s <= d):
         raise AssertionError(f"distortion bound violated for {n}, {m}: s={s}, d={d}")

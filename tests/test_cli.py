@@ -361,6 +361,45 @@ def test_embed_c0_checks_the_profile_score_against_the_images(tmp_path, capsys, 
     assert error["kind"] == "internal" and "AssertionError: profile score" in error["message"]
 
 
+def test_embed_c0_reads_each_profile_once(tmp_path, capsys, monkeypatch):
+    # the certificate verifies the pair table's d instead of calling dist again
+    import interlace.graphs as graphs
+    import interlace.moduli as moduli
+
+    calls = 0
+    real = graphs.walk_profile
+
+    def counting(n, m):
+        nonlocal calls
+        calls += 1
+        return real(n, m)
+
+    monkeypatch.setattr(graphs, "walk_profile", counting)
+    monkeypatch.setattr(moduli, "walk_profile", counting)
+    code, out = run_cli(
+        capsys, "embed-c0", "--k", "3", "--max-entry", "10", "--out", str(tmp_path)
+    )
+    assert code == 0 and json.loads(out)["pairs"] == math.comb(120, 2)
+    assert calls == math.comb(120, 2) == 7140
+
+
+@pytest.mark.parametrize(
+    "argv, echoed",
+    [
+        (["--op", "norm", "--phi", "pow:2", "--x", "3,4"], {"phi", "x", "tol"}),
+        (["--op", "nnorm", "--phi", "huber", "--x", "1,2"], {"phi", "x"}),
+        (["--op", "delta", "--modulus", "rational"], {"modulus", "t", "steps"}),
+        (["--op", "validate", "--phi", "sqrt"], {"phi", "modulus"}),
+        (["--op", "compare-lp", "--phi", "pow:2"], {"phi", "p", "side", "samples", "seed"}),
+    ],
+    ids=lambda v: v[1] if isinstance(v, list) else None,
+)
+def test_orlicz_echoes_only_the_options_its_op_reads(capsys, argv, echoed):
+    code, out = run_cli(capsys, "orlicz", *argv)
+    assert code == 0
+    assert set(json.loads(out)["config"]) == {"command", "op"} | echoed
+
+
 def test_orlicz_norm_and_delta(capsys):
     code, out = run_cli(capsys, "orlicz", "--op", "norm", "--phi", "pow:2", "--x", "3,4")
     assert code == 0

@@ -183,10 +183,39 @@ class TestSummingImage:
         assert math.isnan(ratio) and math.isnan(other)
 
     def test_prebuilt_images_give_the_same_certificate(self):
-        verts = enumerate_tuples(range(1, 7), 2)
-        for n, m in itertools.combinations(verts, 2):
-            images = (summing_image(n), summing_image(m))
-            assert summing_distortion_check(n, m, images=images) == summing_distortion_check(n, m)
+        for k in (1, 2, 3):
+            for n, m in itertools.combinations(enumerate_tuples(range(1, 7), k), 2):
+                images = (summing_image(n), summing_image(m))
+                want = summing_distortion_check(n, m)
+                assert summing_distortion_check(n, m, images=images) == want
+                # and with the distance a pair table holds, as a float
+                assert summing_distortion_check(n, m, images=images, d=float(dist(n, m))) == want
+
+    def test_a_wrong_passed_distance_raises(self):
+        # d(n, m) = 1 and the sup is 1, so d = 2 keeps both bounds but not the identity
+        n, m = itup(1, 3), itup(2, 4)
+        with pytest.raises(AssertionError, match="profile identity violated"):
+            summing_distortion_check(n, m, d=2)
+
+    def test_a_passed_zero_distance_needs_equal_tuples_and_images(self):
+        n, m = itup(1, 3), itup(2, 4)
+        img_n, img_m = summing_image(n), summing_image(m)
+        # distinct tuples, also when the supplied images do not tell them apart;
+        # equal tuples whose images differ
+        for a, b, images in [(n, m, None), (n, m, (img_n, img_n)), (n, n, (img_n, img_m))]:
+            with pytest.raises(AssertionError, match="distance 0"):
+                summing_distortion_check(a, b, images=images, d=0)
+
+    def test_a_supplied_image_with_a_fractional_sup_is_not_truncated(self):
+        # d((1), (2)) = 1 but the sup of the difference is 1.9
+        images = (FinSeq((1.9, 0.0)), FinSeq((0.0, 0.0)))
+        with pytest.raises(AssertionError, match="violated"):
+            summing_distortion_check(itup(1), itup(2), images=images)
+
+    def test_a_supplied_image_with_a_nonzero_tail_is_invalid(self):
+        images = (FinSeq((1.0, 0.0), 5.0), FinSeq((1.0, 1.0)))
+        with pytest.raises(InvalidInput, match="tail"):
+            summing_distortion_check(itup(1), itup(2), images=images)
 
     def test_criterion_4_builds_each_image_once(self, monkeypatch):
         calls = 0
