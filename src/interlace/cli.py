@@ -21,6 +21,7 @@ import json
 import math
 import os
 import random
+import reprlib
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -73,11 +74,14 @@ __all__ = ["main"]
 # ----------------------------------------------------------------- utilities
 
 def _parse_tuple(text: str) -> InterlacedTuple:
-    try:
-        entries = tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise InvalidInput(f"cannot parse tuple {text!r}: {exc}") from None
-    return InterlacedTuple(entries)
+    entries = []
+    for i, field in enumerate(text.split(","), 1):
+        try:
+            entries.append(int(field))
+        except ValueError:
+            # name the first bad field only: a long --n is not echoed back
+            raise InvalidInput(f"cannot parse tuple: {reprlib.repr(field)} at index {i}") from None
+    return InterlacedTuple(tuple(entries))
 
 
 def _parse_floats(text: str) -> list[float]:

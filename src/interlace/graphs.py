@@ -10,18 +10,24 @@ swapped).  The shortest-path distance of this graph admits a closed form: with
 the distance equals max(F) - min(F), which is also the largest discrepancy
 ||n ∩ S| - |m ∩ S|| over integer intervals S.  F changes only at the elements
 of the symmetric difference n △ m, by +1 at an element of n and by -1 at an
-element of m, and is 0 before the first and from the last of them on.  So the
-profile is stored as its steps, the pairs (j, F(j)) for j in n △ m: the
-distance costs O(k) and each geodesic step O(k log k), whatever the size of
-the entries.  This module computes the metric three ways (profile formula,
-breadth-first oracle, explicit geodesics) so each can certify the others.  The
-geodesics have one rule, `geodesic_step`; `geodesic_path` is its walk.
+element of m, and is 0 before the first and from the last of them on.  Both
+tuples are sorted, so one two-pointer merge of their entries walks F: each
+entry of n is a climb unless m shares it, the entries of m below it are falls,
+and what m has left after the last entry of n is one pure fall back to 0.
+`dist` is that merge keeping only the running max and min, O(k) with no
+profile built; `walk_profile` is the same merge recording the steps, the pairs
+(j, F(j)) for j in n △ m, from which each geodesic step costs O(k log k).
+Neither depends on the size of the entries.  This module computes the metric
+three ways (profile formula, breadth-first oracle, explicit geodesics) so each
+can certify the others.  The geodesics have one rule, `geodesic_step`;
+`geodesic_path` is its walk.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import reprlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -47,14 +53,18 @@ class InterlacedTuple:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ent = tuple(int(v) for v in self.entries)
+        ent = _as_ints(self.entries, "entries")
         if len(ent) == 0:
             raise InvalidInput("tuple must have at least one entry")
-        if any(v < 1 for v in ent):
-            raise InvalidInput(f"entries must be positive integers: {ent}")
-        if any(a >= b for a, b in zip(ent, ent[1:])):
+        if not all(map(operator.lt, ent, ent[1:])):
             # duplicates are rejected rather than deduplicated: fail fast on bad input
-            raise InvalidInput(f"entries must be strictly increasing: {ent}")
+            i, v = next((i, v) for i, v in enumerate(ent[1:], 2) if v <= ent[i - 2])
+            raise InvalidInput(
+                f"entries must be strictly increasing: {reprlib.repr(v)} at index {i}"
+                f" follows {reprlib.repr(ent[i - 2])}"
+            )
+        if ent[0] < 1:  # the smallest entry
+            raise InvalidInput(f"entries must be positive: {reprlib.repr(ent[0])} at index 1")
         object.__setattr__(self, "entries", ent)
 
     @property
@@ -83,9 +93,29 @@ def itup(*values: int) -> InterlacedTuple:
     return InterlacedTuple(tuple(values))
 
 
+def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints; a bool, float, string or other non-integer
+    is InvalidInput naming the first such value and its index (from 1), never
+    truncated."""
+    vals = values if type(values) is tuple else tuple(values)
+    if all(type(v) is int for v in vals):
+        return vals
+    out = []
+    for i, v in enumerate(vals, 1):
+        try:
+            if isinstance(v, bool):
+                raise TypeError
+            out.append(int(operator.index(v)))  # an int subclass or an __index__ type
+        except TypeError:
+            raise InvalidInput(
+                f"{what} must be integers: {reprlib.repr(v)} at index {i}"
+            ) from None
+    return tuple(out)
+
+
 def _check_same_arity(n: InterlacedTuple, m: InterlacedTuple) -> None:
-    if n.arity != m.arity:
-        raise InvalidInput(f"arity mismatch: {n.arity} vs {m.arity}")
+    if len(n.entries) != len(m.entries):
+        raise InvalidInput(f"arity mismatch: {len(n.entries)} vs {len(m.entries)}")
 
 
 def _interlaces(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -105,14 +135,26 @@ def walk_profile(n: InterlacedTuple, m: InterlacedTuple) -> tuple[tuple[int, int
 
     F is constant from one step to the next, 0 before the first step, and
     every height differs by one from the height before it; the last is 0.
+    The steps come from the merge `dist` walks, recorded: O(k) whatever the
+    size of the entries.
     """
     _check_same_arity(n, m)
-    sn, sm = set(n.entries), set(m.entries)
-    steps, height = [], 0
-    for j in sorted(n.entries + m.entries):  # a linear merge of two sorted runs
-        if (j in sn) != (j in sm):
-            height += 1 if j in sn else -1
-            steps.append((j, height))
+    a, b = n.entries, m.entries
+    k = len(a)
+    steps = []
+    j = h = 0
+    for x in a:
+        while j < k and b[j] < x:  # the entries of m below x: F falls
+            h -= 1
+            steps.append((b[j], h))
+            j += 1
+        if j < k and b[j] == x:  # a shared entry is no step
+            j += 1
+        else:
+            h += 1
+            steps.append((x, h))
+    # what m has left over is one run: a pure fall back to 0
+    steps.extend(zip(b[j:], range(h - 1, -1, -1)))
     return tuple(steps)
 
 
@@ -123,9 +165,32 @@ def _extremes(steps: tuple[tuple[int, int], ...]) -> tuple[int, int]:
 
 
 def dist(n: InterlacedTuple, m: InterlacedTuple) -> int:
-    """Graph distance via the profile formula max(F) - min(F)."""
-    mx, mn = _extremes(walk_profile(n, m))
-    return mx - mn
+    """Graph distance via the profile formula max(F) - min(F).
+
+    One two-pointer merge of the sorted entries keeps the running height F
+    and its running max and min, with no profile built: each entry of n is
+    a climb unless m shares it, and the entries of m below it are falls.
+    The run of m left over after the last entry of n is a pure fall back to
+    F = 0, so it sets no new min and is not read.  O(k), whatever the size
+    of the entries.
+    """
+    _check_same_arity(n, m)
+    a, b = n.entries, m.entries
+    k = len(a)
+    j = h = hi = lo = 0
+    for x in a:
+        while j < k and b[j] < x:  # the entries of m below x: F falls
+            h -= 1
+            j += 1
+            if h < lo:
+                lo = h
+        if j < k and b[j] == x:  # a shared entry is no step
+            j += 1
+        else:
+            h += 1
+            if h > hi:
+                hi = h
+    return hi - lo
 
 
 def dist_oracle_bfs(n: InterlacedTuple, m: InterlacedTuple) -> int:
@@ -214,7 +279,7 @@ def geodesic_step(n: InterlacedTuple, m: InterlacedTuple) -> InterlacedTuple:
 
 def enumerate_tuples(universe: Iterable[int], k: int) -> list[InterlacedTuple]:
     """All C(|universe|, k) arity-k tuples over the universe, in lexicographic order."""
-    uni = sorted(set(int(v) for v in universe))
+    uni = sorted(set(_as_ints(universe, "universe values")))
     if k < 1:
         raise InvalidInput("arity must be >= 1")
     if len(uni) < k:

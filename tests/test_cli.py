@@ -314,6 +314,23 @@ def test_invalid_tuple_is_a_usage_error(capsys):
     assert doc["error"]["kind"] == "invalid-input"
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("5", "entries must be strictly increasing: 5 at index 10001 follows 10000"),
+        ("1e4", "cannot parse tuple: '1e4' at index 10001"),
+        ("10000.5", "cannot parse tuple: '10000.5' at index 10001"),
+    ],
+)
+def test_a_bad_entry_in_a_long_tuple_gives_a_short_error(capsys, bad, message):
+    fields = [str(i) for i in range(1, 20_002)]
+    fields[10_000] = bad
+    code, out = run_cli(capsys, "dist", "--n", ",".join(fields), "--m", "1,2")
+    assert code == 2
+    assert len(out.encode()) < 300
+    assert json.loads(out)["error"] == {"kind": "invalid-input", "message": message}
+
+
 def test_embed_c0_writes_table(tmp_path, capsys):
     code, out = run_cli(
         capsys, "embed-c0", "--k", "2", "--max-entry", "5", "--out", str(tmp_path)
@@ -362,25 +379,36 @@ def test_embed_c0_checks_the_profile_score_against_the_images(tmp_path, capsys, 
 
 
 def test_embed_c0_reads_each_profile_once(tmp_path, capsys, monkeypatch):
-    # the certificate verifies the pair table's d instead of calling dist again
+    # the certificate verifies the pair table's d instead of calling dist again;
+    # dist reads no profile, so its calls are counted apart
     import interlace.graphs as graphs
     import interlace.moduli as moduli
+    import interlace.sequences as sequences
 
-    calls = 0
-    real = graphs.walk_profile
+    profiles = dists = 0
+    real_profile, real_dist = graphs.walk_profile, graphs.dist
 
-    def counting(n, m):
-        nonlocal calls
-        calls += 1
-        return real(n, m)
+    def counting_profile(n, m):
+        nonlocal profiles
+        profiles += 1
+        return real_profile(n, m)
 
-    monkeypatch.setattr(graphs, "walk_profile", counting)
-    monkeypatch.setattr(moduli, "walk_profile", counting)
+    def counting_dist(n, m):
+        nonlocal dists
+        dists += 1
+        return real_dist(n, m)
+
+    monkeypatch.setattr(graphs, "walk_profile", counting_profile)
+    monkeypatch.setattr(moduli, "walk_profile", counting_profile)
+    # the sample's source metric and the table's `is dist` test both see the counter
+    monkeypatch.setattr(moduli, "dist", counting_dist)
+    monkeypatch.setattr(sequences, "dist", counting_dist)
     code, out = run_cli(
         capsys, "embed-c0", "--k", "3", "--max-entry", "10", "--out", str(tmp_path)
     )
     assert code == 0 and json.loads(out)["pairs"] == math.comb(120, 2)
-    assert calls == math.comb(120, 2) == 7140
+    assert profiles == math.comb(120, 2) == 7140
+    assert dists == 0
 
 
 @pytest.mark.parametrize(

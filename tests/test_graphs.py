@@ -1,6 +1,7 @@
 """Graph metric: formula vs oracle, geodesics, and the interval characterization."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,46 @@ class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(InvalidInput):
             InterlacedTuple(())
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((1.5, 3), "entries must be integers: 1.5 at index 1"),
+            ((1, 3.0), "entries must be integers: 3.0 at index 2"),
+            ((True, 2), "entries must be integers: True at index 1"),
+            (("3", "5"), "entries must be integers: '3' at index 1"),
+            ((1, 2, None), "entries must be integers: None at index 3"),
+        ],
+    )
+    def test_rejects_non_integers_instead_of_truncating(self, entries, message):
+        with pytest.raises(InvalidInput) as info:
+            InterlacedTuple(entries)
+        assert str(info.value) == message
+
+    def test_errors_name_the_first_bad_entry_only(self):
+        ent = list(range(1, 20_002))
+        ent[10_000] = 5
+        with pytest.raises(InvalidInput) as info:
+            InterlacedTuple(tuple(ent))
+        assert str(info.value) == "entries must be strictly increasing: 5 at index 10001 follows 10000"
+        with pytest.raises(InvalidInput) as info:
+            InterlacedTuple((0, *range(1, 20_000)))
+        assert str(info.value) == "entries must be positive: 0 at index 1"
+        with pytest.raises(InvalidInput) as info:
+            InterlacedTuple((1, *range(20_000), 3.5))
+        assert str(info.value) == "entries must be integers: 3.5 at index 20002"
+
+    def test_integer_types_become_plain_ints(self):
+        import enum
+
+        class Level(enum.IntEnum):
+            LOW = 2
+            HIGH = 7
+
+        t = InterlacedTuple((Level.LOW, Level.HIGH))
+        assert t.entries == (2, 7)
+        assert all(type(v) is int for v in t.entries)
+        assert InterlacedTuple([1, 4]).entries == (1, 4)
 
 
 class TestAdjacency:
@@ -183,6 +224,94 @@ class TestDist:
     def test_adjacency_is_distance_one(self, pair):
         n, m = pair
         assert (dist(n, m) == 1) == is_adjacent(n, m)
+
+
+def set_profile(n, m):
+    """The walk profile by its set-based definition: sort both tuples' entries
+    together and step at each one that lies in exactly one of them."""
+    sn, sm = set(n.entries), set(m.entries)
+    steps, height = [], 0
+    for j in sorted(n.entries + m.entries):
+        if (j in sn) != (j in sm):
+            height += 1 if j in sn else -1
+            steps.append((j, height))
+    return tuple(steps)
+
+
+@st.composite
+def sharing_pairs(draw):
+    """Same-arity pairs over [1..12] with arity 1 to 8 that share many entries:
+    a shared set, then the two tuples' own entries from what is left."""
+    k = draw(st.integers(1, 8))
+    shared = draw(st.sets(st.integers(1, 12), max_size=k))
+    rest = sorted(set(range(1, 13)) - shared)
+    own = k - len(shared)
+    picks = draw(st.permutations(rest))
+    a = shared | set(picks[:own])
+    b = shared | set(draw(st.sets(st.sampled_from(rest), min_size=own, max_size=own)))
+    return InterlacedTuple(tuple(sorted(a))), InterlacedTuple(tuple(sorted(b)))
+
+
+class TestMerge:
+    """`dist` and `walk_profile` walk the two sorted tuples in one merge."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sharing_pairs())
+    def test_dist_is_the_spread_of_the_profile_heights(self, pair):
+        n, m = pair
+        h = [height for _, height in walk_profile(n, m)]
+        assert dist(n, m) == max([0, *h]) - min([0, *h]) == dist(m, n)
+
+    def test_profile_equals_the_set_definition_on_every_small_pair(self):
+        pairs = 0
+        for k in (1, 2, 3):
+            tuples = enumerate_tuples(range(1, 9), k)
+            for n, m in itertools.product(tuples, repeat=2):
+                assert walk_profile(n, m) == set_profile(n, m), (n, m)
+                pairs += 1
+        assert pairs == 8**2 + 28**2 + 56**2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("gap", [0, 1, 10**12])
+    def test_one_tuple_ends_before_the_other_starts(self, k, gap):
+        low = itup(*range(1, k + 1))
+        high = itup(*range(k + 1 + gap, 2 * k + 1 + gap))
+        climb = tuple(zip(low.entries, range(1, k + 1)))
+        fall = tuple(zip(high.entries, range(k - 1, -1, -1)))
+        assert walk_profile(low, high) == climb + fall
+        assert walk_profile(high, low) == tuple((j, -h) for j, h in climb + fall)
+        assert dist(low, high) == dist(high, low) == k
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_a_leftover_run_after_shared_entries(self, k):
+        # n and m agree on their first k - 1 entries; what is left of each
+        # lies above all of the other
+        head = tuple(range(1, k))
+        n, m = itup(*head, k), itup(*head, k + 5)
+        assert walk_profile(n, m) == ((k, 1), (k + 5, 0))
+        assert walk_profile(m, n) == ((k, -1), (k + 5, 0))
+        assert dist(n, m) == 1
+        # the climb (n) or the fall (m) that is left over runs several entries
+        n, m = itup(*head, *range(50, 50 + k)), itup(*head, *range(10, 10 + k))
+        assert dist(n, m) == dist(m, n) == k
+        assert walk_profile(n, m) == set_profile(n, m)
+        assert walk_profile(m, n) == set_profile(m, n)
+
+    def test_a_seeded_long_pair_with_huge_entries(self):
+        rng = random.Random(20)
+        k = 10**5
+        pool = sorted(rng.sample(range(1, 2**61), 2 * k))
+        shared = set(rng.sample(pool, k // 3))
+        rest = [v for v in pool if v not in shared]
+        rng.shuffle(rest)
+        own = k - len(shared)
+        n = InterlacedTuple(tuple(sorted(shared.union(rest[:own]))))
+        m = InterlacedTuple(tuple(sorted(shared.union(rest[own : 2 * own]))))
+        steps = walk_profile(n, m)
+        assert steps == set_profile(n, m)
+        h = [height for _, height in steps]
+        assert len(steps) == 2 * own
+        assert dist(n, m) == max([0, *h]) - min([0, *h]) == dist(m, n)
 
 
 class TestGeodesics:
@@ -323,3 +452,16 @@ class TestEnumeration:
     def test_lexicographic(self):
         out = enumerate_tuples(range(1, 6), 2)
         assert out == sorted(out)
+
+    @pytest.mark.parametrize(
+        "universe, message",
+        [
+            ([1, 2.5, 3], "universe values must be integers: 2.5 at index 2"),
+            ((1, 2, False), "universe values must be integers: False at index 3"),
+            (["1", "2"], "universe values must be integers: '1' at index 1"),
+        ],
+    )
+    def test_universe_rejects_non_integers(self, universe, message):
+        with pytest.raises(InvalidInput) as info:
+            enumerate_tuples(universe, 1)
+        assert str(info.value) == message

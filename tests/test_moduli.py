@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -345,25 +346,37 @@ def _bits(pairs):
 
 
 def _count_metric_calls(monkeypatch):
-    """Count every profile read (also the one inside `dist`) and every `james_norm`."""
+    """Count every profile read, every `dist` call and every `james_norm`.
+
+    `dist` walks its own merge and reads no profile, so its calls are counted
+    apart: those of the c0 certificate through `sequences.dist`, and those of
+    a sample that takes the returned `dist` as its source metric.
+    """
     import interlace.graphs as graphs
     import interlace.moduli as moduli
+    import interlace.sequences as sequences
 
-    heights, norms = [], []
+    calls = SimpleNamespace(heights=[], dists=[], norms=[])
 
     def counted_profile(n, m):
         steps = walk_profile(n, m)
-        heights.append(tuple(h for _, h in steps))
+        calls.heights.append(tuple(h for _, h in steps))
         return steps
 
+    def counted_dist(n, m):
+        calls.dists.append((n, m))
+        return dist(n, m)
+
     def counted_norm(x, p=2.0):
-        norms.append(x)
+        calls.norms.append(x)
         return james_norm(x, p)
 
+    calls.dist = counted_dist
     monkeypatch.setattr(graphs, "walk_profile", counted_profile)
     monkeypatch.setattr(moduli, "walk_profile", counted_profile)
+    monkeypatch.setattr(sequences, "dist", counted_dist)
     monkeypatch.setattr(moduli, "james_norm", counted_norm)
-    return heights, norms
+    return calls
 
 
 class TestPairTable:
@@ -383,26 +396,27 @@ class TestPairTable:
     @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
     def test_one_profile_per_pair_and_one_score_per_distinct_heights(self, make, monkeypatch):
         sample = make(3, 8)
-        heights, norms = _count_metric_calls(monkeypatch)
+        calls = _count_metric_calls(monkeypatch)
         pairs = math.comb(len(sample.points), 2)
         first = sample.pair_distances()
-        assert len(heights) == pairs
-        scored = len(norms)
-        assert scored == (len(set(heights)) if make is g_map_sample else 0)
+        assert len(calls.heights) == pairs
+        scored = len(calls.norms)
+        assert scored == (len(set(calls.heights)) if make is g_map_sample else 0)
         # no memo outlives a call: the second table is read and scored again
         assert _bits(sample.pair_distances()) == _bits(first)
-        assert len(heights) == 2 * pairs
-        assert len(norms) == 2 * scored
+        assert len(calls.heights) == 2 * pairs
+        assert len(calls.norms) == 2 * scored
 
     def test_images_that_are_copies_take_the_two_metric_loop(self, monkeypatch):
         sample = g_map_sample(2, 6)
         want = sample.pair_distances()
         copies = [itup(*t.entries) for t in sample.points]
-        heights, norms = _count_metric_calls(monkeypatch)
-        got = MapSample(sample.points, dist, copies, sample.d_target).pair_distances()
+        calls = _count_metric_calls(monkeypatch)
+        got = MapSample(sample.points, calls.dist, copies, sample.d_target).pair_distances()
         assert _bits(got) == _bits(want)
         pairs = math.comb(len(copies), 2)
-        assert (len(heights), len(norms)) == (2 * pairs, pairs)
+        # per pair: one `dist` call for the source, one profile read and one score for the target
+        assert (len(calls.heights), len(calls.dists), len(calls.norms)) == (pairs, pairs, pairs)
 
 
 def _image_g_sample(k, max_entry):
@@ -481,7 +495,7 @@ class TestBoxPatterns:
         short = pts[:10] + pts[11:]
         copies = [itup(*t.entries) for t in pts]
         want = compute_moduli(box)
-        heights, _ = _count_metric_calls(monkeypatch)
+        heights = _count_metric_calls(monkeypatch).heights
         for points, images, same_pairs in (
             (shuffled, shuffled, True),
             (short, short, False),
@@ -508,16 +522,16 @@ class TestBoxPatterns:
         self, k, max_entry, patterns, monkeypatch
     ):
         sample = g_map_sample(k, max_entry)
-        heights, norms = _count_metric_calls(monkeypatch)
+        calls = _count_metric_calls(monkeypatch)
         compute_moduli(sample)
-        assert (len(heights), len(norms)) == (0, patterns)
+        assert (len(calls.heights), len(calls.norms)) == (0, patterns)
         assert patterns == sum(math.comb(2 * j - 1, j - 1) for j in range(1, k + 1))
         lipschitz_constant(sample)
-        assert (len(heights), len(norms)) == (0, 2 * patterns)
+        assert (len(calls.heights), len(calls.norms)) == (0, 2 * patterns)
 
     def test_equicoarse_report_reads_no_profile(self, monkeypatch):
         samples = [(k, summing_map_sample(k, 2 * k)) for k in (1, 2, 3, 4, 5)]
-        heights, _ = _count_metric_calls(monkeypatch)
+        heights = _count_metric_calls(monkeypatch).heights
         rows = equicoarse_report(samples)
         assert heights == []
         by_pairs = equicoarse_report(
