@@ -21,6 +21,7 @@ import json
 import math
 import os
 import random
+import re
 import reprlib
 import sys
 from pathlib import Path
@@ -30,12 +31,14 @@ from . import acceptance
 from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, dist, geodesic_path
 from .moduli import (
+    _box_row,
+    _branch_score,
+    _constant_score,
+    _identity_score,
+    _summing_score,
+    _tuple_sample,
     compute_moduli,
     concentration_probe,
-    constant_map_sample,
-    equicoarse_report,
-    g_map_sample,
-    identity_map_sample,
     summing_map_sample,
 )
 from .orlicz import (
@@ -73,6 +76,11 @@ __all__ = ["main"]
 
 # ----------------------------------------------------------------- utilities
 
+# what int() reads as a decimal integer; it refuses one only for having more
+# digits than sys.get_int_max_str_digits(), a process-wide limit left alone here
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _parse_tuple(text: str) -> InterlacedTuple:
     entries = []
     for i, field in enumerate(text.split(","), 1):
@@ -80,6 +88,10 @@ def _parse_tuple(text: str) -> InterlacedTuple:
             entries.append(int(field))
         except ValueError:
             # name the first bad field only: a long --n is not echoed back
+            if _INT_TEXT.fullmatch(field):
+                raise InvalidInput(
+                    f"cannot parse tuple: the integer at index {i} is too long to parse"
+                ) from None
             raise InvalidInput(f"cannot parse tuple: {reprlib.repr(field)} at index {i}") from None
     return InterlacedTuple(tuple(entries))
 
@@ -195,23 +207,24 @@ def _cmd_dist(args: argparse.Namespace) -> dict:
 
 def _cmd_embed_c0(args: argparse.Namespace) -> dict:
     # the sample scores d and sup_diff from the walk profile, read once per pair;
-    # the ratio comes from the c0 images, built once per tuple, and the
-    # certificate verifies the table's d, so each row checks one against the other
+    # the ratio comes from the c0 images, built once per tuple as the CSV texts
+    # are, and the certificate verifies the table's d, so each row checks one
+    # against the other
     sample = summing_map_sample(args.k, args.max_entry)
     pairs = zip(
         itertools.combinations(sample.points, 2),
         itertools.combinations([summing_image(t) for t in sample.points], 2),
+        itertools.combinations([",".join(map(str, t.entries)) for t in sample.points], 2),
         sample.pair_distances(),
     )
     rows = []
-    for (n, m), images, (d, sup_diff) in pairs:
+    for (n, m), images, texts, (d, sup_diff) in pairs:
         ratio, _ = summing_distortion_check(n, m, images=images, d=d)
         if sup_diff / d != ratio:
             raise AssertionError(
                 f"profile score {sup_diff!r} / {d!r} != image ratio {ratio!r} at {n}, {m}"
             )
-        n_text, m_text = (",".join(map(str, t.entries)) for t in (n, m))
-        rows.append([n_text, m_text, int(d), sup_diff, ratio])
+        rows.append([*texts, int(d), sup_diff, ratio])
     out = _out_dir(args) / f"embed_c0_k{args.k}_max{args.max_entry}.csv"
     _write_csv(out, ["n", "m", "dist", "sup_diff", "ratio"], rows, _config_echo(args))
     ratios = [row[-1] for row in rows]
@@ -319,23 +332,29 @@ def _cmd_jt_embed(args: argparse.Namespace) -> dict:
     return doc
 
 
+# each family's pair score, a function of the arity and the profile heights; the
+# moduli table scores the family's tuple box, while the probe and the equicoarse
+# rows take the score alone and build no box for it
 _FAMILIES = {
-    "summing": summing_map_sample,
-    "g": g_map_sample,
-    "identity": identity_map_sample,
-    "constant": constant_map_sample,
+    "summing": _summing_score,
+    "g": _branch_score,
+    "identity": _identity_score,
+    "constant": _constant_score,
 }
 
 
 def _cmd_moduli(args: argparse.Namespace) -> dict:
+    score = _FAMILIES[args.family]
     if args.equicoarse:
         try:
             ks = [int(v) for v in args.ks.split(",")]
         except ValueError as exc:
             raise InvalidInput(f"cannot parse --ks {args.ks!r}: {exc}") from None
-        rows = equicoarse_report(
-            [(k, _FAMILIES[args.family](k, 2 * k)) for k in ks]
-        )
+        if any(k < 1 for k in ks):
+            raise InvalidInput("arity must be >= 1")
+        # the row of the full arity-k box over 2k elements, as equicoarse_report
+        # makes it for that box, from 2k height patterns
+        rows = [_box_row(k, 2 * k, score) for k in ks]
         out = _out_dir(args) / f"equicoarse_{args.family}.csv"
         _write_csv(
             out,
@@ -353,10 +372,9 @@ def _cmd_moduli(args: argparse.Namespace) -> dict:
     if args.probe:
         if args.c is None:
             raise InvalidInput("the probe needs --c (no canonical default exists)")
-        sample = _FAMILIES[args.family](args.k, args.max_entry)
         result = concentration_probe(
             lambda t: t,  # each family's images are its tuples
-            sample.d_target,
+            score,
             range(1, args.max_entry + 1),
             args.k,
             args.c,
@@ -369,7 +387,7 @@ def _cmd_moduli(args: argparse.Namespace) -> dict:
             "concentrated": result.concentrated,
             "omega_1": result.omega_1,
         }
-    sample = _FAMILIES[args.family](args.k, args.max_entry)
+    sample = _tuple_sample(args.k, args.max_entry, score)
     thresholds = _parse_floats(args.thresholds) if args.thresholds else None
     report = compute_moduli(sample, thresholds)
     out = _out_dir(args) / f"moduli_{args.family}_k{args.k}_max{args.max_entry}.csv"

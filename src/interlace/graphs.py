@@ -60,11 +60,11 @@ class InterlacedTuple:
             # duplicates are rejected rather than deduplicated: fail fast on bad input
             i, v = next((i, v) for i, v in enumerate(ent[1:], 2) if v <= ent[i - 2])
             raise InvalidInput(
-                f"entries must be strictly increasing: {reprlib.repr(v)} at index {i}"
-                f" follows {reprlib.repr(ent[i - 2])}"
+                f"entries must be strictly increasing: {_short_repr(v)} at index {i}"
+                f" follows {_short_repr(ent[i - 2])}"
             )
         if ent[0] < 1:  # the smallest entry
-            raise InvalidInput(f"entries must be positive: {reprlib.repr(ent[0])} at index 1")
+            raise InvalidInput(f"entries must be positive: {_short_repr(ent[0])} at index 1")
         object.__setattr__(self, "entries", ent)
 
     @property
@@ -91,6 +91,18 @@ class InterlacedTuple:
 def itup(*values: int) -> InterlacedTuple:
     """Shorthand constructor, e.g. itup(1, 3, 4)."""
     return InterlacedTuple(tuple(values))
+
+
+def _short_repr(v: object) -> str:
+    """`reprlib.repr(v)`, or a note for an int too long to convert to text.
+
+    Such an int has more digits than `sys.get_int_max_str_digits()`, and its
+    repr raises `ValueError`; the limit is process-wide, so it is left alone.
+    """
+    try:
+        return reprlib.repr(v)
+    except ValueError:
+        return "an integer too long to print"
 
 
 def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:

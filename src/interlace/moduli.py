@@ -34,7 +34,17 @@ tuple box, every arity-k tuple over a universe U, has them without a pair: the
 pairs of a box realise exactly the h of the balanced +-1 step patterns of
 length 2j that start with +1, for 1 <= j <= min(k, |U| - k).  That is
 sum_j C(2j - 1, j - 1) sequences, 49 at k = 4 and 175 at k = 5, whatever the
-size of U.
+size of U.  Two answers need fewer still:
+
+* An equicoarse row reads omega_hat(1) and rho_hat(k) only, so it scores
+  the patterns of range <= 1, the alternating (0, 1, 0, ..., 1, 0), and
+  those of range >= k, which go a up, k down and k - a up: 2k sequences.
+* The concentration probe of such a sample scores the patterns over |U|
+  once.  The tuples over any s-element sub-universe form a full box, so its
+  image diameter depends on s alone, and neither search reads a pair.
+
+Each answer is still the score of one pattern the pairs realise, so every
+float is the one the pair table gives.
 """
 
 from __future__ import annotations
@@ -277,9 +287,17 @@ def concentration_probe(
     flag would hold trivially.  The flag is observational either way: no
     finite search proves concentration.
 
-    Each image distance is evaluated once, whatever the mode.  The table keeps the
-    largest image distance per union of element masks, sorted decreasingly; the
-    diameter of a subset is the first entry whose mask lies inside it.
+    A height-scored sample (`d_target` a canonical score, each image its own
+    tuple) reads no pair: the tuples over any s-element sub-universe form a
+    full box, whose pairs realise the height patterns of 2j steps for
+    j <= min(k, s - k), so its diameter D(s) depends on s alone and omega_1 is
+    the largest score of range <= 1.  Each removal then lowers the diameter
+    equally, the greedy's strict `<` removes the smallest element while
+    D(s - 1) < D(s), and the first candidate of the exhaustive scan wins.
+    Any other sample evaluates each image distance once, whatever the mode.
+    Its table keeps the largest image distance per union of element masks,
+    sorted decreasingly; the diameter of a subset is the first entry whose
+    mask lies inside it.
     """
     c = float(c)
     if not (math.isfinite(c) and c >= 0.0):
@@ -287,6 +305,7 @@ def concentration_probe(
     uni = sorted(set(int(v) for v in universe))
     if len(uni) < k + 1:
         raise InvalidInput("universe must have at least k + 1 elements")
+    size: int | None = None
     if mode == "exhaustive":
         if len(uni) > EXHAUSTIVE_PROBE_CAP:
             raise ResourceLimit(
@@ -306,11 +325,52 @@ def concentration_probe(
             "probe only; the greedy probe stops at |M| = k + 1"
         )
     all_tuples = enumerate_tuples(uni, k)
-    pairs = MapSample(all_tuples, dist, [f(t) for t in all_tuples], d_target).pair_distances()
+    sample = MapSample(all_tuples, dist, [f(t) for t in all_tuples], d_target)
+    if sample._scored_by_heights():
+        subset, diam_best, omega_1 = _probe_patterns(d_target.of_heights, uni, k, mode, size)
+    else:
+        subset, diam_best, omega_1 = _probe_pairs(sample, uni, k, mode, size)
+    flag = diam_best <= c * omega_1 + 1e-12
+    return ProbeResult(subset, diam_best, flag, omega_1)
+
+
+def _probe_patterns(
+    of_heights: Callable[[int, tuple[int, ...]], float],
+    uni: list[int],
+    k: int,
+    mode: str,
+    size: int | None,
+) -> tuple[tuple[int, ...], float, float]:
+    """(subset, diameter, omega_1) of the probe from the box patterns over |U|."""
+    rows = [
+        (len(h) // 2, _dist_of_heights(k, h), of_heights(k, h)) for h in _box_heights(k, len(uni))
+    ]
+    omega_1 = max((dt for _, ds, dt in rows if ds <= 1.0), default=0.0)
+    # _box_heights yields by j; diam_upto[j - 1] is the largest score of at most 2j steps
+    by_steps = itertools.groupby(rows, key=operator.itemgetter(0))
+    widest = (max(dt for _, _, dt in run) for _, run in by_steps)
+    diam_upto = list(itertools.accumulate(widest, max))
+
+    def diameter(s: int) -> float:
+        return diam_upto[min(k, s - k) - 1]
+
+    if mode == "greedy":
+        s = len(uni)
+        while s > k + 1 and diameter(s - 1) < diameter(s):
+            s -= 1
+        return tuple(uni[len(uni) - s:]), diameter(s), omega_1
+    return tuple(uni[:size]), diameter(size), omega_1
+
+
+def _probe_pairs(
+    sample: MapSample, uni: list[int], k: int, mode: str, size: int | None
+) -> tuple[tuple[int, ...], float, float]:
+    """(subset, diameter, omega_1) of the probe from the sample's pair table."""
+    pairs = sample.pair_distances()
     omega_1 = max((dt for ds, dt in pairs if ds <= 1.0), default=0.0)
 
     bit = {v: 1 << i for i, v in enumerate(uni)}
-    masks = [sum(bit[v] for v in t) for t in all_tuples]
+    masks = [sum(bit[v] for v in t) for t in sample.points]
     widest: dict[int, float] = {}
     for (_, dt), (a, b) in zip(pairs, itertools.combinations(masks, 2)):
         widest[a | b] = max(widest.get(a | b, 0.0), dt)
@@ -340,9 +400,7 @@ def concentration_probe(
             d = diameter(cand)
             if d < diam_best:
                 subset, diam_best = cand, d
-
-    flag = diam_best <= c * omega_1 + 1e-12
-    return ProbeResult(subset, diam_best, flag, omega_1)
+    return subset, diam_best, omega_1
 
 
 def equicoarse_report(
@@ -352,20 +410,50 @@ def equicoarse_report(
 
     Growth of the ratio across k is the finite signature of non-concentration:
     a family admitting common moduli would keep rho(k) <= C * omega(1).
+
+    A height-scored full box of arity k makes its row from 2k height patterns
+    (`_box_row`); any other sample from `compute_moduli` at thresholds 1 and k.
     """
     rows = []
     for k, sample in samples_by_k:
+        box = _box_shape(sample.points) if sample._scored_by_heights() else None
+        if box is not None and box[0] == k:
+            rows.append(_box_row(*box, sample.d_target))
+            continue
         report = compute_moduli(sample, thresholds=[1.0, float(k)])
-        rho_k = report.rho_hat[-1]
-        omega_1 = report.omega_hat[0]
-        if rho_k == 0.0:
-            ratio = 0.0
-        elif omega_1 == 0.0:
-            ratio = math.inf
-        else:
-            ratio = rho_k / omega_1
-        rows.append(EquicoarseRow(k, rho_k, omega_1, ratio))
+        rows.append(_equicoarse_row(k, report.rho_hat[-1], report.omega_hat[0]))
     return rows
+
+
+def _equicoarse_row(k: int, rho_k: float, omega_1: float) -> EquicoarseRow:
+    if rho_k == 0.0:
+        ratio = 0.0
+    elif omega_1 == 0.0:
+        ratio = math.inf
+    else:
+        ratio = rho_k / omega_1
+    return EquicoarseRow(k, rho_k, omega_1, ratio)
+
+
+def _box_row(k: int, size: int, score: _HeightScore) -> EquicoarseRow:
+    """The equicoarse row of the full arity-k box over `size` elements.
+
+    Its box patterns of range <= 1 are the alternating (0, 1, 0, ..., 1, 0) of
+    2j steps, 1 <= j <= min(k, size - k).  Those of range >= k have 2k steps
+    that only turn at their max and min: a up, k down and k - a up for
+    1 <= a <= k, which needs size >= 2k.  So 2k scores give omega_hat(1) and
+    rho_hat(k), each the score of one pattern the box's pairs realise.
+    """
+    of = score.of_heights
+    omega_1 = max(of(k, (0, 1) * j + (0,)) for j in range(1, min(k, size - k) + 1))
+    rho_k = min(
+        (
+            of(k, (*range(a), *range(a, a - k, -1), *range(a - k, 1)))
+            for a in (range(1, k + 1) if size >= 2 * k else ())
+        ),
+        default=math.inf,
+    )
+    return _equicoarse_row(k, rho_k, omega_1)
 
 
 # ---------------------------------------------------------------------------

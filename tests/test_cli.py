@@ -331,6 +331,23 @@ def test_a_bad_entry_in_a_long_tuple_gives_a_short_error(capsys, bad, message):
     assert json.loads(out)["error"] == {"kind": "invalid-input", "message": message}
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        ("9" * 5000 + ",1", "cannot parse tuple: the integer at index 1 is too long to parse"),
+        ("1,-" + "9" * 5000, "cannot parse tuple: the integer at index 2 is too long to parse"),
+        ("1,2_" + "9" * 5000, "cannot parse tuple: the integer at index 2 is too long to parse"),
+        ("1,9." + "9" * 5000, "cannot parse tuple: '9.9999999999...9999999999999' at index 2"),
+    ],
+    ids=["digits", "negative", "underscores", "decimal-point"],
+)
+def test_an_integer_too_long_to_parse_is_named_by_its_index(capsys, n, message):
+    # int() refuses more than sys.get_int_max_str_digits() digits; none are echoed
+    code, out = run_cli(capsys, "dist", f"--n={n}", "--m", "1,2")
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "invalid-input", "message": message}
+
+
 def test_embed_c0_writes_table(tmp_path, capsys):
     code, out = run_cli(
         capsys, "embed-c0", "--k", "2", "--max-entry", "5", "--out", str(tmp_path)
@@ -645,6 +662,42 @@ def test_equicoarse_table(tmp_path, capsys):
     ratios = [row["ratio"] for row in doc["rows"]]
     assert all(r >= k / 2 for r, k in zip(ratios, (1, 2, 3)))
     assert (tmp_path / "equicoarse_summing.csv").exists()
+
+
+def test_equicoarse_rows_at_large_arities_build_no_box(tmp_path, capsys):
+    # C(2000, 1000) tuples would never finish; each row scores 2k height patterns
+    code, out = run_cli(
+        capsys,
+        "moduli", "--equicoarse", "--family", "summing", "--ks", "1,10,100,1000",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["k"], r["rho_hat_k"], r["omega_hat_1"], r["ratio"]) for r in rows] == [
+        (k, float(-(-k // 2)), 1.0, float(-(-k // 2))) for k in (1, 10, 100, 1000)
+    ]
+
+
+def test_equicoarse_rejects_an_arity_below_one(tmp_path, capsys):
+    code, out = run_cli(
+        capsys, "moduli", "--equicoarse", "--ks", "1,0", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "invalid-input", "message": "arity must be >= 1"}
+
+
+def test_exhaustive_probe_cap_builds_no_box(capsys):
+    # the cap fires before the C(40, 20) tuples of the universe would be built
+    code, out = run_cli(
+        capsys,
+        "moduli", "--probe", "--k", "20", "--max-entry", "40", "--c", "1",
+        "--probe-mode", "exhaustive",
+    )
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "kind": "resource",
+        "message": "universe of size 40 exceeds the exhaustive probe cap EXHAUSTIVE_PROBE_CAP = 12",
+    }
 
 
 def test_outputs_are_bit_identical_across_runs(tmp_path, capsys):

@@ -93,6 +93,22 @@ class TestConstruction:
             InterlacedTuple((1, *range(20_000), 3.5))
         assert str(info.value) == "entries must be integers: 3.5 at index 20002"
 
+    def test_an_integer_too_long_to_print_is_invalid_input(self):
+        # its repr would raise ValueError past sys.get_int_max_str_digits()
+        huge = 10**5000
+        cases = [
+            ((huge, 1), "entries must be strictly increasing: 1 at index 2 follows "
+                        "an integer too long to print"),
+            ((1, huge, huge), "entries must be strictly increasing: an integer too long to "
+                              "print at index 3 follows an integer too long to print"),
+            ((-huge, 1), "entries must be positive: an integer too long to print at index 1"),
+        ]
+        for entries, message in cases:
+            with pytest.raises(InvalidInput) as info:
+                InterlacedTuple(entries)
+            assert str(info.value) == message
+        assert InterlacedTuple((1, huge)).top == huge
+
     def test_integer_types_become_plain_ints(self):
         import enum
 

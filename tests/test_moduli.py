@@ -542,3 +542,122 @@ class TestBoxPatterns:
         )
         assert len(heights) > 0
         assert rows == by_pairs
+
+
+def _probe_bits(res):
+    return (res.subset, res.diameter.hex(), res.concentrated, res.omega_1.hex())
+
+
+def _probe_cases(k, size):
+    """(mode, subset size) of every probe over a universe of `size` elements."""
+    yield "greedy", None
+    for s in range(k + 1, size + 1):
+        yield "exhaustive", s
+
+
+class TestPatternProbe:
+    """A height-scored probe answers from the box patterns over |U|; an image
+    table keeps the same probe on the pair-table search, the independent side."""
+
+    @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("odd", [False, True], ids=["contiguous", "odd"])
+    def test_pattern_answer_equals_the_pair_table_answer(self, make, odd):
+        score = make(1, 2).d_target
+        for k in range(1, 5):
+            # D(s) stops growing at s = 2k, so 2k + 1 elements reach every branch
+            # of both searches; larger boxes only cost the pair side time, except
+            # at k = 1, which runs up to the exhaustive cap
+            for size in range(k + 1, (12 if k == 1 else 2 * k + 1) + 1):
+                universe = range(1, 2 * size, 2) if odd else range(1, size + 1)
+                # the same tuples, as copies: images that are not their tuples
+                table = {t: itup(*t.entries) for t in enumerate_tuples(universe, k)}
+                scored = {}
+
+                def d_target(x, y):  # the score of each image pair, read once per box
+                    key = id(x), id(y)
+                    if key not in scored:
+                        scored[key] = score(x, y)
+                    return scored[key]
+
+                for mode, s in _probe_cases(k, size):
+                    pairs = concentration_probe(
+                        lambda t: table[t], d_target, universe, k, 1.0, mode=mode, subset_size=s
+                    )
+                    for c in (0.0, 0.5, 1.0, 2.0):
+                        got = concentration_probe(
+                            lambda t: t, score, universe, k, c, mode=mode, subset_size=s
+                        )
+                        # c enters the pair-table probe only through this flag
+                        flag = pairs.diameter <= c * pairs.omega_1 + 1e-12
+                        want = (*_probe_bits(pairs)[:2], flag, pairs.omega_1.hex())
+                        assert _probe_bits(got) == want, (k, universe, mode, s, c)
+
+    @pytest.mark.parametrize(
+        "mode, size", [("greedy", None), ("exhaustive", None), ("exhaustive", 4)]
+    )
+    def test_a_canonical_probe_reads_no_profile_and_scores_each_pattern_once(
+        self, mode, size, monkeypatch
+    ):
+        calls = _count_metric_calls(monkeypatch)
+        res = concentration_probe(
+            lambda t: t, g_map_sample(1, 2).d_target, range(1, 11), 3, 1.0,
+            mode=mode, subset_size=size,
+        )
+        assert calls.heights == []
+        assert len(calls.norms) == 1 + 3 + 10  # the patterns of 2, 4 and 6 steps
+        assert res.omega_1 == 1.0
+
+    def test_omega_1_reads_every_alternating_pattern(self):
+        # an adjacent pair can take 2k steps, (0, 1, 0, 1, ..., 0): the branch map
+        # scores (0, 1, 0) at (2k)^(-1/2) but the alternating 2k steps at 1
+        res = concentration_probe(lambda t: t, g_map_sample(1, 2).d_target, range(1, 9), 4, 0.5)
+        assert res.omega_1 == 1.0
+        assert g_map_sample(1, 2).d_target.of_heights(4, (0, 1, 0)) == 0.5
+
+    def test_greedy_keeps_the_largest_elements(self):
+        # below 2k every removal lowers D(s); the strict < drops the smallest each round
+        score = summing_map_sample(1, 2).d_target
+        res = concentration_probe(lambda t: t, score, range(10, 15), 3, 1.0)
+        assert (res.subset, res.diameter, res.concentrated) == ((11, 12, 13, 14), 1.0, True)
+
+
+def _recorded_patterns(k, size):
+    """The heights `_box_row` scores for the arity-k box over `size` elements."""
+    from interlace.moduli import _box_row, _HeightScore
+
+    seen = []
+    _box_row(k, size, _HeightScore(lambda k, h: seen.append(h) or 0.0))
+    return seen
+
+
+def _row_bits(row):
+    return (row.k, row.rho_at_k.hex(), row.omega_at_1.hex(), row.ratio.hex())
+
+
+class TestBoxRow:
+    """An equicoarse row scores the box patterns of range <= 1 and >= k only."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_the_extremal_patterns_are_the_range_filters_of_the_box(self, k):
+        from interlace.moduli import _box_heights
+
+        for size in (k + 1, 2 * k, 2 * k + 1):
+            seen = _recorded_patterns(k, size)
+            box = list(_box_heights(k, size))
+            near = [h for h in box if max(h) - min(h) <= 1]
+            far = [h for h in box if max(h) - min(h) >= k]
+            assert len(seen) == len(near) + len(far)  # each scored once
+            assert {h for h in seen if max(h) - min(h) <= 1} == set(near), (k, size)
+            assert {h for h in seen if max(h) - min(h) >= k} == set(far), (k, size)
+            assert len(far) == (k if size >= 2 * k else 0)
+
+    @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
+    def test_rows_equal_the_pair_table_rows(self, make):
+        cases = [(k, make(k, size)) for k in (1, 2, 3, 4) for size in range(k + 1, 2 * k + 2)]
+        cases += [(3, make(2, 6)), (1, make(2, 5))]  # k is not the box arity
+        rows = equicoarse_report(cases)
+        copies = [
+            (k, MapSample(s.points, dist, [itup(*t.entries) for t in s.points], s.d_target))
+            for k, s in cases
+        ]
+        assert [_row_bits(r) for r in rows] == [_row_bits(r) for r in equicoarse_report(copies)]
