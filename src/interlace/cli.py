@@ -353,7 +353,7 @@ def _cmd_moduli(args: argparse.Namespace) -> dict:
         if any(k < 1 for k in ks):
             raise InvalidInput("arity must be >= 1")
         # the row of the full arity-k box over 2k elements, as equicoarse_report
-        # makes it for that box, from 2k height patterns
+        # makes it for that box, from two height patterns
         rows = [_box_row(k, 2 * k, score) for k in ks]
         out = _out_dir(args) / f"equicoarse_{args.family}.csv"
         _write_csv(

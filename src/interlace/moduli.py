@@ -36,9 +36,10 @@ length 2j that start with +1, for 1 <= j <= min(k, |U| - k).  That is
 sum_j C(2j - 1, j - 1) sequences, 49 at k = 4 and 175 at k = 5, whatever the
 size of U.  Two answers need fewer still:
 
-* An equicoarse row reads omega_hat(1) and rho_hat(k) only, so it scores
-  the patterns of range <= 1, the alternating (0, 1, 0, ..., 1, 0), and
-  those of range >= k, which go a up, k down and k - a up: 2k sequences.
+* An equicoarse row reads omega_hat(1) and rho_hat(k) only, so of the
+  patterns of range <= 1, the alternating (0, 1, 0, ..., 1, 0), it scores
+  the longest, and of those of range >= k, which go a up, k down and k - a
+  up, the balanced a = ceil(k/2): two sequences.
 * The concentration probe of such a sample scores the patterns over |U|
   once.  The tuples over any s-element sub-universe form a full box, so its
   image diameter depends on s alone, and neither search reads a pair.
@@ -411,8 +412,9 @@ def equicoarse_report(
     Growth of the ratio across k is the finite signature of non-concentration:
     a family admitting common moduli would keep rho(k) <= C * omega(1).
 
-    A height-scored full box of arity k makes its row from 2k height patterns
-    (`_box_row`); any other sample from `compute_moduli` at thresholds 1 and k.
+    A height-scored full box of arity k makes its row from two height
+    patterns (`_box_row`); any other sample from `compute_moduli` at
+    thresholds 1 and k.
     """
     rows = []
     for k, sample in samples_by_k:
@@ -441,17 +443,17 @@ def _box_row(k: int, size: int, score: _HeightScore) -> EquicoarseRow:
     Its box patterns of range <= 1 are the alternating (0, 1, 0, ..., 1, 0) of
     2j steps, 1 <= j <= min(k, size - k).  Those of range >= k have 2k steps
     that only turn at their max and min: a up, k down and k - a up for
-    1 <= a <= k, which needs size >= 2k.  So 2k scores give omega_hat(1) and
-    rho_hat(k), each the score of one pattern the box's pairs realise.
+    1 <= a <= k, which needs size >= 2k.  Every canonical score is largest at
+    the largest j on the first and smallest at the balanced a = ceil(k/2) on
+    the second (max |h| = max(a, k - a); var_2(h)^2 = a^2 + k^2 + (k - a)^2),
+    so two scores give omega_hat(1) and rho_hat(k), each the score of one
+    pattern the box's pairs realise.
     """
     of = score.of_heights
-    omega_1 = max(of(k, (0, 1) * j + (0,)) for j in range(1, min(k, size - k) + 1))
-    rho_k = min(
-        (
-            of(k, (*range(a), *range(a, a - k, -1), *range(a - k, 1)))
-            for a in (range(1, k + 1) if size >= 2 * k else ())
-        ),
-        default=math.inf,
+    omega_1 = of(k, (0, 1) * min(k, size - k) + (0,))
+    a = (k + 1) // 2
+    rho_k = (
+        of(k, (*range(a), *range(a, a - k, -1), *range(a - k, 1))) if size >= 2 * k else math.inf
     )
     return _equicoarse_row(k, rho_k, omega_1)
 

@@ -8,10 +8,11 @@ strict expected-failure and the suite alerts if it ever passes.
 """
 
 import inspect
+import itertools
 
 import pytest
 
-from interlace import acceptance
+from interlace import acceptance, dist, dist_oracle_bfs, enumerate_tuples, itup
 
 # seconds per criterion id; the others run well under a second
 BUDGETS = {"1": 30, "2": 30, "4": 60, "5": 60, "11": 120}
@@ -92,6 +93,45 @@ def test_registry_order_and_names():
 
 
 def test_criteria_are_deterministic():
-    for fn in (acceptance.criterion_03, acceptance.criterion_10, acceptance.criterion_15):
+    for fn in (
+        acceptance.criterion_01,
+        acceptance.criterion_03,
+        acceptance.criterion_10,
+        acceptance.criterion_12,
+        acceptance.criterion_15,
+    ):
         a, b = fn(), fn()
         assert (a.cid, a.passed, a.detail) == (b.cid, b.passed, b.detail)
+
+
+def test_default_seed_details():
+    details = {
+        acceptance.criterion_01: "2038 pairs agree exactly",
+        acceptance.criterion_12: (
+            "1541 adjacent pairs are 1-Lipschitz; separations equal sqrt(k/2)"
+        ),
+        acceptance.criterion_13: "166 adjacent differences decompose; separations >= sqrt(k)",
+    }
+    for fn, detail in details.items():
+        assert fn().detail == detail
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_box_levels_equal_the_pairwise_bfs_oracle(k):
+    verts = enumerate_tuples(range(1, 8), k)
+    levels = acceptance._box_levels(verts)
+    for (i, n), (j, m) in itertools.product(enumerate(verts), repeat=2):
+        assert levels[i][j] == dist_oracle_bfs(n, m), (n, m)
+
+
+def test_criterion_01_oracle_does_not_read_dist(monkeypatch):
+    # dist off by one on a single adjacent pair: the box levels still say 1
+    bad = (itup(2, 5).entries, itup(3, 7).entries)
+
+    def off_by_one(n, m):
+        return dist(n, m) + ((n.entries, m.entries) == bad)
+
+    monkeypatch.setattr(acceptance, "dist", off_by_one)
+    res = acceptance.criterion_01()
+    assert not res.passed
+    assert res.detail == "dist((2,5),(3,7))=2 but BFS gives 1"

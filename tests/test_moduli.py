@@ -630,26 +630,56 @@ def _recorded_patterns(k, size):
     return seen
 
 
+def _scan_patterns(k, size):
+    """The box patterns of range <= 1 and of range >= k, as the scan oracle lists them.
+
+    The alternating (0, 1, 0, ..., 1, 0) of 2j steps, 1 <= j <= min(k, size - k),
+    and a up, k down, k - a up for 1 <= a <= k when size >= 2k.
+    """
+    near = [(0, 1) * j + (0,) for j in range(1, min(k, size - k) + 1)]
+    far = [
+        (*range(a), *range(a, a - k, -1), *range(a - k, 1))
+        for a in (range(1, k + 1) if size >= 2 * k else ())
+    ]
+    return near, far
+
+
 def _row_bits(row):
     return (row.k, row.rho_at_k.hex(), row.omega_at_1.hex(), row.ratio.hex())
 
 
 class TestBoxRow:
-    """An equicoarse row scores the box patterns of range <= 1 and >= k only."""
+    """An equicoarse row scores one box pattern of range <= 1 and one of range >= k."""
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_the_extremal_patterns_are_the_range_filters_of_the_box(self, k):
         from interlace.moduli import _box_heights
 
         for size in (k + 1, 2 * k, 2 * k + 1):
-            seen = _recorded_patterns(k, size)
+            near, far = _scan_patterns(k, size)
             box = list(_box_heights(k, size))
-            near = [h for h in box if max(h) - min(h) <= 1]
-            far = [h for h in box if max(h) - min(h) >= k]
-            assert len(seen) == len(near) + len(far)  # each scored once
-            assert {h for h in seen if max(h) - min(h) <= 1} == set(near), (k, size)
-            assert {h for h in seen if max(h) - min(h) >= k} == set(far), (k, size)
+            assert set(near) == {h for h in box if max(h) - min(h) <= 1}, (k, size)
+            assert set(far) == {h for h in box if max(h) - min(h) >= k}, (k, size)
             assert len(far) == (k if size >= 2 * k else 0)
+            # the row scores the longest alternating pattern and, from 2k elements
+            # on, the balanced a = ceil(k/2), each once
+            seen = _recorded_patterns(k, size)
+            assert seen == [near[-1]] + far[(k - 1) // 2:(k + 1) // 2], (k, size)
+
+    @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
+    def test_two_patterns_give_the_rows_of_the_scan(self, make):
+        # the scan scores every pattern of range <= 1 and >= k: 2k per row
+        from interlace.moduli import _box_row, _equicoarse_row
+
+        score = make(1, 2).d_target
+        for k in range(1, 65):
+            near, far = _scan_patterns(k, 2 * k)
+            near_scores = [score.of_heights(k, h) for h in near]
+            rho_k = min(score.of_heights(k, h) for h in far)
+            for size in range(k + 1, 2 * k + 3):
+                omega_1 = max(near_scores[: min(k, size - k)])
+                want = _equicoarse_row(k, rho_k if size >= 2 * k else math.inf, omega_1)
+                assert _row_bits(_box_row(k, size, score)) == _row_bits(want), (k, size)
 
     @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
     def test_rows_equal_the_pair_table_rows(self, make):
