@@ -97,10 +97,14 @@ def _parse_tuple(text: str) -> InterlacedTuple:
 
 
 def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise InvalidInput(f"cannot parse vector {text!r}: {exc}") from None
+    values = []
+    for i, field in enumerate(text.split(","), 1):
+        try:
+            values.append(float(field))
+        except ValueError:
+            # name the first bad field only: a long --x is not echoed back
+            raise InvalidInput(f"cannot parse vector: {reprlib.repr(field)} at index {i}") from None
+    return values
 
 
 def _round_floats(obj: Any) -> Any:

@@ -40,9 +40,13 @@ size of U.  Two answers need fewer still:
   patterns of range <= 1, the alternating (0, 1, 0, ..., 1, 0), it scores
   the longest, and of those of range >= k, which go a up, k down and k - a
   up, the balanced a = ceil(k/2): two sequences.
-* The concentration probe of such a sample scores the patterns over |U|
-  once.  The tuples over any s-element sub-universe form a full box, so its
-  image diameter depends on s alone, and neither search reads a pair.
+* The concentration probe needs omega_hat(1), the same longest alternating
+  pattern, and the image diameter D(s) of s-element sub-universes.  The
+  tuples over one form a full box, and of its patterns, those of at most 2j
+  steps for j = min(k, s - k), every canonical score is largest at the peak
+  (0, 1, ..., j, ..., 1, 0): a walk of 2j unit steps that returns to 0
+  stays within range j, and the peak attains max |h| = j, max h - min h = j
+  and the largest squared 2-variation, 2j^2.  So D(s) is one score per j.
 
 Each answer is still the score of one pattern the pairs realise, so every
 float is the one the pair table gives.
@@ -50,6 +54,7 @@ float is the one the pair table gives.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import InvalidInput, ResourceLimit
-from .graphs import InterlacedTuple, dist, enumerate_tuples, walk_profile
+from .graphs import InterlacedTuple, _as_ints, dist, enumerate_tuples, walk_profile
 from .sequences import FinSeq, james_norm
 
 __all__ = [
@@ -288,32 +293,29 @@ def concentration_probe(
     flag would hold trivially.  The flag is observational either way: no
     finite search proves concentration.
 
+    Both searches read the diameter of a candidate from one of two sources.
     A height-scored sample (`d_target` a canonical score, each image its own
-    tuple) reads no pair: the tuples over any s-element sub-universe form a
-    full box, whose pairs realise the height patterns of 2j steps for
-    j <= min(k, s - k), so its diameter D(s) depends on s alone and omega_1 is
-    the largest score of range <= 1.  Each removal then lowers the diameter
-    equally, the greedy's strict `<` removes the smallest element while
-    D(s - 1) < D(s), and the first candidate of the exhaustive scan wins.
-    Any other sample evaluates each image distance once, whatever the mode.
-    Its table keeps the largest image distance per union of element masks,
-    sorted decreasingly; the diameter of a subset is the first entry whose
-    mask lies inside it.
+    tuple) scores one peak pattern per candidate size and reads no pair; any
+    other sample evaluates each image distance once, whatever the mode.
     """
     c = float(c)
     if not (math.isfinite(c) and c >= 0.0):
         raise InvalidInput(f"c must be finite and >= 0, got {c!r}")
-    uni = sorted(set(int(v) for v in universe))
+    _check_arity(k)
+    uni = sorted(set(_as_ints(universe, "universe values")))
     if len(uni) < k + 1:
         raise InvalidInput("universe must have at least k + 1 elements")
-    size: int | None = None
     if mode == "exhaustive":
         if len(uni) > EXHAUSTIVE_PROBE_CAP:
             raise ResourceLimit(
                 f"universe of size {len(uni)} exceeds the exhaustive probe cap "
                 f"EXHAUSTIVE_PROBE_CAP = {EXHAUSTIVE_PROBE_CAP}"
             )
-        size = 2 * k if subset_size is None else int(subset_size)
+        if subset_size is not None and (
+            isinstance(subset_size, bool) or not isinstance(subset_size, int)
+        ):
+            raise InvalidInput(f"subset size must be an int, got {subset_size!r}")
+        size = 2 * k if subset_size is None else subset_size
         if not (k + 1 <= size <= len(uni)):
             raise InvalidInput(
                 f"subset size {size} must lie in [k + 1, |U|] = [{k + 1}, {len(uni)}]"
@@ -328,58 +330,9 @@ def concentration_probe(
     all_tuples = enumerate_tuples(uni, k)
     sample = MapSample(all_tuples, dist, [f(t) for t in all_tuples], d_target)
     if sample._scored_by_heights():
-        subset, diam_best, omega_1 = _probe_patterns(d_target.of_heights, uni, k, mode, size)
+        diameter, omega_1 = _pattern_diameter(d_target.of_heights, k, len(uni))
     else:
-        subset, diam_best, omega_1 = _probe_pairs(sample, uni, k, mode, size)
-    flag = diam_best <= c * omega_1 + 1e-12
-    return ProbeResult(subset, diam_best, flag, omega_1)
-
-
-def _probe_patterns(
-    of_heights: Callable[[int, tuple[int, ...]], float],
-    uni: list[int],
-    k: int,
-    mode: str,
-    size: int | None,
-) -> tuple[tuple[int, ...], float, float]:
-    """(subset, diameter, omega_1) of the probe from the box patterns over |U|."""
-    rows = [
-        (len(h) // 2, _dist_of_heights(k, h), of_heights(k, h)) for h in _box_heights(k, len(uni))
-    ]
-    omega_1 = max((dt for _, ds, dt in rows if ds <= 1.0), default=0.0)
-    # _box_heights yields by j; diam_upto[j - 1] is the largest score of at most 2j steps
-    by_steps = itertools.groupby(rows, key=operator.itemgetter(0))
-    widest = (max(dt for _, _, dt in run) for _, run in by_steps)
-    diam_upto = list(itertools.accumulate(widest, max))
-
-    def diameter(s: int) -> float:
-        return diam_upto[min(k, s - k) - 1]
-
-    if mode == "greedy":
-        s = len(uni)
-        while s > k + 1 and diameter(s - 1) < diameter(s):
-            s -= 1
-        return tuple(uni[len(uni) - s:]), diameter(s), omega_1
-    return tuple(uni[:size]), diameter(size), omega_1
-
-
-def _probe_pairs(
-    sample: MapSample, uni: list[int], k: int, mode: str, size: int | None
-) -> tuple[tuple[int, ...], float, float]:
-    """(subset, diameter, omega_1) of the probe from the sample's pair table."""
-    pairs = sample.pair_distances()
-    omega_1 = max((dt for ds, dt in pairs if ds <= 1.0), default=0.0)
-
-    bit = {v: 1 << i for i, v in enumerate(uni)}
-    masks = [sum(bit[v] for v in t) for t in sample.points]
-    widest: dict[int, float] = {}
-    for (_, dt), (a, b) in zip(pairs, itertools.combinations(masks, 2)):
-        widest[a | b] = max(widest.get(a | b, 0.0), dt)
-    table = sorted(((dt, mask) for mask, dt in widest.items()), reverse=True)
-
-    def diameter(subset: Iterable[int]) -> float:
-        outside = ~sum(bit[v] for v in subset)
-        return next((d for d, mask in table if not mask & outside), 0.0)
+        diameter, omega_1 = _pair_diameter(sample, uni)
 
     if mode == "greedy":
         current = list(uni)
@@ -401,7 +354,50 @@ def _probe_pairs(
             d = diameter(cand)
             if d < diam_best:
                 subset, diam_best = cand, d
-    return subset, diam_best, omega_1
+    flag = diam_best <= c * omega_1 + 1e-12
+    return ProbeResult(subset, diam_best, flag, omega_1)
+
+
+def _pattern_diameter(
+    of_heights: Callable[[int, tuple[int, ...]], float], k: int, size: int
+) -> tuple[Callable[[Sequence[int]], float], float]:
+    """(diameter of a sub-universe, omega_hat(1)) of a height-scored box over `size` elements.
+
+    D(s) is the score of the peak pattern of j = min(k, s - k), scored once
+    per j; omega_hat(1) is the score of the longest alternating pattern.
+    """
+    peak = functools.cache(lambda j: of_heights(k, (*range(j), *range(j, -1, -1))))
+
+    def diameter(subset: Sequence[int]) -> float:
+        return peak(min(k, len(subset) - k))
+
+    return diameter, of_heights(k, _alternating(min(k, size - k)))
+
+
+def _pair_diameter(
+    sample: MapSample, uni: list[int]
+) -> tuple[Callable[[Iterable[int]], float], float]:
+    """(diameter of a sub-universe, omega_hat(1)) from the sample's pair table.
+
+    The table keeps the largest image distance per union of element masks,
+    sorted decreasingly; the diameter of a subset is the first entry whose
+    mask lies inside it.
+    """
+    pairs = sample.pair_distances()
+    omega_1 = max((dt for ds, dt in pairs if ds <= 1.0), default=0.0)
+
+    bit = {v: 1 << i for i, v in enumerate(uni)}
+    masks = [sum(bit[v] for v in t) for t in sample.points]
+    widest: dict[int, float] = {}
+    for (_, dt), (a, b) in zip(pairs, itertools.combinations(masks, 2)):
+        widest[a | b] = max(widest.get(a | b, 0.0), dt)
+    table = sorted(((dt, mask) for mask, dt in widest.items()), reverse=True)
+
+    def diameter(subset: Iterable[int]) -> float:
+        outside = ~sum(bit[v] for v in subset)
+        return next((d for d, mask in table if not mask & outside), 0.0)
+
+    return diameter, omega_1
 
 
 def equicoarse_report(
@@ -418,6 +414,7 @@ def equicoarse_report(
     """
     rows = []
     for k, sample in samples_by_k:
+        _check_arity(k)
         box = _box_shape(sample.points) if sample._scored_by_heights() else None
         if box is not None and box[0] == k:
             rows.append(_box_row(*box, sample.d_target))
@@ -425,6 +422,11 @@ def equicoarse_report(
         report = compute_moduli(sample, thresholds=[1.0, float(k)])
         rows.append(_equicoarse_row(k, report.rho_hat[-1], report.omega_hat[0]))
     return rows
+
+
+def _check_arity(k: int) -> None:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise InvalidInput("arity must be >= 1")
 
 
 def _equicoarse_row(k: int, rho_k: float, omega_1: float) -> EquicoarseRow:
@@ -450,12 +452,17 @@ def _box_row(k: int, size: int, score: _HeightScore) -> EquicoarseRow:
     pattern the box's pairs realise.
     """
     of = score.of_heights
-    omega_1 = of(k, (0, 1) * min(k, size - k) + (0,))
+    omega_1 = of(k, _alternating(min(k, size - k)))
     a = (k + 1) // 2
     rho_k = (
         of(k, (*range(a), *range(a, a - k, -1), *range(a - k, 1))) if size >= 2 * k else math.inf
     )
     return _equicoarse_row(k, rho_k, omega_1)
+
+
+def _alternating(j: int) -> tuple[int, ...]:
+    """The alternating pattern (0, 1, 0, ..., 1, 0) of 2j steps."""
+    return (0, 1) * j + (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,27 @@ def test_a_bad_entry_in_a_long_orlicz_vector_gives_a_short_error(capsys):
     assert error["message"] == "vector entries must be finite: nan at index 5001"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orlicz", "--op", "norm", "--phi", "huber", "--x"),
+        ("orlicz", "--op", "nnorm", "--phi", "huber", "--x"),
+        ("james-norm", "--coeffs"),
+        ("moduli", "--family", "summing", "--k", "1", "--max-entry", "3", "--thresholds"),
+    ],
+    ids=["x", "nnorm-x", "coeffs", "thresholds"],
+)
+def test_an_unparsable_field_in_a_long_vector_is_named_by_its_index(capsys, argv):
+    text = ",".join(["1"] * 5_000 + ["one" * 100] + ["1"] * 5_000)
+    code, out = run_cli(capsys, *argv, text)
+    assert code == 2
+    assert len(out.encode()) < 300
+    assert json.loads(out)["error"] == {
+        "kind": "invalid-input",
+        "message": "cannot parse vector: 'oneoneoneone...eoneoneoneone' at index 5001",
+    }
+
+
 def test_james_norm_rescales_huge_and_tiny_values(capsys):
     code, out = run_cli(capsys, "james-norm", "--coeffs", "1e200", "--p", "2")
     assert code == 0

@@ -280,6 +280,31 @@ class TestConcentrationProbe:
         with pytest.raises(InvalidInput):
             concentration_probe(lambda t: FinSeq(), lambda x, y: 0.0, range(1, 4), 1, c=c)
 
+    @pytest.mark.parametrize("universe", [[1.5, 2.7, 3, 4.2, 5.9], [1, 2, "3"], [True, 2, 3]])
+    def test_rejects_universe_values_that_are_not_integers(self, universe):
+        with pytest.raises(InvalidInput, match="universe values must be integers") as probe:
+            concentration_probe(lambda t: t, summing_map_sample(1, 2).d_target, universe, 1, 1.0)
+        with pytest.raises(InvalidInput) as tuples:
+            enumerate_tuples(universe, 1)
+        assert str(probe.value) == str(tuples.value)
+
+    @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+    @pytest.mark.parametrize("k", [0, -3, 2.5, True])
+    def test_rejects_an_arity_that_is_not_an_int_of_at_least_1(self, k, mode):
+        # checked first: the exhaustive default 2k would make k = 0 a subset-size error
+        with pytest.raises(InvalidInput, match="arity must be >= 1"):
+            concentration_probe(
+                lambda t: t, summing_map_sample(1, 2).d_target, range(1, 7), k, 1.0, mode=mode
+            )
+
+    @pytest.mark.parametrize("size", [4.9, 4.0, True, "4"])
+    def test_rejects_a_subset_size_that_is_not_an_int(self, size):
+        with pytest.raises(InvalidInput, match="subset size must be an int"):
+            concentration_probe(
+                lambda t: t, summing_map_sample(1, 2).d_target, range(1, 9), 3, 1.0,
+                mode="exhaustive", subset_size=size,
+            )
+
 
 class TestEquicoarse:
     def test_summing_family_signature(self):
@@ -299,6 +324,12 @@ class TestEquicoarse:
         for row in rows:
             assert row.omega_at_1 <= 1.0 + 1e-9
             assert row.rho_at_k > 0.0
+
+    @pytest.mark.parametrize("k", [0, -3, 1.5, 2.0, True, "2"])
+    def test_rejects_an_arity_that_is_not_an_int_of_at_least_1(self, k):
+        # the thresholds [0, 1] would read rho at 1 and omega at 0 for k = 0
+        with pytest.raises(InvalidInput, match="arity must be >= 1"):
+            equicoarse_report([(k, summing_map_sample(2, 6))])
 
 
 def _box_pairs(sample):
@@ -556,8 +587,8 @@ def _probe_cases(k, size):
 
 
 class TestPatternProbe:
-    """A height-scored probe answers from the box patterns over |U|; an image
-    table keeps the same probe on the pair-table search, the independent side."""
+    """A height-scored probe reads each diameter from one peak pattern per size; an
+    image table gives the same searches the pair-table diameter, the independent side."""
 
     @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("odd", [False, True], ids=["contiguous", "odd"])
@@ -604,7 +635,9 @@ class TestPatternProbe:
             mode=mode, subset_size=size,
         )
         assert calls.heights == []
-        assert len(calls.norms) == 1 + 3 + 10  # the patterns of 2, 4 and 6 steps
+        # the alternating pattern of 6 steps, and one peak: no search here removes
+        # an element, so each reads D(s) at one j
+        assert len(calls.norms) == 2
         assert res.omega_1 == 1.0
 
     def test_omega_1_reads_every_alternating_pattern(self):
