@@ -81,6 +81,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_PROBE_CAP = 12
+EQUICOARSE_ARITY_CAP = 10**6  # the largest arity of an equicoarse row
 
 
 @dataclass
@@ -449,8 +450,14 @@ def _box_row(k: int, size: int, score: _HeightScore) -> EquicoarseRow:
     the largest j on the first and smallest at the balanced a = ceil(k/2) on
     the second (max |h| = max(a, k - a); var_2(h)^2 = a^2 + k^2 + (k - a)^2),
     so two scores give omega_hat(1) and rho_hat(k), each the score of one
-    pattern the box's pairs realise.
+    pattern the box's pairs realise.  Both patterns hold about 2k heights, so
+    an arity above EQUICOARSE_ARITY_CAP is ResourceLimit.
     """
+    if k > EQUICOARSE_ARITY_CAP:
+        raise ResourceLimit(
+            f"arity {k} exceeds the equicoarse row cap "
+            f"EQUICOARSE_ARITY_CAP = {EQUICOARSE_ARITY_CAP}"
+        )
     of = score.of_heights
     omega_1 = of(k, _alternating(min(k, size - k)))
     a = (k + 1) // 2

@@ -10,14 +10,14 @@ fewer evaluations of the O(n) sum total(r) = sum phi(|x_n| / r).  For a phi
 that is non-decreasing at the float level, total is non-increasing in r in
 floats too: v / r is correctly rounded, phi keeps its order, and a fixed-order
 sum of nonnegative terms keeps it again.  So two points a < b with total(a) > 1
->= total(b) decide, without a sum, every bracket end and bisection midpoint
-outside (a, b).  One search narrows (a, b) at secant points of log total
-against log r, where total is close to a line for power-like phi: first until
-no bracket end is left inside (a, b), then past each midpoint of the replayed
-bisection inside it.  It takes 4 to 9 sums per call on 30,000 entries, where
-the plain bisection takes 45 to 47.  For a phi non-decreasing only up to
-rounding, the two searches can end at different points of the region where the
-sum is 1 up to rounding.
+>= total(b) answer, without a sum, every query total(r) <= 1 with r outside
+(a, b).  The search runs the plain bisection's own loops and answers a query
+inside (a, b) by summing at secant points of log total against log r, where
+total is close to a line for power-like phi, until (a, b) no longer holds it.
+It takes 4 to 9 sums per call on 30,000 entries, where the plain bisection
+takes 45 to 47.  For a phi non-decreasing only up to rounding, the two
+searches can end at different points of the region where the sum is 1 up to
+rounding.
 
 For a phi that is 1-Lipschitz with slope limit 1 at infinity, the two-variable
 rule
@@ -201,7 +201,8 @@ def _loglog_root(
     """Where the line through (log r1, w1 log t1) and (log r2, w2 log t2) meets 0.
 
     None if a total is 0 or infinite or the line is flat.  The step from r2 is
-    capped at a factor e^90 > 2^129, past every point the bracket search sums at.
+    capped at a factor e^90 > 2^129, beyond the ratio of any two points
+    orlicz_norm sums at, which all lie in [m 2^-64, m 2^64] for m = max|x_n|.
     """
     if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
         return None
@@ -224,21 +225,24 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
     the power of two of max|x_n| and the result is scaled back; this is exact,
     and no point the search sums at overflows.
 
-    One search finds that float.  It keeps a < b with total(a) > 1 >= total(b),
-    which decide every power and midpoint outside (a, b) with no sum.  It sums
-    first at max|x_n|, then where a line in (log r, log total) meets total = 1:
-    the Illinois secant through a and b, or with one end unknown the line
-    through the last two sums (after the first sum, the line of slope -1).  A
-    point outside (a, b) gives way to the median power inside it, or with one
-    end unknown to the first power 2^(+-2^j) beyond the known one; with
-    b <= 2a the one power left inside is summed itself.  Once no power lies
-    inside (a, b), the bisection of the bracket is replayed: a midpoint inside
-    (a, b) is passed by one sum at the log-log Illinois secant point (the
-    linear one when total(b) = 0), kept max(tol/2, ulp(b)) inside (a, b); at
-    the midpoint itself if that point is unusable, total(a) is infinite, or
-    MAX_BRACKET_STEPS sums were taken.  For phi non-decreasing at the float
-    level, the result is the plain bisection's float, for 4 to 9 sums on
-    30,000 entries where the plain bisection takes 45 to 47.
+    This function runs those loops and answers each of their queries
+    total(r) <= 1 from a < b with total(a) > 1 >= total(b): r >= b is feasible
+    and r <= a is not.  A query inside (a, b) sums at points c of (a, b), each
+    moving a or b to c, until r lies outside.  The first sum is at m =
+    max|x_n|; after it, c is where a line in (log r, log total) meets total = 1:
+    - with one end unknown, the line through the last two sums (after the
+      first sum, the line of slope -1), or else the known end's ratio to m
+      squared;
+    - with b > 2a, which leaves room only for a bracket end m 2^k as the
+      query, the Illinois secant through a and b, or else the median power
+      m 2^k inside (a, b);
+    - with b <= 2a, that secant (the linear one when total(b) = 0), kept
+      max(tol/2, ulp(b)) inside (a, b), or else r itself.
+    After MAX_BRACKET_STEPS sums, or with total(a) infinite and b <= 2a, c is
+    r itself.  For phi non-decreasing at the float level, each query gets the
+    answer its own sum would give, so the result is the plain bisection's
+    float, for 4 to 9 sums on 30,000 entries where the plain bisection takes
+    45 to 47.
     """
     if not (tol > 0 and math.isfinite(tol)):  # also rejects NaN
         raise InvalidInput(f"tol must be positive and finite, got {tol!r}")
@@ -262,100 +266,90 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
             raise InvalidInput("phi returned NaN")
         return s
 
-    # The bracket's ends are powers m 2^k, -64 <= k <= 64.  total is
-    # non-increasing in r, so a < b with total(a) > 1 >= total(b) decide every
-    # power and midpoint outside (a, b); an unknown a reads as 0, an unknown b as inf.
+    # total is non-increasing in r, so a < b with total(a) > 1 >= total(b) decide
+    # every r outside (a, b); an unknown a reads as 0, an unknown b as inf
     m = max(xs)  # in [0.5, 1)
     r_min, r_max = math.ldexp(m, -MAX_BRACKET_STEPS), math.ldexp(m, MAX_BRACKET_STEPS)
     a, b, ta, tb = 0.0, math.inf, math.inf, 0.0
     wa = wb = 1.0  # Illinois weights of the ends' log totals (linear: totals - 1)
-    side = steps = 0  # side: +1 after a sum that moved a, -1 after one that moved b
+    side = 0  # +1 after a sum that moved a, -1 after one that moved b
+    sums: list[tuple[float, float]] = []  # (c, total(c)) of each sum, in order
 
-    def octave(r: float) -> int:
-        """The least k with m 2^k >= r."""
-        frac, e = math.frexp(r)
-        return e if frac <= m else e + 1
+    def point(r: float) -> float:
+        """The point in (a, b) to sum at next, for a query r in (a, b)."""
+        if not 0 < len(sums) < MAX_BRACKET_STEPS:
+            return r
+        if not a or b == math.inf:
+            # for convex phi with phi(0) = 0, total(m T) is <= 1 if T = total(m) >= 1,
+            # and >= 1 if T <= 1
+            c = m * sums[0][1] if len(sums) == 1 else _loglog_root(*sums[-2], *sums[-1])
+            if c is None or not a < min(max(c, r_min), r_max) < b:
+                c = max(a * a / m, 2.0 * a) if a else min(b * b / m, 0.5 * b)
+            return min(max(c, r_min), r_max)
+        c = _loglog_root(a, ta, b, tb, wa, wb)
+        if b > 2.0 * a:  # only a bracket end m 2^k lies this far inside
+            if c is None or not a < c < b:
+                # the median power inside (a, b), from the exponents of a/m and b/m:
+                # each quotient keeps its order against every power of two
+                (_, ka), (frac, kb) = math.frexp(a / m), math.frexp(b / m)
+                c = math.ldexp(m, (ka + kb - (frac == 0.5) - 1) // 2)
+            return c
+        if ta == math.inf:
+            return r
+        if c is None:  # total(b) = 0: the linear Illinois point
+            fa, fb = wa * (ta - 1.0), wb * (tb - 1.0)
+            c = a + (b - a) * (fa / (fa - fb))
+        # once one end sits on the root, the next step brings the other within tol
+        gap = max(0.5 * tol, math.ulp(b))
+        c = min(max(c, a + gap), b - gap)
+        return c if a < c < b else r
 
-    def narrow(c: float) -> tuple[float, float]:
-        """Sum at c in (a, b) and move the end on its side there."""
-        nonlocal a, b, ta, tb, wa, wb, side, steps
-        steps += 1
-        tc = total(c)
-        if tc > 1.0:
-            a, ta, wa = c, tc, 1.0
-            if side > 0:
-                wb *= 0.5
-            side = 1
+    def feasible(r: float) -> bool:
+        """total(r) <= 1, read off (a, b) once sums have narrowed it to exclude r."""
+        nonlocal a, b, ta, tb, wa, wb, side
+        while a < r < b:
+            c = point(r)
+            tc = total(c)
+            sums.append((c, tc))
+            if tc > 1.0:
+                a, ta, wa = c, tc, 1.0
+                if side > 0:
+                    wb *= 0.5
+                side = 1
+            else:
+                b, tb, wb = c, tc, 1.0
+                if side < 0:
+                    wa *= 0.5
+                side = -1
+        return r >= b
+
+    # the plain bisection, with each total(r) <= 1 answered by feasible(r)
+    lo = hi = m
+    if not feasible(m):
+        for _ in range(MAX_BRACKET_STEPS):
+            lo, hi = hi, 2.0 * hi
+            if feasible(hi):
+                break
         else:
-            b, tb, wb = c, tc, 1.0
-            if side < 0:
-                wa *= 0.5
-            side = -1
-        return c, tc
-
-    # the bracket: sum until no power lies strictly inside (a, b)
-    prev, last = None, narrow(m)
-    while True:
-        if b <= r_min:
-            return 0.0  # the constraint holds for every r > 0: the infimum is 0
-        if a >= r_max:
             raise ResourceLimit(
                 f"bracket search exceeded the doubling cap MAX_BRACKET_STEPS = {MAX_BRACKET_STEPS}"
             )
-        k = octave(b) if b < math.inf else MAX_BRACKET_STEPS + 1
-        below_b = math.ldexp(m, k - 1)  # the largest power below b
-        if below_b <= a:
-            break
-        if a and b <= 2.0 * a:
-            c = below_b  # the one power inside (a, b): a sum there decides it
+    else:
+        for _ in range(MAX_BRACKET_STEPS):
+            hi, lo = lo, 0.5 * lo
+            if not feasible(lo):
+                break
         else:
-            if steps >= MAX_BRACKET_STEPS:
-                c = None
-            elif a and b < math.inf:
-                c = _loglog_root(a, ta, b, tb, wa, wb)
-            elif prev is None:
-                # for convex phi with phi(0) = 0, total(m T) is <= 1 if T = total(m) >= 1,
-                # and >= 1 if T <= 1
-                c = m * last[1]
-            else:
-                c = _loglog_root(*prev, *last)
-            if c is not None:
-                c = min(max(c, r_min), r_max)
-            if c is None or not a < c < b:
-                # the median power inside (a, b); with one end unknown, the
-                # first power m 2^(+-2^j) beyond the known one
-                if not a:
-                    j = -(1 << (-k).bit_length())
-                else:
-                    lowest = octave(a) + (math.ldexp(m, octave(a)) == a)
-                    j = 1 << (lowest - 1).bit_length() if b == math.inf else (lowest + k - 1) // 2
-                c = math.ldexp(m, j)
-        prev, last = last, narrow(c)
-    # replay the bisection of the bracket: a midpoint outside (a, b) is decided
-    # by the end it lies beyond; one inside is passed by narrowing (a, b)
-    lo, hi = below_b, math.ldexp(m, k)
+            return 0.0  # the constraint holds for every r > 0: the infimum is 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if mid >= b:
+        # most midpoints lie outside (a, b): read those off without a call
+        if mid >= b or (mid > a and feasible(mid)):
             hi = mid
-            continue
-        if mid <= a:
+        else:
             lo = mid
-            continue
-        c = mid
-        if steps < MAX_BRACKET_STEPS and ta < math.inf:
-            # once one end sits on the root, the next step brings the other within tol
-            gap = max(0.5 * tol, math.ulp(b))
-            secant = _loglog_root(a, ta, b, tb, wa, wb)
-            if secant is None:  # total(b) = 0: the linear Illinois point
-                fa, fb = wa * (ta - 1.0), wb * (tb - 1.0)
-                secant = a + (b - a) * (fa / (fa - fb))
-            secant = min(max(secant, a + gap), b - gap)
-            if a < secant < b:
-                c = secant
-        narrow(c)
     try:
         return math.ldexp(hi, exp)
     except OverflowError:
@@ -426,10 +420,19 @@ def delta_transform(mod: ModulusSpec, t: float, steps: int = 256) -> float:
 
 
 def _lp_norm(x: Sequence[float], p: float) -> float:
-    """(sum |x_n|^p)^(1/p), on x scaled by the power of two of max|x_n| against underflow."""
+    """(sum |x_n|^p)^(1/p) as M (sum (|x_n|/M)^p)^(1/p), M = max|x_n|.
+
+    The largest term is exactly 1, so a nonzero x never reads as 0, whatever p.
+    A norm beyond the float range is InvalidInput.
+    """
     xs = [abs(float(v)) for v in x]
-    _, exp = math.frexp(max(xs, default=0.0))
-    return math.ldexp(sum(math.ldexp(v, -exp) ** p for v in xs) ** (1.0 / p), exp)
+    top = max(xs, default=0.0)
+    if top == 0.0:
+        return 0.0
+    lp = top * sum((v / top) ** p for v in xs) ** (1.0 / p)
+    if lp == math.inf:
+        raise InvalidInput("the l_p norm of a sample exceeds the largest float")
+    return lp
 
 
 def compare_lp(
@@ -447,7 +450,7 @@ def compare_lp(
     exceeds its value at the right edge by more than a factor 10 is treated as
     blowing up toward 0 (upper side inapplicable), and symmetrically for a
     ratio vanishing toward 0 on the lower side.  p must be finite and >= 1, and
-    some sample must have a nonzero l_p norm.
+    some sample must be nonzero; every nonzero sample counts, whatever p.
     """
     if side not in ("upper", "lower"):
         raise InvalidInput("side must be 'upper' or 'lower'")

@@ -263,10 +263,7 @@ def test_orlicz_argument_outside_its_domain_is_invalid_input(capsys, argv, text)
     "argv, text",
     [
         (["--op", "compare-lp", "--phi", "pow:2", "--samples", "0"], "--samples must be >= 1"),
-        (
-            ["--op", "compare-lp", "--phi", "pow:2", "--p", "1e308", "--samples", "2"],
-            "no sample has a nonzero l_p norm",
-        ),
+        (["--op", "compare-lp", "--phi", "pow:0.5"], "'pow:0.5'"),
         (["--op", "norm", "--phi", "pow:abc", "--x", "1"], "'pow:abc'"),
         (
             ["--op", "delta", "--modulus", "rational", "--t", "1e200"],
@@ -287,6 +284,17 @@ def test_orlicz_boundary_cases_are_invalid_input(capsys, argv, text):
     error = json.loads(out)["error"]
     assert code == 2
     assert error["kind"] == "invalid-input" and text in error["message"]
+
+
+def test_compare_lp_counts_every_sample_at_a_huge_p(capsys):
+    # the l_p norm is max|x_n| times a sum whose largest term is 1: at p = 1e308 no
+    # sample reads as 0 (this was exit 2, "no sample has a nonzero l_p norm")
+    code, out = run_cli(
+        capsys, "orlicz", "--op", "compare-lp", "--phi", "pow:2", "--p", "1e308", "--samples", "2"
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["n_samples"] == 2 and math.isfinite(doc["worst_ratio"])
 
 
 def test_orlicz_norm_near_the_largest_float(capsys):
@@ -705,6 +713,21 @@ def test_equicoarse_rejects_an_arity_below_one(tmp_path, capsys):
     )
     assert code == 2
     assert json.loads(out)["error"] == {"kind": "invalid-input", "message": "arity must be >= 1"}
+
+
+@pytest.mark.parametrize("ks", ["1,1000001", "99999999999"])
+def test_equicoarse_arity_above_the_cap_is_a_resource_limit(tmp_path, capsys, ks):
+    # 99999999999 was exit 1 with a MemoryError; no row or CSV is written
+    code, out = run_cli(
+        capsys, "moduli", "--equicoarse", "--family", "g", "--ks", ks, "--out", str(tmp_path)
+    )
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "kind": "resource",
+        "message": f"arity {ks.split(',')[-1]} exceeds the equicoarse row cap "
+        "EQUICOARSE_ARITY_CAP = 1000000",
+    }
+    assert not (tmp_path / "equicoarse_g.csv").exists()
 
 
 def test_exhaustive_probe_cap_builds_no_box(capsys):

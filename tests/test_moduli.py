@@ -714,6 +714,19 @@ class TestBoxRow:
                 want = _equicoarse_row(k, rho_k if size >= 2 * k else math.inf, omega_1)
                 assert _row_bits(_box_row(k, size, score)) == _row_bits(want), (k, size)
 
+    @pytest.mark.parametrize("k", [10**6 + 1, 99999999999])
+    def test_an_arity_above_the_cap_is_a_named_resource_limit(self, k):
+        # the patterns of an arity-k row hold about 2k heights: k = 99999999999 was
+        # a MemoryError
+        from interlace.moduli import EQUICOARSE_ARITY_CAP, _box_row
+
+        assert EQUICOARSE_ARITY_CAP == 10**6
+        score = g_map_sample(1, 2).d_target
+        with pytest.raises(
+            ResourceLimit, match=f"arity {k} exceeds .* EQUICOARSE_ARITY_CAP = 1000000"
+        ):
+            _box_row(k, 2 * k, score)
+
     @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
     def test_rows_equal_the_pair_table_rows(self, make):
         cases = [(k, make(k, size)) for k in (1, 2, 3, 4) for size in range(k + 1, 2 * k + 2)]

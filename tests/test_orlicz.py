@@ -374,6 +374,18 @@ class TestBracketSearch:
         assert sums <= 6
         assert got == plain_bisection(vec, huber)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sums_per_call_on_a_large_t_minus_log1p_vector(self, seed):
+        # the costliest fixture of the benchmark's wide vectors: phi goes from t^2/2
+        # near 0 to t at infinity, so log total bends between slopes -2 and -1;
+        # 8 or 9 sums here, where the plain bisection takes 43 to 45
+        rng = random.Random(seed)
+        vec = [rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-1.0, 1.0) for _ in range(3000)]
+        spec = orlicz_fixture("t_minus_log1p")
+        got, sums = self.counted(vec, spec)
+        assert sums <= 9
+        assert got == plain_bisection(vec, spec)
+
     @pytest.mark.parametrize("key", ["square", "pow:1.5", "pow:3"])
     def test_sums_per_call_over_eight_decades(self, key):
         # log total is close to a line in log r for a power-like phi: at most 6 sums
@@ -638,12 +650,27 @@ class TestCompareLp:
         assert rep.n_samples == 1
         assert math.isfinite(rep.worst_ratio) and rep.worst_ratio > 0.0
 
+    @pytest.mark.parametrize("p", [1000.0, 1100.0, 3000.0, 1e308])
+    @pytest.mark.parametrize("samples", [[[0.5], [0.9], [0.75, 0.1]], [[1.0, 2.0], [-0.5]]])
+    def test_no_sample_is_dropped_at_a_large_p(self, p, samples):
+        # scaled by the power of two of max|x_n| instead of by max|x_n|, the largest
+        # term lay in [0.5, 1), and its p-th power underflowed from p = 1075 on
+        for side in ("upper", "lower"):
+            rep = compare_lp(orlicz_fixture("huber"), p, side, samples)
+            assert rep.n_samples == len(samples)
+            assert math.isfinite(rep.worst_ratio) and rep.worst_ratio > 0.0
+
+    def test_an_lp_norm_beyond_the_float_range_is_invalid_input(self):
+        # ||(1e308, 1e308)||_1 = 2e308: this was an OverflowError, and computed as
+        # max|x_n| times a sum it would read as inf and give the ratio 0
+        with pytest.raises(InvalidInput, match="l_p norm of a sample exceeds the largest float"):
+            compare_lp(orlicz_fixture("pow:2"), 1.0, "upper", [[1e308, 1e308]])
+
     @pytest.mark.parametrize(
         "p, samples",
         [
             (2.0, []),
             (2.0, [[0.0, 0.0], [0.0]]),
-            (1e308, [[1.0, 2.0], [-0.5]]),  # every scaled term underflows to 0
         ],
     )
     def test_no_sample_with_a_nonzero_lp_norm_is_invalid_input(self, p, samples):
