@@ -413,9 +413,9 @@ def criterion_14(seed: int) -> str:
     # the summing and branch samples score pairs from the walk profile; each
     # score is also checked against the norm of its image difference, with
     # the images built once per tuple (bit-equal in c0, 1e-12 relative in JT).
-    # Each fixture is a full tuple box, so compute_moduli builds its rows from
-    # the box's height patterns, and the bracket check compares those against
-    # the rows that pair_distances reads from each pair's profile
+    # Each fixture is a full tuple box, so compute_moduli answers it from two
+    # height patterns per threshold, and the bracket check compares those
+    # answers against the rows that pair_distances reads from each pair's profile
     sigma = Branch("0" * 5)
     fixtures = [
         ("identity", identity_map_sample(2, 5), None),

@@ -356,8 +356,8 @@ def _cmd_moduli(args: argparse.Namespace) -> dict:
             raise InvalidInput(f"cannot parse --ks {args.ks!r}: {exc}") from None
         if any(k < 1 for k in ks):
             raise InvalidInput("arity must be >= 1")
-        # the row of the full arity-k box over 2k elements, as equicoarse_report
-        # makes it for that box, from two height patterns
+        # the row equicoarse_report makes for the full arity-k box over 2k
+        # elements, scored from its two extremal height patterns with no box built
         rows = [_box_row(k, 2 * k, score) for k in ks]
         out = _out_dir(args) / f"equicoarse_{args.family}.csv"
         _write_csv(

@@ -28,28 +28,37 @@ builds a `FinSeq` or `TreeVec` difference; the norms of the image differences
 differences) are the independent side, checked by criterion 14.  As the source
 distance is a function of h too, `MapSample.pair_distances` reads each pair's
 profile once for such a sample and scores each distinct h once, from a table
-that lives for that one call.  `compute_moduli`, `lipschitz_constant` and
-`equicoarse_report` need only the distinct rows of that table, and a full
-tuple box, every arity-k tuple over a universe U, has them without a pair: the
-pairs of a box realise exactly the h of the balanced +-1 step patterns of
-length 2j that start with +1, for 1 <= j <= min(k, |U| - k).  That is
-sum_j C(2j - 1, j - 1) sequences, 49 at k = 4 and 175 at k = 5, whatever the
-size of U.  Two answers need fewer still:
+that lives for that one call.  `compute_moduli`, `lipschitz_constant`,
+`equicoarse_report` and the concentration probe need only extremal rows of
+that table, and a full tuple box, every arity-k tuple over a universe U, has
+them without a pair.  Its pairs realise exactly the h of the balanced +-1
+step patterns of 2j steps that start with +1, 1 <= j <= J = min(k, |U| - k),
+and two builders give every extremum:
 
-* An equicoarse row reads omega_hat(1) and rho_hat(k) only, so of the
-  patterns of range <= 1, the alternating (0, 1, 0, ..., 1, 0), it scores
-  the longest, and of those of range >= k, which go a up, k down and k - a
-  up, the balanced a = ceil(k/2): two sequences.
-* The concentration probe needs omega_hat(1), the same longest alternating
-  pattern, and the image diameter D(s) of s-element sub-universes.  The
-  tuples over one form a full box, and of its patterns, those of at most 2j
-  steps for j = min(k, s - k), every canonical score is largest at the peak
-  (0, 1, ..., j, ..., 1, 0): a walk of 2j unit steps that returns to 0
-  stays within range j, and the peak attains max |h| = j, max h - min h = j
-  and the largest squared 2-variation, 2j^2.  So D(s) is one score per j.
+    _peaks(j, t)    j // t peaks of height t, then one of height j % t:
+                    2j steps, range min(t, j)
+    _balanced(t)    a = ceil(t/2) up, t down, t - a up
 
-Each answer is still the score of one pattern the pairs realise, so every
-float is the one the pair table gives.
+Lemma.  Among the box patterns of range <= t, every canonical score is
+largest at _peaks(J, min(t, J)); among those of range >= t, for t <= J, it
+is smallest at _balanced(t).
+
+Proof.  Close a pattern's chain at 0 at both ends: its ups and its downs
+each sum to at most J.  Each step is at most t, so by convexity
+var_2(h)^2 <= 2(q t^2 + r^2) with (q, r) = divmod(J, t), and _peaks attains
+this, and max |h| = max h - min h = min(t, J) too.  A walk of range >= t has
+the chain 0 -> max -> min -> 0 (or 0 -> min -> max -> 0), so
+var_2(h)^2 >= min_a (a^2 + t^2 + (t - a)^2) and max |h| >= ceil(t/2), and
+_balanced attains both minima.  Every canonical score is a function of one
+exact integer, max |h|, the range or var_2(h)^2 (a sum of integers below
+2^53), so any maximiser or minimiser gives the same float.
+
+So rho_hat(t) is the score of _balanced(max(1, ceil t)) for t <= J and inf
+beyond, and omega_hat(t) the score of _peaks(J, min(floor t, J)) for t >= 1
+and 0.0 below.  The tuples over an s-element sub-universe form a full box
+too, so the probe's diameter D(s) is the score of _peaks(j, j),
+j = min(k, s - k).  Each answer is the score of one pattern the pairs
+realise, so every float is one the pair table gives.
 """
 
 from __future__ import annotations
@@ -59,10 +68,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import InvalidInput, ResourceLimit
-from .graphs import InterlacedTuple, _as_ints, dist, enumerate_tuples, walk_profile
+from .graphs import InterlacedTuple, _as_ints, _short_repr, dist, enumerate_tuples, walk_profile
 from .sequences import FinSeq, james_norm
 
 __all__ = [
@@ -196,36 +205,33 @@ def _box_shape(points: Sequence[Any]) -> tuple[int, int] | None:
     return (k, size) if len(points) == math.comb(size, k) else None
 
 
-def _box_heights(k: int, size: int) -> Iterator[tuple[int, ...]]:
-    """The distinct profile heights h of the pairs n < m of a full box.
+def _box_moduli(
+    k: int, size: int, score: _HeightScore, thresholds: list[float] | None
+) -> ModuliReport:
+    """The moduli of the full arity-k box over `size` elements, two patterns per threshold.
 
-    n △ m has 2j elements, 1 <= j <= min(k, size - k), and the first of them
-    lies in n.  Every balanced pattern of 2j steps +-1 that starts with +1
-    occurs, and h = (0, s_1, s_1 + s_2, ...) are its partial sums.
+    Thresholds default to the box's distances 1..J, J = min(k, size - k).
+    rho_hat(t) scores `_balanced(max(1, ceil t))` for t <= J, and omega_hat(t)
+    scores `_peaks(J, min(floor t, J))` for t >= 1 (see the module docstring).
     """
-    for j in range(1, min(k, size - k) + 1):
-        for ups in itertools.combinations(range(1, 2 * j), j - 1):
-            steps = [-1] * (2 * j)
-            for i in (0, *ups):
-                steps[i] = 1
-            yield (0, *itertools.accumulate(steps))
+    j = min(k, size - k)
+    ts = [float(t) for t in range(1, j + 1)] if thresholds is None else thresholds
+    of = score.of_heights
+    rho = [of(k, _balanced(max(1, math.ceil(t)))) if t <= j else math.inf for t in ts]
+    # t >= j comes first, so floor is never taken of inf
+    omega = [of(k, _peaks(j, j if t >= j else math.floor(t))) if t >= 1 else 0.0 for t in ts]
+    return ModuliReport(tuple(ts), tuple(rho), tuple(omega))
 
 
-def _distinct_rows(sample: MapSample) -> Collection[tuple[float, float]]:
-    """The distinct (source, image) distance rows of the sample's pairs.
-
-    A height-scored full tuple box scores its height patterns and reads no
-    pair.  Any other sample drops repeats from `pair_distances()`, keeping
-    first occurrences in order, so a min or max scan over the rows returns
-    what it returns over the pairs, NaN included.
-    """
-    if sample._scored_by_heights():
-        box = _box_shape(sample.points)
-        if box is not None:
-            k, size = box
-            score = sample.d_target.of_heights
-            return {(_dist_of_heights(k, h), score(k, h)) for h in _box_heights(k, size)}
-    return dict.fromkeys(sample.pair_distances())
+def _threshold(value: Any, what: str) -> float:
+    """The value as a float; one that is not a number >= 0 is InvalidInput naming it."""
+    try:
+        t = float(value)
+    except (TypeError, ValueError, OverflowError):
+        t = math.nan
+    if not t >= 0:  # NaN fails too
+        raise InvalidInput(f"{what} must be non-negative numbers, got {_short_repr(value)}")
+    return t
 
 
 def compute_moduli(
@@ -233,17 +239,20 @@ def compute_moduli(
 ) -> ModuliReport:
     """Empirical rho/omega over all sample pairs at the given thresholds.
 
-    Thresholds default to the realized source distances.  The scan runs over
-    the distinct rows of the pair table; a full tuple box under a height
-    score builds them from its sum_j C(2j - 1, j - 1) height patterns.
+    Thresholds default to the realized source distances.  A full tuple box
+    under a height score reads no pair: each threshold scores one
+    `_balanced` and one `_peaks` pattern (`_box_moduli`).  Any other sample
+    scans the distinct rows of its pair table once per threshold.
     """
-    rows = _distinct_rows(sample)
-    if thresholds is None:
-        ts = sorted({ds for ds, _ in rows})
-    else:
-        ts = sorted(float(t) for t in thresholds)
-        if not all(t >= 0 for t in ts):  # NaN fails too
-            raise InvalidInput(f"thresholds must be non-negative numbers: {ts}")
+    ts = None if thresholds is None else sorted(_threshold(t, "thresholds") for t in thresholds)
+    box = _box_shape(sample.points) if sample._scored_by_heights() else None
+    if box is not None:
+        return _box_moduli(*box, sample.d_target, ts)
+    # dropping repeats keeps first occurrences in order, so a min or max scan
+    # returns what it returns over the pairs, NaN included
+    rows = dict.fromkeys(sample.pair_distances())
+    if ts is None:
+        ts = sorted({_threshold(ds, "source distances") for ds, _ in rows})
     rho, omega = [], []
     for t in ts:
         lo = [dt for ds, dt in rows if ds >= t]
@@ -256,16 +265,18 @@ def compute_moduli(
 def lipschitz_constant(sample: MapSample) -> float:
     """omega_hat(1) on a graph-metric source; checked against the max pair ratio.
 
-    On a graph metric the two agree provided the sample contains its own
-    geodesics (true for full tuple boxes); a mismatch raises rather than
-    returning a silently wrong constant.
+    Both are read from `compute_moduli(sample)`: omega_hat(1) at the largest
+    threshold <= 1, and the largest ratio omega_hat(t) / t, which equals the
+    largest pair ratio d_target / d_source because the thresholds are the
+    realized distances.  On a graph metric the two agree provided the sample
+    contains its own geodesics (true for full tuple boxes); a mismatch raises
+    rather than returning a silently wrong constant.
     """
-    rows = _distinct_rows(sample)
-    for ds, _ in rows:
-        if ds < 0 or abs(ds - round(ds)) > 1e-9:
-            raise InvalidInput("source distances must form an integer graph metric")
-    omega_1 = max((dt for ds, dt in rows if ds <= 1.0), default=0.0)
-    ratio = max((dt / ds for ds, dt in rows if ds > 0), default=0.0)
+    report = compute_moduli(sample)
+    if not all(math.isfinite(t) and abs(t - round(t)) <= 1e-9 for t in report.thresholds):
+        raise InvalidInput("source distances must form an integer graph metric")
+    omega_1 = max((w for t, _, w in report.rows() if t <= 1.0), default=0.0)
+    ratio = max((w / t for t, _, w in report.rows() if t > 0), default=0.0)
     if abs(omega_1 - ratio) > 1e-9 * max(1.0, ratio):
         raise AssertionError(
             f"omega_hat(1)={omega_1:g} != max ratio {ratio:g}; "
@@ -364,15 +375,15 @@ def _pattern_diameter(
 ) -> tuple[Callable[[Sequence[int]], float], float]:
     """(diameter of a sub-universe, omega_hat(1)) of a height-scored box over `size` elements.
 
-    D(s) is the score of the peak pattern of j = min(k, s - k), scored once
-    per j; omega_hat(1) is the score of the longest alternating pattern.
+    D(s) is the score of `_peaks(j, j)`, j = min(k, s - k), scored once per j;
+    omega_hat(1) is the score of `_peaks(J, 1)`, J = min(k, size - k).
     """
-    peak = functools.cache(lambda j: of_heights(k, (*range(j), *range(j, -1, -1))))
+    peak = functools.cache(lambda j: of_heights(k, _peaks(j, j)))
 
     def diameter(subset: Sequence[int]) -> float:
         return peak(min(k, len(subset) - k))
 
-    return diameter, of_heights(k, _alternating(min(k, size - k)))
+    return diameter, of_heights(k, _peaks(min(k, size - k), 1))
 
 
 def _pair_diameter(
@@ -409,17 +420,12 @@ def equicoarse_report(
     Growth of the ratio across k is the finite signature of non-concentration:
     a family admitting common moduli would keep rho(k) <= C * omega(1).
 
-    A height-scored full box of arity k makes its row from two height
-    patterns (`_box_row`); any other sample from `compute_moduli` at
-    thresholds 1 and k.
+    Each row reads `compute_moduli` at thresholds 1 and k, so a height-scored
+    full box scores four patterns and reads no pair.
     """
     rows = []
     for k, sample in samples_by_k:
         _check_arity(k)
-        box = _box_shape(sample.points) if sample._scored_by_heights() else None
-        if box is not None and box[0] == k:
-            rows.append(_box_row(*box, sample.d_target))
-            continue
         report = compute_moduli(sample, thresholds=[1.0, float(k)])
         rows.append(_equicoarse_row(k, report.rho_hat[-1], report.omega_hat[0]))
     return rows
@@ -443,15 +449,11 @@ def _equicoarse_row(k: int, rho_k: float, omega_1: float) -> EquicoarseRow:
 def _box_row(k: int, size: int, score: _HeightScore) -> EquicoarseRow:
     """The equicoarse row of the full arity-k box over `size` elements.
 
-    Its box patterns of range <= 1 are the alternating (0, 1, 0, ..., 1, 0) of
-    2j steps, 1 <= j <= min(k, size - k).  Those of range >= k have 2k steps
-    that only turn at their max and min: a up, k down and k - a up for
-    1 <= a <= k, which needs size >= 2k.  Every canonical score is largest at
-    the largest j on the first and smallest at the balanced a = ceil(k/2) on
-    the second (max |h| = max(a, k - a); var_2(h)^2 = a^2 + k^2 + (k - a)^2),
-    so two scores give omega_hat(1) and rho_hat(k), each the score of one
-    pattern the box's pairs realise.  Both patterns hold about 2k heights, so
-    an arity above EQUICOARSE_ARITY_CAP is ResourceLimit.
+    omega_hat(1) is the score of `_peaks(J, 1)`, J = min(k, size - k), and
+    rho_hat(k) that of `_balanced(k)`, or inf when size < 2k: two scores,
+    where `compute_moduli` at thresholds 1 and k takes four.  Both patterns
+    hold about 2k heights, so an arity above EQUICOARSE_ARITY_CAP is
+    ResourceLimit.
     """
     if k > EQUICOARSE_ARITY_CAP:
         raise ResourceLimit(
@@ -459,17 +461,22 @@ def _box_row(k: int, size: int, score: _HeightScore) -> EquicoarseRow:
             f"EQUICOARSE_ARITY_CAP = {EQUICOARSE_ARITY_CAP}"
         )
     of = score.of_heights
-    omega_1 = of(k, _alternating(min(k, size - k)))
-    a = (k + 1) // 2
-    rho_k = (
-        of(k, (*range(a), *range(a, a - k, -1), *range(a - k, 1))) if size >= 2 * k else math.inf
-    )
+    omega_1 = of(k, _peaks(min(k, size - k), 1))
+    rho_k = of(k, _balanced(k)) if size >= 2 * k else math.inf
     return _equicoarse_row(k, rho_k, omega_1)
 
 
-def _alternating(j: int) -> tuple[int, ...]:
-    """The alternating pattern (0, 1, 0, ..., 1, 0) of 2j steps."""
-    return (0, 1) * j + (0,)
+def _peaks(j: int, t: int) -> tuple[int, ...]:
+    """j // t peaks of height t, then one of height j % t: 2j steps, range min(t, j)."""
+    q, r = divmod(j, t)
+    full = (*range(1, t + 1), *range(t - 1, -1, -1))
+    return (0, *full * q, *range(1, r + 1), *range(r - 1, -1, -1))
+
+
+def _balanced(t: int) -> tuple[int, ...]:
+    """a = ceil(t/2) up, t down, t - a up."""
+    a = (t + 1) // 2
+    return (*range(a), *range(a, a - t, -1), *range(a - t, 1))
 
 
 # ---------------------------------------------------------------------------

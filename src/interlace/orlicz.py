@@ -447,8 +447,9 @@ def compare_lp(
     sample ratio ||x||_phi / ||x||_p.  side="lower": hypothesis phi(t) >= c t^p
     -> reports the smallest ratio.  The hypothesis is screened on the grid
     restricted to (0, 1]: a ratio phi(t)/t^p that peaks at the left edge and
-    exceeds its value at the right edge by more than a factor 10 is treated as
-    blowing up toward 0 (upper side inapplicable), and symmetrically for a
+    exceeds its value at the right edge by more than a factor 10, or is beyond
+    the float range, is treated as blowing up toward 0 (upper side
+    inapplicable), and symmetrically for a
     ratio vanishing toward 0 on the lower side.  p must be finite and >= 1, and
     some sample must be nonzero; every nonzero sample counts, whatever p.
     """
@@ -461,7 +462,10 @@ def compare_lp(
     ratios = [_at(spec.fn, t) / tp if tp > 0.0 else math.inf for t, tp in powers]
     if side == "upper":
         grid_constant = max(ratios)
-        diverging = ratios[0] == grid_constant and ratios[0] > 10.0 * ratios[-1]
+        # a ratio beyond the float range at the left edge blows up too: inf > 10 inf fails
+        diverging = ratios[0] == grid_constant and (
+            ratios[0] == math.inf or ratios[0] > 10.0 * ratios[-1]
+        )
         applicable = not diverging
         note = "" if applicable else "phi(t)/t^p blows up toward 0; no upper constant"
     else:

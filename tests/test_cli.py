@@ -297,6 +297,17 @@ def test_compare_lp_counts_every_sample_at_a_huge_p(capsys):
     assert doc["n_samples"] == 2 and math.isfinite(doc["worst_ratio"])
 
 
+def test_compare_lp_at_a_huge_p_has_no_upper_constant(capsys):
+    # every grid ratio phi(t)/t^p is beyond the float range at p = 1e308
+    code, out = run_cli(
+        capsys, "orlicz", "--op", "compare-lp", "--phi", "huber", "--p", "1e308", "--samples", "2"
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["applicable"], doc["grid_constant"]) == (False, "inf")
+    assert "blows up toward 0" in doc["note"]
+
+
 def test_orlicz_norm_near_the_largest_float(capsys):
     code, out = run_cli(
         capsys, "orlicz", "--op", "norm", "--phi", "pow:2", "--x", "1e308,1e308"

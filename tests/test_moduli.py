@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -31,6 +32,10 @@ from interlace import (
 from interlace.cli import main
 from interlace.errors import ResourceLimit
 from interlace.moduli import (
+    _balanced,
+    _box_row,
+    _equicoarse_row,
+    _peaks,
     constant_map_sample,
     g_map_sample,
     identity_map_sample,
@@ -91,6 +96,13 @@ class TestComputeModuli:
         assert report.rho_hat == (math.inf,)
         assert report.omega_hat == (max(dt for _, dt in sample.pair_distances()),)
 
+    @pytest.mark.parametrize("bad", ["a", None, [1.0]])
+    def test_a_threshold_that_is_not_a_number_is_invalid_input(self, bad):
+        # float() raised ValueError on "a" and TypeError on None; the first bad one is named
+        for sample in (summing_map_sample(2, 5), _copied(summing_map_sample(2, 5))):
+            with pytest.raises(InvalidInput, match=re.escape(f"got {bad!r}")):
+                compute_moduli(sample, [1.0, bad, "b"])
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(2, 6).flatmap(
@@ -147,6 +159,18 @@ class TestLipschitz:
     def test_rejects_non_graph_source(self):
         sample = MapSample(
             [1, 2], lambda a, b: 0.5 * abs(a - b), [1.0, 2.0], lambda a, b: abs(a - b)
+        )
+        with pytest.raises(InvalidInput):
+            lipschitz_constant(sample)
+
+    @pytest.mark.parametrize("far", [math.nan, math.inf])
+    def test_a_non_finite_source_distance_is_invalid_input(self, far):
+        # round() raised ValueError on NaN and OverflowError on inf
+        sample = MapSample(
+            [1, 2, 3],
+            lambda a, b: far if abs(a - b) == 2 else 1.0,
+            [1, 2, 3],
+            lambda a, b: float(abs(a - b)),
         )
         with pytest.raises(InvalidInput):
             lipschitz_constant(sample)
@@ -376,6 +400,11 @@ def _bits(pairs):
     return [(ds.hex(), dt.hex()) for ds, dt in pairs]
 
 
+def _copied(sample):
+    """The sample with copies of its tuples as images: it takes the pair table."""
+    return MapSample(sample.points, dist, [itup(*t.entries) for t in sample.points], sample.d_target)
+
+
 def _count_metric_calls(monkeypatch):
     """Count every profile read, every `dist` call and every `james_norm`.
 
@@ -502,21 +531,105 @@ def _boxes():
             yield k, range(1, 2 * size, 2)
 
 
+def box_heights(k, size):
+    """The distinct profile heights h of the pairs n < m of a full box: the oracle.
+
+    n △ m has 2j elements, 1 <= j <= min(k, size - k), and the first of them
+    lies in n.  Every balanced pattern of 2j steps +-1 that starts with +1
+    occurs, and h = (0, s_1, s_1 + s_2, ...) are its partial sums: that is
+    sum_j C(2j - 1, j - 1) sequences, 49 at k = 4 and 8,788 at k = 8.
+    """
+    for j in range(1, min(k, size - k) + 1):
+        for ups in itertools.combinations(range(1, 2 * j), j - 1):
+            steps = [-1] * (2 * j)
+            for i in (0, *ups):
+                steps[i] = 1
+            yield (0, *itertools.accumulate(steps))
+
+
+def _enumerated_rows(score, k, size):
+    """The distinct (source, image) rows of a full box, one score per enumerated pattern."""
+    return {(float(max(h) - min(h)), score.of_heights(k, h)) for h in box_heights(k, size)}
+
+
+def _scan(rows, ts):
+    """(thresholds, rho_hat, omega_hat) of the rows at the thresholds, by definition."""
+    rho = [min((dt for ds, dt in rows if ds >= t), default=math.inf) for t in ts]
+    omega = [max((dt for ds, dt in rows if ds <= t), default=0.0) for t in ts]
+    return [tuple(v.hex() for v in row) for row in zip(ts, rho, omega)]
+
+
 class TestBoxPatterns:
-    """`compute_moduli` takes the distinct rows of a full tuple box from its
-    height patterns; every other sample dedups its pair table."""
+    """`compute_moduli` answers a full tuple box from one `_balanced` and one
+    `_peaks` pattern per threshold; every other sample dedups its pair table.
+    The enumeration of every box pattern is the oracle."""
 
     @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
     def test_pattern_rows_equal_the_pair_table(self, make):
-        from interlace.moduli import _distinct_rows
-
         score = make(1, 2).d_target
         for k, universe in _boxes():
             pts = enumerate_tuples(universe, k)
             sample = MapSample(pts, dist, pts, score)
-            rows = _distinct_rows(sample)
-            assert isinstance(rows, set)  # built from the patterns, not the pairs
-            assert set(_bits(rows)) == set(_bits(sample.pair_distances())), (k, universe)
+            table = sample.pair_distances()
+            rows = _enumerated_rows(score, k, len(universe))
+            assert set(_bits(rows)) == set(_bits(table)), (k, universe)
+            ts = sorted({ds for ds, _ in table})
+            assert _report_bits(compute_moduli(sample)) == _scan(table, ts), (k, universe)
+
+    @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
+    def test_the_box_path_equals_the_enumeration_bit_for_bit(self, make):
+        # 60 boxes, k <= 8 and |U| = k + 1..2k + 3, at the default thresholds and at
+        # thresholds below, between, at and beyond the box's distances 1..J
+        score = make(1, 2).d_target
+        cases = 0
+        for k in range(1, 9):
+            for size in range(k + 1, 2 * k + 4):
+                j = min(k, size - k)
+                rows = _enumerated_rows(score, k, size)
+                pts = enumerate_tuples(range(1, size + 1), k)
+                sample = MapSample(pts, dist, pts, score)
+                for ts in ([0, 0.5, 1, 1.5, j - 0.5, j, j + 0.5, math.inf, k, 2 * k], None):
+                    want = sorted({ds for ds, _ in rows}) if ts is None else sorted(map(float, ts))
+                    report = compute_moduli(sample, ts)
+                    assert _report_bits(report) == _scan(rows, want), (k, size, ts)
+                    cases += 1
+                # lipschitz_constant reads omega_hat(1) and max omega_hat(t) / t off the
+                # default report; both equal the enumerated rows' values
+                omega_1 = max(dt for ds, dt in rows if ds <= 1)
+                ratio = max(dt / ds for ds, dt in rows)
+                assert lipschitz_constant(sample).hex() == omega_1.hex(), (k, size)
+                assert max(w / t for t, _, w in report.rows()).hex() == ratio.hex(), (k, size)
+                rho_k = min((dt for ds, dt in rows if ds >= k), default=math.inf)
+                want_row = _row_bits(_equicoarse_row(k, rho_k, omega_1))
+                assert _row_bits(equicoarse_report([(k, sample)])[0]) == want_row, (k, size)
+                assert _row_bits(_box_row(k, size, score)) == want_row, (k, size)
+        assert cases == 120
+
+    def test_the_two_builders_attain_the_integer_bounds(self):
+        # _peaks(J, t): range and max |h| min(t, J), var_2^2 = 2(q t^2 + r^2) for
+        # (q, r) = divmod(J, t); _balanced(t): range t, max |h| ceil(t/2),
+        # var_2^2 = min_a a^2 + t^2 + (t - a)^2
+        for J in range(1, 51):
+            for t in range(1, J + 1):
+                q, r = divmod(J, t)
+                h = _peaks(J, t)
+                assert _steps_of_a_box_pattern(h) == 2 * J
+                assert max(map(abs, h)) == max(h) - min(h) == t
+                assert _var2_squared(h) == 2 * (q * t * t + r * r)
+            h = _balanced(J)
+            assert _steps_of_a_box_pattern(h) == 2 * J
+            assert (max(h) - min(h), max(map(abs, h))) == (J, (J + 1) // 2)
+            assert _var2_squared(h) == min(a * a + J * J + (J - a) ** 2 for a in range(1, J + 1))
+        # the bounds hold on every pattern of the k = 8 box over 16 elements
+        for h in box_heights(8, 16):
+            width, top, var2 = max(h) - min(h), max(map(abs, h)), _var2_squared(h)
+            for t in range(1, 9):
+                q, r = divmod(8, t)
+                if width <= t:
+                    assert top <= t and var2 <= 2 * (q * t * t + r * r), (h, t)
+                if width >= t:
+                    assert top >= (t + 1) // 2, (h, t)
+                    assert var2 >= min(a * a + t * t + (t - a) ** 2 for a in range(1, t + 1))
 
     @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
     def test_samples_that_are_not_boxes_take_the_pair_table(self, make, monkeypatch):
@@ -548,17 +661,18 @@ class TestBoxPatterns:
                 max((dt for ds, dt in table if ds <= t), default=0.0) for t in ts
             )
 
-    @pytest.mark.parametrize("k, max_entry, patterns", [(4, 10, 49), (5, 11, 175)])
-    def test_a_box_reads_no_profile_and_scores_each_pattern_once(
-        self, k, max_entry, patterns, monkeypatch
+    @pytest.mark.parametrize("k, max_entry, scores", [(4, 10, 8), (5, 11, 10)])
+    def test_a_box_reads_no_profile_and_scores_two_per_threshold(
+        self, k, max_entry, scores, monkeypatch
     ):
+        # the enumeration has 49 patterns at k = 4 and 175 at k = 5
         sample = g_map_sample(k, max_entry)
         calls = _count_metric_calls(monkeypatch)
-        compute_moduli(sample)
-        assert (len(calls.heights), len(calls.norms)) == (0, patterns)
-        assert patterns == sum(math.comb(2 * j - 1, j - 1) for j in range(1, k + 1))
+        report = compute_moduli(sample)
+        assert report.thresholds == tuple(float(t) for t in range(1, k + 1))
+        assert (len(calls.heights), len(calls.norms)) == (0, scores)
         lipschitz_constant(sample)
-        assert (len(calls.heights), len(calls.norms)) == (0, 2 * patterns)
+        assert (len(calls.heights), len(calls.norms)) == (0, 2 * scores)
 
     def test_equicoarse_report_reads_no_profile(self, monkeypatch):
         samples = [(k, summing_map_sample(k, 2 * k)) for k in (1, 2, 3, 4, 5)]
@@ -656,7 +770,7 @@ class TestPatternProbe:
 
 def _recorded_patterns(k, size):
     """The heights `_box_row` scores for the arity-k box over `size` elements."""
-    from interlace.moduli import _box_row, _HeightScore
+    from interlace.moduli import _HeightScore
 
     seen = []
     _box_row(k, size, _HeightScore(lambda k, h: seen.append(h) or 0.0))
@@ -686,24 +800,22 @@ class TestBoxRow:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_the_extremal_patterns_are_the_range_filters_of_the_box(self, k):
-        from interlace.moduli import _box_heights
-
         for size in (k + 1, 2 * k, 2 * k + 1):
             near, far = _scan_patterns(k, size)
-            box = list(_box_heights(k, size))
+            box = list(box_heights(k, size))
             assert set(near) == {h for h in box if max(h) - min(h) <= 1}, (k, size)
             assert set(far) == {h for h in box if max(h) - min(h) >= k}, (k, size)
             assert len(far) == (k if size >= 2 * k else 0)
-            # the row scores the longest alternating pattern and, from 2k elements
-            # on, the balanced a = ceil(k/2), each once
+            # the row scores _peaks(J, 1), the longest alternating pattern, and from
+            # 2k elements on _balanced(k), the balanced a = ceil(k/2), each once
             seen = _recorded_patterns(k, size)
             assert seen == [near[-1]] + far[(k - 1) // 2:(k + 1) // 2], (k, size)
+            j = min(k, size - k)
+            assert seen == [_peaks(j, 1)] + ([_balanced(k)] if size >= 2 * k else [])
 
     @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
     def test_two_patterns_give_the_rows_of_the_scan(self, make):
         # the scan scores every pattern of range <= 1 and >= k: 2k per row
-        from interlace.moduli import _box_row, _equicoarse_row
-
         score = make(1, 2).d_target
         for k in range(1, 65):
             near, far = _scan_patterns(k, 2 * k)
@@ -718,7 +830,7 @@ class TestBoxRow:
     def test_an_arity_above_the_cap_is_a_named_resource_limit(self, k):
         # the patterns of an arity-k row hold about 2k heights: k = 99999999999 was
         # a MemoryError
-        from interlace.moduli import EQUICOARSE_ARITY_CAP, _box_row
+        from interlace.moduli import EQUICOARSE_ARITY_CAP
 
         assert EQUICOARSE_ARITY_CAP == 10**6
         score = g_map_sample(1, 2).d_target
@@ -737,3 +849,19 @@ class TestBoxRow:
             for k, s in cases
         ]
         assert [_row_bits(r) for r in rows] == [_row_bits(r) for r in equicoarse_report(copies)]
+
+
+def _steps_of_a_box_pattern(h):
+    """The step count of h, checked to be a balanced +-1 walk from 0 that starts with +1."""
+    steps = [b - a for a, b in zip(h, h[1:])]
+    assert h[0] == 0 and steps[0] == 1 and set(steps) == {1, -1} and sum(steps) == 0, h
+    return len(steps)
+
+
+def _var2_squared(h):
+    """The exact squared 2-variation of integer heights: a chain DP over the turning points."""
+    turns = [h[0], *(b for a, b, c in zip(h, h[1:], h[2:]) if (b - a) * (c - b) < 0), h[-1]]
+    best = [0]
+    for i in range(1, len(turns)):
+        best.append(max(best[j] + (turns[i] - turns[j]) ** 2 for j in range(i)))
+    return max(best)

@@ -660,6 +660,15 @@ class TestCompareLp:
             assert rep.n_samples == len(samples)
             assert math.isfinite(rep.worst_ratio) and rep.worst_ratio > 0.0
 
+    @pytest.mark.parametrize("p", [54.0, 1100.0, 1e308])
+    def test_a_ratio_beyond_the_float_range_at_the_left_edge_blows_up(self, p):
+        # from p = 54 on the grid ratio at t = 1e-6 is inf; once every t^p on the grid
+        # underflows, the right edge is inf too, and inf > 10 inf failed: p = 1e308 read
+        # as applicable with grid constant inf
+        rep = compare_lp(orlicz_fixture("huber"), p, "upper", [[0.5], [0.9], [0.75, 0.1]])
+        assert rep.grid_constant == math.inf
+        assert not rep.applicable and "blows up toward 0" in rep.note
+
     def test_an_lp_norm_beyond_the_float_range_is_invalid_input(self):
         # ||(1e308, 1e308)||_1 = 2e308: this was an OverflowError, and computed as
         # max|x_n| times a sum it would read as inf and give the ratio 0
