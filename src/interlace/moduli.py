@@ -224,11 +224,17 @@ def _box_moduli(
 
 
 def _threshold(value: Any, what: str) -> float:
-    """The value as a float; one that is not a number >= 0 is InvalidInput naming it."""
-    try:
-        t = float(value)
-    except (TypeError, ValueError, OverflowError):
-        t = math.nan
+    """The value as a float; one that is not a number >= 0 is InvalidInput naming it.
+
+    A number is an int or a float, not a bool: as in the CLI's JSON readers,
+    float() would also read a bool or a numeric string.
+    """
+    t = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            t = float(value)
+        except OverflowError:
+            pass
     if not t >= 0:  # NaN fails too
         raise InvalidInput(f"{what} must be non-negative numbers, got {_short_repr(value)}")
     return t

@@ -450,7 +450,8 @@ def compare_lp(
     exceeds its value at the right edge by more than a factor 10, or is beyond
     the float range, is treated as blowing up toward 0 (upper side
     inapplicable), and symmetrically for a
-    ratio vanishing toward 0 on the lower side.  p must be finite and >= 1, and
+    ratio vanishing toward 0 on the lower side; a lower grid constant beyond
+    the float range is inapplicable too.  p must be finite and >= 1, and
     some sample must be nonzero; every nonzero sample counts, whatever p.
     """
     if side not in ("upper", "lower"):
@@ -471,8 +472,15 @@ def compare_lp(
     else:
         grid_constant = min(ratios)
         vanishing = ratios[0] == grid_constant and ratios[0] * 10.0 < ratios[-1]
-        applicable = not vanishing
-        note = "" if applicable else "phi(t)/t^p vanishes toward 0; no lower constant"
+        # inf only when every t^p on the grid underflows, as at p = 1e308
+        beyond = grid_constant == math.inf
+        applicable = not (vanishing or beyond)
+        if beyond:
+            note = "phi(t)/t^p is beyond the float range; no lower constant"
+        elif vanishing:
+            note = "phi(t)/t^p vanishes toward 0; no lower constant"
+        else:
+            note = ""
 
     sample_ratios = []
     for vec in samples:

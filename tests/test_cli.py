@@ -308,6 +308,18 @@ def test_compare_lp_at_a_huge_p_has_no_upper_constant(capsys):
     assert "blows up toward 0" in doc["note"]
 
 
+def test_compare_lp_at_a_huge_p_has_no_lower_constant(capsys):
+    # the same grid on the lower side: its smallest ratio is inf, which read as applicable
+    code, out = run_cli(
+        capsys, "orlicz", "--op", "compare-lp", "--phi", "huber", "--p", "1e308",
+        "--side", "lower", "--samples", "2",
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["applicable"], doc["grid_constant"]) == (False, "inf")
+    assert doc["note"] == "phi(t)/t^p is beyond the float range; no lower constant"
+
+
 def test_orlicz_norm_near_the_largest_float(capsys):
     code, out = run_cli(
         capsys, "orlicz", "--op", "norm", "--phi", "pow:2", "--x", "1e308,1e308"
@@ -466,6 +478,133 @@ def test_embed_c0_reads_each_profile_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["pairs"] == math.comb(120, 2)
     assert profiles == math.comb(120, 2) == 7140
     assert dists == 0
+
+
+def _embed_c0_reference_csv(k, max_entry, out):
+    # the table as written cell by cell, pair by pair: d from dist, sup_diff from the
+    # image difference, the ratio from the certificate, floats through _round_floats
+    import csv as csv_mod
+    import io
+    import itertools
+
+    from interlace.cli import _round_floats
+    from interlace.graphs import enumerate_tuples
+
+    config = {"command": "embed-c0", "k": k, "max_entry": max_entry, "out": out, "seed": 402}
+    fh = io.StringIO()
+    fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+    writer = csv_mod.writer(fh, lineterminator="\n")
+    writer.writerow(["n", "m", "dist", "sup_diff", "ratio"])
+    for n, m in itertools.combinations(enumerate_tuples(range(1, max_entry + 1), k), 2):
+        sup = sup_norm(summing_image(n) - summing_image(m))
+        writer.writerow(
+            [
+                ",".join(map(str, n.entries)),
+                ",".join(map(str, m.entries)),
+                dist(n, m),
+                _round_floats(float(sup)),
+                _round_floats(summing_distortion_check(n, m)[0]),
+            ]
+        )
+    return fh.getvalue().encode()
+
+
+@pytest.mark.parametrize("k, max_entry", [(1, 2), (1, 8), (2, 3), (2, 7), (3, 4), (3, 8)])
+def test_embed_c0_table_equals_a_cell_by_cell_rendering(tmp_path, capsys, k, max_entry):
+    code, _ = run_cli(
+        capsys, "embed-c0", "--k", str(k), "--max-entry", str(max_entry), "--out", str(tmp_path)
+    )
+    assert code == 0
+    want = _embed_c0_reference_csv(k, max_entry, str(tmp_path))
+    assert (tmp_path / f"embed_c0_k{k}_max{max_entry}.csv").read_bytes() == want
+
+
+def test_embed_c0_renders_each_distinct_table_row_once(tmp_path, capsys, monkeypatch):
+    import interlace.cli as cli
+    from interlace.moduli import summing_map_sample
+
+    real_round = cli._round_floats
+    floats = 0
+
+    def counting_round(obj):
+        nonlocal floats
+        floats += isinstance(obj, float)
+        return real_round(obj)
+
+    monkeypatch.setattr(cli, "_round_floats", counting_round)
+    code, out = run_cli(
+        capsys, "embed-c0", "--k", "3", "--max-entry", "10", "--out", str(tmp_path)
+    )
+    doc = json.loads(out)
+    distinct = len(set(summing_map_sample(3, 10).pair_distances()))
+    assert code == 0 and doc["pairs"] == 7140 and distinct == 5
+    # sup_diff and ratio once per distinct row, then min_ratio and max_ratio in the JSON
+    assert floats == 2 * distinct + 2
+
+
+def test_embed_c0_checks_every_pair_whose_row_is_already_rendered(tmp_path, capsys, monkeypatch):
+    # the certificate runs on each of the 7,140 pairs, and a wrong image ratio on the
+    # last pair is caught although its table row (d, sup_diff) was rendered long before
+    import interlace.cli as cli
+
+    real_check = cli.summing_distortion_check
+    calls = []
+
+    def checking(n, m, **kw):
+        calls.append((n, m))
+        ratio, upper = real_check(n, m, **kw)
+        return (ratio * (1 + 2**-52) if len(calls) == 7140 else ratio), upper
+
+    monkeypatch.setattr(cli, "summing_distortion_check", checking)
+    code, out = run_cli(
+        capsys, "embed-c0", "--k", "3", "--max-entry", "10", "--out", str(tmp_path)
+    )
+    error = json.loads(out)["error"]
+    assert code == 1 and len(calls) == 7140
+    assert "AssertionError: profile score" in error["message"]
+    assert error["message"].endswith("at (7,9,10), (8,9,10)")
+
+
+def test_the_parser_is_built_once_and_reused(tmp_path, capsys):
+    # one process: embed-c0, an argparse error and an invalid input (both exit 2),
+    # moduli, then embed-c0 again; the cached parser carries nothing between calls
+    import interlace.cli as cli
+
+    def embed():
+        code, out = run_cli(
+            capsys, "embed-c0", "--k", "2", "--max-entry", "6", "--out", str(tmp_path)
+        )
+        return code, out, (tmp_path / "embed_c0_k2_max6.csv").read_bytes()
+
+    first = embed()
+    built = cli._build_parser.cache_info()
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-c0", "--k", "three", "--max-entry", "6", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, "dist", "--n", "1,x", "--m", "1,2")
+    assert code == 2 and json.loads(out)["error"]["kind"] == "invalid-input"
+    code, out = run_cli(capsys, "moduli", "--family", "g", "--k", "2", "--out", str(tmp_path))
+    assert code == 0 and json.loads(out)["config"]["max_entry"] == 6
+    assert embed() == first and first[0] == 0
+    assert cli._build_parser.cache_info().misses == built.misses
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built on the first main(), not at import, which the setup time counts
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import interlace.cli as c; i = c._build_parser.cache_info(); print(i.currsize, i.misses)",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0 0\n"), proc.stderr
 
 
 @pytest.mark.parametrize(

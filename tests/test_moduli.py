@@ -103,6 +103,21 @@ class TestComputeModuli:
             with pytest.raises(InvalidInput, match=re.escape(f"got {bad!r}")):
                 compute_moduli(sample, [1.0, bad, "b"])
 
+    @pytest.mark.parametrize("bad", ["1.5", "0", " 2 ", True, False], ids=repr)
+    def test_a_numeric_string_or_a_bool_is_not_a_threshold(self, bad):
+        # float() reads each of these as a number; the CLI's JSON readers refuse them
+        for sample in (summing_map_sample(2, 5), _copied(summing_map_sample(2, 5))):
+            with pytest.raises(InvalidInput, match=re.escape(f"got {bad!r}")):
+                compute_moduli(sample, [1.0, bad])
+
+    def test_an_int_beyond_the_float_range_is_not_a_threshold(self):
+        with pytest.raises(InvalidInput, match=r"thresholds must be non-negative numbers, got 1000"):
+            compute_moduli(summing_map_sample(2, 5), [10**400])
+
+    def test_int_and_float_thresholds_read_alike(self):
+        sample = summing_map_sample(2, 5)
+        assert compute_moduli(sample, [0, 1, 3]) == compute_moduli(sample, [0.0, 1.0, 3.0])
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(2, 6).flatmap(

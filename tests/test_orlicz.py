@@ -669,6 +669,19 @@ class TestCompareLp:
         assert rep.grid_constant == math.inf
         assert not rep.applicable and "blows up toward 0" in rep.note
 
+    def test_a_lower_grid_constant_beyond_the_float_range_is_inapplicable(self):
+        # at p = 1e308 every t^p on the grid underflows, so every grid ratio is inf;
+        # the lower side read as applicable with grid constant inf
+        samples = [[0.5], [0.9], [0.75, 0.1]]
+        rep = compare_lp(orlicz_fixture("huber"), 1e308, "lower", samples)
+        assert rep.grid_constant == math.inf
+        assert not rep.applicable
+        assert rep.note == "phi(t)/t^p is beyond the float range; no lower constant"
+        assert rep.n_samples == len(samples) and math.isfinite(rep.worst_ratio)
+        # a large p whose grid still holds a finite ratio keeps its constant
+        rep = compare_lp(orlicz_fixture("huber"), 3000.0, "lower", samples)
+        assert rep.applicable and math.isfinite(rep.grid_constant) and rep.note == ""
+
     def test_an_lp_norm_beyond_the_float_range_is_invalid_input(self):
         # ||(1e308, 1e308)||_1 = 2e308: this was an OverflowError, and computed as
         # max|x_n| times a sum it would read as inf and give the ratio 0
