@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -163,8 +164,16 @@ def _render_row(row: Sequence[Any]) -> tuple:
 def _write_csv(
     path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]], config: dict
 ) -> None:
-    """Write rows already rendered (`_render_row`) under a `# config:` line and a header."""
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    """Write rows already rendered (`_render_row`) under a `# config:` line and a header.
+
+    A path that cannot be opened, such as a name made too long by a long
+    `--max-entry`, is InvalidInput.
+    """
+    try:
+        fh = path.open("w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {reprlib.repr(str(path))}: {exc.strerror}") from None
+    with fh:
         fh.write("# config: " + json.dumps(_round_floats(config), sort_keys=True) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -220,8 +229,11 @@ def _cmd_embed_c0(args: argparse.Namespace) -> dict:
     # against the other.  Both checks run on every pair; once a pair's ratio is
     # sup_diff / d, its cells are a function of its table row (d, sup_diff), of
     # which a box has few (5 at k = 3 over 1..10, for 7,140 pairs), so each
-    # distinct row is rendered once and min/max ratio are read over those rows
+    # distinct row is rendered once and min/max ratio are read over those rows.
+    # The sample's tuple box is read four times, so its tuples are listed once
     sample = summing_map_sample(args.k, args.max_entry)
+    points = list(sample.points)
+    sample = dataclasses.replace(sample, points=points, images=points)
     pairs = zip(
         itertools.combinations(sample.points, 2),
         itertools.combinations([summing_image(t) for t in sample.points], 2),
@@ -349,8 +361,8 @@ def _cmd_jt_embed(args: argparse.Namespace) -> dict:
 
 
 # each family's pair score, a function of the arity and the profile heights; the
-# moduli table scores the family's tuple box, while the probe and the equicoarse
-# rows take the score alone and build no box for it
+# moduli table scores the family's tuple box from (k, |U|) and builds no tuple,
+# the equicoarse rows take the score alone, and the probe lists its tuples
 _FAMILIES = {
     "summing": _summing_score,
     "g": _branch_score,

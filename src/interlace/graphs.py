@@ -26,6 +26,7 @@ can certify the others.  The geodesics have one rule, `geodesic_step`;
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import reprlib
 from collections import deque
@@ -289,11 +290,48 @@ def geodesic_step(n: InterlacedTuple, m: InterlacedTuple) -> InterlacedTuple:
     return InterlacedTuple(tuple(sorted((set(n.entries) - set(a)) | set(b))))
 
 
+def _check_arity(k: int) -> None:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise InvalidInput("arity must be >= 1")
+
+
+class TupleBox:
+    """Every arity-k tuple over a universe U, each built when an iteration reaches it.
+
+    The tuples come in `itertools.combinations` order, the order of
+    `enumerate_tuples`.  The box is checked when it is made, with the
+    messages the tuples would give: U holds integers, not bools, the
+    smallest at least 1, the arity is an int >= 1 and |U| >= k.  A `range`
+    universe stays a range, so a box over {1..M} holds O(1) values whatever
+    M; any other is kept as its sorted distinct values.  Each pass builds
+    and checks every tuple again, so a caller that reads them several times
+    lists them once.  `len()` is C(|U|, k), which outgrows `sys.maxsize`
+    already at k = 34 over 68 elements.
+    """
+
+    __slots__ = ("universe", "size", "k")
+
+    def __init__(self, universe: Iterable[int], k: int) -> None:
+        if isinstance(universe, range):
+            uni = universe if universe.step > 0 else universe[::-1]
+            size = max(0, -((uni.start - uni.stop) // uni.step))  # len() stops at sys.maxsize
+        else:
+            uni = tuple(sorted(set(_as_ints(universe, "universe values"))))
+            size = len(uni)
+        _check_arity(k)
+        if size < k:
+            raise InvalidInput(f"universe of size {size} cannot host arity {k}")
+        if uni[0] < 1:  # the first entry of the first tuple
+            raise InvalidInput(f"entries must be positive: {_short_repr(uni[0])} at index 1")
+        self.universe, self.size, self.k = uni, size, k
+
+    def __iter__(self) -> Iterator[InterlacedTuple]:
+        return map(InterlacedTuple, itertools.combinations(self.universe, self.k))
+
+    def __len__(self) -> int:
+        return math.comb(self.size, self.k)
+
+
 def enumerate_tuples(universe: Iterable[int], k: int) -> list[InterlacedTuple]:
     """All C(|universe|, k) arity-k tuples over the universe, in lexicographic order."""
-    uni = sorted(set(_as_ints(universe, "universe values")))
-    if k < 1:
-        raise InvalidInput("arity must be >= 1")
-    if len(uni) < k:
-        raise InvalidInput(f"universe of size {len(uni)} cannot host arity {k}")
-    return [InterlacedTuple(c) for c in itertools.combinations(uni, k)]
+    return list(TupleBox(universe, k))

@@ -31,7 +31,10 @@ profile once for such a sample and scores each distinct h once, from a table
 that lives for that one call.  `compute_moduli`, `lipschitz_constant`,
 `equicoarse_report` and the concentration probe need only extremal rows of
 that table, and a full tuple box, every arity-k tuple over a universe U, has
-them without a pair.  Its pairs realise exactly the h of the balanced +-1
+them without a pair.  The canonical samples hold their box as a `TupleBox`,
+which the moduli layer knows by its type: it is (U, k), and no answer about
+it builds a tuple, so the cost of an answer is set by k and the thresholds,
+not by C(|U|, k).  Its pairs realise exactly the h of the balanced +-1
 step patterns of 2j steps that start with +1, 1 <= j <= J = min(k, |U| - k),
 and two builders give every extremum:
 
@@ -58,7 +61,10 @@ beyond, and omega_hat(t) the score of _peaks(J, min(floor t, J)) for t >= 1
 and 0.0 below.  The tuples over an s-element sub-universe form a full box
 too, so the probe's diameter D(s) is the score of _peaks(j, j),
 j = min(k, s - k).  Each answer is the score of one pattern the pairs
-realise, so every float is one the pair table gives.
+realise, so every float is one the pair table gives.  A pattern of
+distance J holds 2J + 1 heights, so one box answer scores at most about 4J
+per threshold and 4k per equicoarse row; above BOX_HEIGHTS_CAP heights in
+all it is ResourceLimit.
 """
 
 from __future__ import annotations
@@ -71,7 +77,16 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import InvalidInput, ResourceLimit
-from .graphs import InterlacedTuple, _as_ints, _short_repr, dist, enumerate_tuples, walk_profile
+from .graphs import (
+    InterlacedTuple,
+    TupleBox,
+    _as_ints,
+    _check_arity,
+    _short_repr,
+    dist,
+    enumerate_tuples,
+    walk_profile,
+)
 from .sequences import FinSeq, james_norm
 
 __all__ = [
@@ -90,35 +105,39 @@ __all__ = [
 ]
 
 EXHAUSTIVE_PROBE_CAP = 12
-EQUICOARSE_ARITY_CAP = 10**6  # the largest arity of an equicoarse row
+BOX_HEIGHTS_CAP = 4 * 10**6  # the most pattern heights one box answer scores
 
 
 @dataclass
 class MapSample:
     """A finite map sample: source points and their images, with both metrics.
 
-    Pair enumeration treats the metric callbacks as pure functions.
+    The points are a sequence or a `TupleBox`, which is never counted here:
+    its C(|U|, k) tuples outgrow `len()`.  Pair enumeration treats the
+    metric callbacks as pure functions.
     """
 
-    points: Sequence[Any]
+    points: Sequence[Any] | TupleBox
     d_source: Callable[[Any, Any], float]
-    images: Sequence[Any]
+    images: Sequence[Any] | TupleBox
     d_target: Callable[[Any, Any], float]
 
     def __post_init__(self) -> None:
-        if len(self.points) != len(self.images):
+        points = self.points
+        if self.images is not points and len(points) != len(self.images):
             raise InvalidInput("points and images must have equal length")
-        if len(self.points) < 2:
+        # a box holds one tuple when |U| = k, and at least two otherwise
+        if points.size == points.k if isinstance(points, TupleBox) else len(points) < 2:
             raise InvalidInput("a sample needs at least two points")
 
     def pair_distances(self) -> list[tuple[float, float]]:
         """(source distance, image distance) per pair, in `itertools.combinations` order.
 
         When the source metric is `dist`, the target metric a height score and
-        every image its own point, both distances are functions of the pair's
-        profile heights h: each pair's profile is read once, and each distinct
-        h is scored once, in a table kept for this call only.  Any other sample
-        evaluates both callbacks on every pair.
+        the images the points themselves, both distances are functions of the
+        pair's profile heights h: each pair's profile is read once, and each
+        distinct h is scored once, in a table kept for this call only.  Any
+        other sample evaluates both callbacks on every pair.
         """
         points, images, score = self.points, self.images, self.d_target
         if self._scored_by_heights():
@@ -133,23 +152,19 @@ class MapSample:
                     row = table[h] = (_dist_of_heights(k, h), score.of_heights(k, h))
                 out.append(row)
             return out
-        out = []
-        for i, j in itertools.combinations(range(len(points)), 2):
-            ds = float(self.d_source(points[i], points[j]))
-            dt = float(score(images[i], images[j]))
-            out.append((ds, dt))
-        return out
+        pairs = zip(itertools.combinations(points, 2), itertools.combinations(images, 2))
+        return [(float(self.d_source(*p)), float(score(*q))) for p, q in pairs]
 
     def _scored_by_heights(self) -> bool:
         """True when both distances of a pair are functions of its profile heights.
 
         That is: the source metric is `dist`, the target metric a height score,
-        and every image is its own point.
+        and the images are the points themselves, one object.
         """
         return (
             self.d_source is dist
             and isinstance(self.d_target, _HeightScore)
-            and all(map(operator.is_, self.images, self.points))
+            and self.images is self.points
         )
 
 
@@ -188,23 +203,6 @@ class ProbeResult:
     omega_1: float
 
 
-def _box_shape(points: Sequence[Any]) -> tuple[int, int] | None:
-    """(k, |U|) when the points are every arity-k tuple over the union U of
-    their entries, in `itertools.combinations` order; None otherwise.
-
-    Strictly increasing points are distinct, and C(|U|, k) distinct k-subsets
-    of U are all of them.  The test costs O(T k) for T points.
-    """
-    if not all(isinstance(t, InterlacedTuple) for t in points):
-        return None
-    k = points[0].arity
-    entries = [t.entries for t in points]
-    if any(len(e) != k for e in entries) or not all(map(operator.lt, entries, entries[1:])):
-        return None
-    size = len(set().union(*entries))
-    return (k, size) if len(points) == math.comb(size, k) else None
-
-
 def _box_moduli(
     k: int, size: int, score: _HeightScore, thresholds: list[float] | None
 ) -> ModuliReport:
@@ -213,8 +211,14 @@ def _box_moduli(
     Thresholds default to the box's distances 1..J, J = min(k, size - k).
     rho_hat(t) scores `_balanced(max(1, ceil t))` for t <= J, and omega_hat(t)
     scores `_peaks(J, min(floor t, J))` for t >= 1 (see the module docstring).
+    Each threshold scores at most 4J + 2 heights, so T thresholds above
+    BOX_HEIGHTS_CAP / 4J are ResourceLimit: the default table stops at J = 1000.
     """
     j = min(k, size - k)
+    n = j if thresholds is None else len(thresholds)
+    _check_box_heights(
+        4 * j * n, f"a box table of {_short_repr(n)} thresholds at J = {_short_repr(j)}"
+    )
     ts = [float(t) for t in range(1, j + 1)] if thresholds is None else thresholds
     of = score.of_heights
     rho = [of(k, _balanced(max(1, math.ceil(t)))) if t <= j else math.inf for t in ts]
@@ -245,15 +249,16 @@ def compute_moduli(
 ) -> ModuliReport:
     """Empirical rho/omega over all sample pairs at the given thresholds.
 
-    Thresholds default to the realized source distances.  A full tuple box
-    under a height score reads no pair: each threshold scores one
-    `_balanced` and one `_peaks` pattern (`_box_moduli`).  Any other sample
-    scans the distinct rows of its pair table once per threshold.
+    Thresholds default to the realized source distances.  A height-scored
+    `TupleBox` reads no pair and builds no tuple: each threshold scores one
+    `_balanced` and one `_peaks` pattern (`_box_moduli`).  Any other sample,
+    a list of every tuple of a box included, scans the distinct rows of its
+    pair table once per threshold.
     """
     ts = None if thresholds is None else sorted(_threshold(t, "thresholds") for t in thresholds)
-    box = _box_shape(sample.points) if sample._scored_by_heights() else None
-    if box is not None:
-        return _box_moduli(*box, sample.d_target, ts)
+    box = sample.points
+    if isinstance(box, TupleBox) and sample._scored_by_heights():
+        return _box_moduli(box.k, box.size, sample.d_target, ts)
     # dropping repeats keeps first occurrences in order, so a min or max scan
     # returns what it returns over the pairs, NaN included
     rows = dict.fromkeys(sample.pair_distances())
@@ -345,8 +350,11 @@ def concentration_probe(
             f"subset size {subset_size!r} (--subset-size) applies to the exhaustive "
             "probe only; the greedy probe stops at |M| = k + 1"
         )
-    all_tuples = enumerate_tuples(uni, k)
-    sample = MapSample(all_tuples, dist, [f(t) for t in all_tuples], d_target)
+    points = enumerate_tuples(uni, k)
+    images = [f(t) for t in points]
+    if all(map(operator.is_, images, points)):  # each image is its own tuple
+        images = points
+    sample = MapSample(points, dist, images, d_target)
     if sample._scored_by_heights():
         diameter, omega_1 = _pattern_diameter(d_target.of_heights, k, len(uni))
     else:
@@ -437,11 +445,6 @@ def equicoarse_report(
     return rows
 
 
-def _check_arity(k: int) -> None:
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise InvalidInput("arity must be >= 1")
-
-
 def _equicoarse_row(k: int, rho_k: float, omega_1: float) -> EquicoarseRow:
     if rho_k == 0.0:
         ratio = 0.0
@@ -458,18 +461,23 @@ def _box_row(k: int, size: int, score: _HeightScore) -> EquicoarseRow:
     omega_hat(1) is the score of `_peaks(J, 1)`, J = min(k, size - k), and
     rho_hat(k) that of `_balanced(k)`, or inf when size < 2k: two scores,
     where `compute_moduli` at thresholds 1 and k takes four.  Both patterns
-    hold about 2k heights, so an arity above EQUICOARSE_ARITY_CAP is
-    ResourceLimit.
+    hold at most 2k + 1 heights, so an arity above BOX_HEIGHTS_CAP / 4 =
+    10^6 is ResourceLimit.
     """
-    if k > EQUICOARSE_ARITY_CAP:
-        raise ResourceLimit(
-            f"arity {k} exceeds the equicoarse row cap "
-            f"EQUICOARSE_ARITY_CAP = {EQUICOARSE_ARITY_CAP}"
-        )
+    _check_box_heights(4 * k, f"arity {k}")
     of = score.of_heights
     omega_1 = of(k, _peaks(min(k, size - k), 1))
     rho_k = of(k, _balanced(k)) if size >= 2 * k else math.inf
     return _equicoarse_row(k, rho_k, omega_1)
+
+
+def _check_box_heights(heights: int, what: str) -> None:
+    """ResourceLimit naming the cap when a box answer would score more heights than it."""
+    if heights > BOX_HEIGHTS_CAP:
+        raise ResourceLimit(
+            f"{what} exceeds the box cap: about {_short_repr(heights)} pattern heights "
+            f"to score, BOX_HEIGHTS_CAP = {BOX_HEIGHTS_CAP}"
+        )
 
 
 def _peaks(j: int, t: int) -> tuple[int, ...]:
@@ -536,8 +544,8 @@ _constant_score = _HeightScore(_zero_of_heights)
 
 
 def _tuple_sample(k: int, max_entry: int, score: _HeightScore) -> MapSample:
-    pts = enumerate_tuples(range(1, max_entry + 1), k)
-    return MapSample(pts, dist, pts, score)
+    box = TupleBox(range(1, max_entry + 1), k)
+    return MapSample(box, dist, box, score)
 
 
 def summing_map_sample(k: int, max_entry: int) -> MapSample:

@@ -868,16 +868,67 @@ def test_equicoarse_rejects_an_arity_below_one(tmp_path, capsys):
 @pytest.mark.parametrize("ks", ["1,1000001", "99999999999"])
 def test_equicoarse_arity_above_the_cap_is_a_resource_limit(tmp_path, capsys, ks):
     # 99999999999 was exit 1 with a MemoryError; no row or CSV is written
+    k = int(ks.split(",")[-1])
     code, out = run_cli(
         capsys, "moduli", "--equicoarse", "--family", "g", "--ks", ks, "--out", str(tmp_path)
     )
     assert code == 3
     assert json.loads(out)["error"] == {
         "kind": "resource",
-        "message": f"arity {ks.split(',')[-1]} exceeds the equicoarse row cap "
-        "EQUICOARSE_ARITY_CAP = 1000000",
+        "message": f"arity {k} exceeds the box cap: about {4 * k} pattern heights to score, "
+        "BOX_HEIGHTS_CAP = 4000000",
     }
     assert not (tmp_path / "equicoarse_g.csv").exists()
+
+
+@pytest.mark.parametrize("max_entry", [10**9, 2**63 + 5, 10**40])
+def test_a_moduli_table_reads_k_and_max_entry_alone(tmp_path, capsys, max_entry):
+    # the box over range(1, M + 1) keeps its range: M = 10^9 read 102 MB as a list,
+    # and len() of a range past sys.maxsize raises
+    code, out = run_cli(
+        capsys, "moduli", "--family", "summing", "--k", "3", "--max-entry", str(max_entry),
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["t"], r["rho_hat"], r["omega_hat"]) for r in rows] == [
+        (t, (t + 1) // 2, t) for t in (1, 2, 3)
+    ]
+    assert (tmp_path / f"moduli_summing_k3_max{max_entry}.csv").exists()
+
+
+def test_a_max_entry_too_long_for_a_file_name_is_invalid_input(tmp_path, capsys):
+    # the box answers from (k, |U|); the CSV's name cannot hold 300 digits
+    code, out = run_cli(
+        capsys, "moduli", "--k", "3", "--max-entry", str(10**300), "--out", str(tmp_path)
+    )
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "invalid-input" and error["message"].startswith("cannot write ")
+    assert len(error["message"]) < 200
+
+
+@pytest.mark.parametrize(
+    "k, max_entry, thresholds",
+    [("1001", "2002", None), ("3000", "6000", None), ("3", "8", ",".join(["1"] * 333334))],
+    ids=["J=1001", "J=3000", "333334-thresholds"],
+)
+def test_a_moduli_table_above_the_box_cap_is_a_resource_limit(
+    tmp_path, capsys, k, max_entry, thresholds
+):
+    # each threshold scores up to 4J + 2 heights: the default table stops at J = 1000
+    argv = ["moduli", "--family", "g", "--k", k, "--max-entry", max_entry]
+    argv += ["--thresholds", thresholds] if thresholds else []
+    code, out = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["kind"] == "resource"
+    assert re.fullmatch(
+        r"a box table of \d+ thresholds at J = \d+ exceeds the box cap: "
+        r"about \d+ pattern heights to score, BOX_HEIGHTS_CAP = 4000000",
+        error["message"],
+    ), error["message"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_exhaustive_probe_cap_builds_no_box(capsys):

@@ -1,7 +1,9 @@
 """Graph metric: formula vs oracle, geodesics, and the interval characterization."""
 
 import itertools
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from interlace import (
     walk_profile,
 )
 from interlace import graphs
-from interlace.graphs import InterlacedTuple
+from interlace.graphs import InterlacedTuple, TupleBox
 
 
 def interval_count_distance(n, m):
@@ -481,3 +483,59 @@ class TestEnumeration:
         with pytest.raises(InvalidInput) as info:
             enumerate_tuples(universe, 1)
         assert str(info.value) == message
+
+
+class TestTupleBox:
+    """A box is checked when it is made, with the messages its tuples would give."""
+
+    @pytest.mark.parametrize(
+        "universe, k, message",
+        [
+            (range(-5, 4), 3, "entries must be positive: -5 at index 1"),
+            ({1, 2}, 3, "universe of size 2 cannot host arity 3"),
+            (range(1, 4), 5, "universe of size 3 cannot host arity 5"),
+            (range(1, -4), 1, "universe of size 0 cannot host arity 1"),
+            (range(1, 4), 0, "arity must be >= 1"),
+            ([0, 1], 0, "arity must be >= 1"),
+        ],
+    )
+    def test_the_box_rejects_what_the_enumeration_rejects(self, universe, k, message):
+        for build in (TupleBox, enumerate_tuples):
+            with pytest.raises(InvalidInput) as info:
+                build(universe, k)
+            assert str(info.value) == message, build
+
+    @pytest.mark.parametrize("k", [True, 2.0, "2"])
+    def test_an_arity_that_is_not_an_int_is_invalid_input(self, k):
+        # True read as arity 1 and 2.0 failed inside itertools.combinations
+        with pytest.raises(InvalidInput, match="^arity must be >= 1$"):
+            TupleBox(range(1, 5), k)
+
+    def test_the_box_builds_its_tuples_in_enumeration_order_on_every_pass(self):
+        box = TupleBox([5, 1, 3, 3, 4], 2)
+        assert box.universe == (1, 3, 4, 5) and box.size == 4 and len(box) == 6
+        assert list(box) == list(box) == [
+            itup(1, 3), itup(1, 4), itup(1, 5), itup(3, 4), itup(3, 5), itup(4, 5)
+        ]
+
+    @pytest.mark.parametrize(
+        "universe, kept, size",
+        [
+            (range(1, 10**9 + 1), range(1, 10**9 + 1), 10**9),
+            (range(10, 0, -3), range(1, 11, 3), 4),
+            (range(1, 2**70, 2), range(1, 2**70, 2), 2**69),
+        ],
+    )
+    def test_a_range_universe_stays_a_range(self, universe, kept, size):
+        # len() of a range stops at sys.maxsize; the box counts a range arithmetically
+        box = TupleBox(universe, 2)
+        assert type(box.universe) is range and box.universe == kept and box.size == size
+        # a range and the list of its values give the same tuples
+        assert list(TupleBox(universe[:5], 2)) == enumerate_tuples(list(kept[:5]), 2)
+
+    def test_a_box_past_sys_maxsize_is_not_counted_by_len(self):
+        # C(68, 34) > sys.maxsize: len() raises, which MapSample never calls on a box
+        box = TupleBox(range(1, 69), 34)
+        assert math.comb(box.size, box.k) > sys.maxsize
+        with pytest.raises(OverflowError):
+            len(box)

@@ -31,6 +31,7 @@ from interlace import (
 )
 from interlace.cli import main
 from interlace.errors import ResourceLimit
+from interlace.graphs import TupleBox
 from interlace.moduli import (
     _balanced,
     _box_row,
@@ -575,16 +576,16 @@ def _scan(rows, ts):
 
 
 class TestBoxPatterns:
-    """`compute_moduli` answers a full tuple box from one `_balanced` and one
-    `_peaks` pattern per threshold; every other sample dedups its pair table.
-    The enumeration of every box pattern is the oracle."""
+    """`compute_moduli` answers a `TupleBox` from one `_balanced` and one `_peaks`
+    pattern per threshold; every other sample dedups its pair table.  The
+    enumeration of every box pattern is the oracle."""
 
     @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
     def test_pattern_rows_equal_the_pair_table(self, make):
         score = make(1, 2).d_target
         for k, universe in _boxes():
-            pts = enumerate_tuples(universe, k)
-            sample = MapSample(pts, dist, pts, score)
+            box = TupleBox(universe, k)
+            sample = MapSample(box, dist, box, score)
             table = sample.pair_distances()
             rows = _enumerated_rows(score, k, len(universe))
             assert set(_bits(rows)) == set(_bits(table)), (k, universe)
@@ -601,8 +602,8 @@ class TestBoxPatterns:
             for size in range(k + 1, 2 * k + 4):
                 j = min(k, size - k)
                 rows = _enumerated_rows(score, k, size)
-                pts = enumerate_tuples(range(1, size + 1), k)
-                sample = MapSample(pts, dist, pts, score)
+                box = TupleBox(range(1, size + 1), k)
+                sample = MapSample(box, dist, box, score)
                 for ts in ([0, 0.5, 1, 1.5, j - 0.5, j, j + 0.5, math.inf, k, 2 * k], None):
                     want = sorted({ds for ds, _ in rows}) if ts is None else sorted(map(float, ts))
                     report = compute_moduli(sample, ts)
@@ -659,6 +660,7 @@ class TestBoxPatterns:
             (shuffled, shuffled, True),
             (short, short, False),
             (pts, copies, True),
+            (pts, pts, True),  # every tuple of the box, listed: not a TupleBox
         ):
             sample = MapSample(points, dist, images, box.d_target)
             read = len(heights)
@@ -688,6 +690,45 @@ class TestBoxPatterns:
         assert (len(calls.heights), len(calls.norms)) == (0, scores)
         lipschitz_constant(sample)
         assert (len(calls.heights), len(calls.norms)) == (0, 2 * scores)
+
+    def test_a_box_builds_no_tuple(self, monkeypatch):
+        # C(80, 40) ~ 1.1e23 tuples: neither the sample nor the moduli count or list them
+        def no_tuples(self):
+            raise AssertionError("the box path built a tuple")
+
+        monkeypatch.setattr(TupleBox, "__iter__", no_tuples)
+        monkeypatch.setattr(TupleBox, "__len__", no_tuples)
+        sample = g_map_sample(40, 80)
+        assert isinstance(sample.points, TupleBox) and sample.images is sample.points
+        of = sample.d_target.of_heights
+        want = [
+            (float(t), of(40, _balanced(t)), of(40, _peaks(40, t))) for t in range(1, 41)
+        ]
+        assert _report_bits(compute_moduli(sample)) == [
+            tuple(v.hex() for v in row) for row in want
+        ]
+        assert lipschitz_constant(sample) == of(40, _peaks(40, 1)) == 1.0
+
+    def test_a_box_is_checked_when_it_is_made(self):
+        # the box builds no tuple, so it names a value below 1 as its first tuple would
+        with pytest.raises(InvalidInput, match="^entries must be positive: 0 at index 1$"):
+            box = TupleBox([0, 1, 2, 3], 2)
+            compute_moduli(MapSample(box, dist, box, summing_map_sample(1, 2).d_target))
+
+    def test_a_default_table_above_the_box_cap_is_a_resource_limit(self):
+        # each threshold scores two patterns of up to 2J + 1 heights: J = 1000 is the
+        # last default table under the cap, J = 10^30 is refused before a pattern is built
+        for k, max_entry in ((1001, 2002), (10**30, 10**31)):
+            with pytest.raises(
+                ResourceLimit,
+                match=rf"^a box table of {k} thresholds at J = .* exceeds the box cap: .*"
+                r"BOX_HEIGHTS_CAP = 4000000$",
+            ):
+                compute_moduli(summing_map_sample(k, max_entry))
+        # two thresholds of the J = 1001 box are well under it
+        rows = compute_moduli(summing_map_sample(1001, 2002), [1, 1001]).rows()
+        assert rows == [(1.0, 1.0, 1.0), (1001.0, 501.0, 1001.0)]
+        assert len(compute_moduli(summing_map_sample(1000, 2000)).rows()) == 1000
 
     def test_equicoarse_report_reads_no_profile(self, monkeypatch):
         samples = [(k, summing_map_sample(k, 2 * k)) for k in (1, 2, 3, 4, 5)]
@@ -843,14 +884,14 @@ class TestBoxRow:
 
     @pytest.mark.parametrize("k", [10**6 + 1, 99999999999])
     def test_an_arity_above_the_cap_is_a_named_resource_limit(self, k):
-        # the patterns of an arity-k row hold about 2k heights: k = 99999999999 was
-        # a MemoryError
-        from interlace.moduli import EQUICOARSE_ARITY_CAP
+        # the patterns of an arity-k row hold about 2k heights each: k = 99999999999
+        # was a MemoryError.  The box cap fires exactly above k = 10^6
+        from interlace.moduli import BOX_HEIGHTS_CAP
 
-        assert EQUICOARSE_ARITY_CAP == 10**6
+        assert BOX_HEIGHTS_CAP == 4 * 10**6
         score = g_map_sample(1, 2).d_target
         with pytest.raises(
-            ResourceLimit, match=f"arity {k} exceeds .* EQUICOARSE_ARITY_CAP = 1000000"
+            ResourceLimit, match=f"arity {k} exceeds the box cap: .* BOX_HEIGHTS_CAP = 4000000"
         ):
             _box_row(k, 2 * k, score)
 
