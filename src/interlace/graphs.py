@@ -89,6 +89,17 @@ class InterlacedTuple:
         return f"({','.join(str(v) for v in self.entries)})"
 
 
+def _trusted(entries: tuple[int, ...]) -> InterlacedTuple:
+    """The tuple of entries already known to be valid, built without the checks.
+
+    For combinations of a checked universe: ints, sorted, distinct and
+    positive, so every combination passes `__post_init__` as it stands.
+    """
+    t = object.__new__(InterlacedTuple)
+    object.__setattr__(t, "entries", entries)
+    return t
+
+
 def itup(*values: int) -> InterlacedTuple:
     """Shorthand constructor, e.g. itup(1, 3, 4)."""
     return InterlacedTuple(tuple(values))
@@ -219,7 +230,7 @@ def dist_oracle_bfs(n: InterlacedTuple, m: InterlacedTuple) -> int:
         return 0
     universe = sorted(set(n.entries) | set(m.entries))
     k = n.arity
-    verts = [InterlacedTuple(c) for c in itertools.combinations(universe, k)]
+    verts = list(map(_trusted, itertools.combinations(universe, k)))
     seen = {n.entries: 0}
     queue = deque([n])
     while queue:
@@ -303,10 +314,11 @@ class TupleBox:
     messages the tuples would give: U holds integers, not bools, the
     smallest at least 1, the arity is an int >= 1 and |U| >= k.  A `range`
     universe stays a range, so a box over {1..M} holds O(1) values whatever
-    M; any other is kept as its sorted distinct values.  Each pass builds
-    and checks every tuple again, so a caller that reads them several times
-    lists them once.  `len()` is C(|U|, k), which outgrows `sys.maxsize`
-    already at k = 34 over 68 elements.
+    M; any other is kept as its sorted distinct values.  Its tuples are
+    combinations of that checked universe, so they are built without being
+    checked again; each pass builds them anew, so a caller that reads them
+    several times lists them once.  `len()` is C(|U|, k), which outgrows
+    `sys.maxsize` already at k = 34 over 68 elements.
     """
 
     __slots__ = ("universe", "size", "k")
@@ -326,7 +338,7 @@ class TupleBox:
         self.universe, self.size, self.k = uni, size, k
 
     def __iter__(self) -> Iterator[InterlacedTuple]:
-        return map(InterlacedTuple, itertools.combinations(self.universe, self.k))
+        return map(_trusted, itertools.combinations(self.universe, self.k))
 
     def __len__(self) -> int:
         return math.comb(self.size, self.k)

@@ -134,7 +134,9 @@ def summing_image(n: InterlacedTuple) -> FinSeq:
     """Sum of the summing-basis vectors s_{n_i}: coordinate j counts entries >= j.
 
     The count is k - i on the run (n_i, n_{i+1}], with n_0 = 0, so the image is
-    filled run by run in O(top + k).
+    filled run by run in O(top + k).  Working memory: the runs fill one list
+    in one pass, which `FinSeq` reads once into its coefficient tuple; no
+    tuple copy is made in between.
     """
     k = n.arity
     coeffs: list[float] = []
@@ -142,7 +144,7 @@ def summing_image(n: InterlacedTuple) -> FinSeq:
     for i, e in enumerate(n):
         coeffs.extend([float(k - i)] * (e - prev))
         prev = e
-    return FinSeq(tuple(coeffs), 0.0)
+    return FinSeq(coeffs, 0.0)
 
 
 def summing_distortion_check(
@@ -168,6 +170,12 @@ def summing_distortion_check(
     identity apply, and d == 0 holds only for n == m with a vanishing
     difference.  An image with a nonzero tail is InvalidInput, as in
     `sup_norm`.
+
+    Working memory: every coordinate is read once, as a_j - b_j with the
+    shorter image padded by zeros, and only the distinct differences are
+    kept (at most 2k + 1 for summing images); no copy of either image is
+    made, so with summing `images` passed the certificate holds O(k) floats
+    whatever the tops.
     """
     if d is None:
         d = dist(n, m)
@@ -175,17 +183,17 @@ def summing_distortion_check(
     if img_n.tail != 0.0 or img_m.tail != 0.0:
         raise InvalidInput("summing images are tail-0 sequences")
     # the coordinatewise difference read straight from the coefficients, with no
-    # FinSeq built for it: both tails are 0, so each image is padded with zeros
-    # and the zero tail difference is appended
-    a, b = img_n.coeffs, img_m.coeffs
-    L = max(len(a), len(b))
-    vals = [*map(operator.sub, a + (0.0,) * (L - len(a)), b + (0.0,) * (L - len(b))), 0.0]
-    hi, lo = max(vals), min(vals)
+    # FinSeq built for it: both tails are 0, so the shorter image is read as
+    # padded with zeros and the zero tail difference is added
+    pairs = itertools.zip_longest(img_n.coeffs, img_m.coeffs, fillvalue=0.0)
+    diffs = {*itertools.starmap(operator.sub, pairs), 0.0}
+    hi, lo = max(diffs), min(diffs)
     if d == 0:
         if n != m or hi != lo:
             raise AssertionError(f"distance 0 for distinct tuples or images at {n}, {m}")
         return (math.nan, math.nan)
-    s = max(hi, -lo)
+    # max(hi, -lo), ties to hi, with no builtin call: every pair of a table runs this
+    s = -lo if -lo > hi else hi
     if not (2 * s >= d and s <= d):
         raise AssertionError(f"distortion bound violated for {n}, {m}: s={s}, d={d}")
     if hi - lo != d:

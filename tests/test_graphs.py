@@ -533,6 +533,25 @@ class TestTupleBox:
         # a range and the list of its values give the same tuples
         assert list(TupleBox(universe[:5], 2)) == enumerate_tuples(list(kept[:5]), 2)
 
+    @pytest.mark.parametrize(
+        "universe, k",
+        [
+            (range(1, 21), 5),
+            (range(7, 1, -2), 2),
+            ([9, 2, 2, 5, 1, 7], 3),
+            ((4,), 1),
+            ([2**63 - 1, 2**63, 2**63 + 1, 2**64, 2**100], 3),
+            (range(2**70, 2**70 + 8), 4),
+        ],
+    )
+    def test_unchecked_box_tuples_equal_checked_ones(self, universe, k):
+        # the box builds its tuples without re-running the checks its universe passed
+        got = enumerate_tuples(universe, k)
+        want = [InterlacedTuple(c) for c in itertools.combinations(sorted(set(universe)), k)]
+        assert got == want and list(map(hash, got)) == list(map(hash, want))
+        assert all(type(t) is InterlacedTuple and type(t.entries) is tuple for t in got)
+        assert [t.entries for t in got] == [t.entries for t in want]
+
     def test_a_box_past_sys_maxsize_is_not_counted_by_len(self):
         # C(68, 34) > sys.maxsize: len() raises, which MapSample never calls on a box
         box = TupleBox(range(1, 69), 34)

@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import operator
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,116 @@ class TestSummingImage:
                 assert 0.5 <= ratio <= 1.0
                 diff = summing_image(n) - summing_image(m)
                 assert sup_norm(diff) <= dist(n, m)
+
+
+def _padded_list_check(n, m, images=None, d=None):
+    """The certificate as it read its extremes before: both images padded with
+    zeros into full copies and one float per coordinate in a list."""
+    if d is None:
+        d = dist(n, m)
+    img_n, img_m = images if images is not None else (summing_image(n), summing_image(m))
+    a, b = img_n.coeffs, img_m.coeffs
+    L = max(len(a), len(b))
+    vals = [*map(operator.sub, a + (0.0,) * (L - len(a)), b + (0.0,) * (L - len(b))), 0.0]
+    hi, lo = max(vals), min(vals)
+    if d == 0:
+        if n != m or hi != lo:
+            raise AssertionError(f"distance 0 for distinct tuples or images at {n}, {m}")
+        return (math.nan, math.nan)
+    s = max(hi, -lo)
+    if not (2 * s >= d and s <= d):
+        raise AssertionError(f"distortion bound violated for {n}, {m}: s={s}, d={d}")
+    if hi - lo != d:
+        raise AssertionError(f"profile identity violated for {n}, {m}")
+    return (s / d, 1.0)
+
+
+def _outcome(check, *args, **kwargs):
+    # the returned pair or the raised AssertionError, as text: repr tells nan and
+    # the signed zeros apart
+    try:
+        return repr(check(*args, **kwargs))
+    except AssertionError as exc:
+        return f"AssertionError: {exc}"
+
+
+def _far_pair(rng, k, top):
+    # every entry of one tuple lies below every entry of the other, which ends at top
+    low = itup(*sorted(rng.sample(range(1, top // 2), k)))
+    high = itup(*sorted(rng.sample(range(top // 2, top), k - 1)), top)
+    return low, high
+
+
+class TestCertificateAgainstThePaddedList:
+    """The distinct-difference set gives the padded list's extremes, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_pair_of_a_small_box(self, k):
+        tuples = enumerate_tuples(range(1, 11), k)
+        images = {t: summing_image(t) for t in tuples}
+        for n, m in itertools.product(tuples, repeat=2):
+            pair = (images[n], images[m])
+            assert _outcome(summing_distortion_check, n, m, images=pair) == _outcome(
+                _padded_list_check, n, m, images=pair
+            )
+        for n, m in itertools.combinations(tuples[:40], 2):
+            assert _outcome(summing_distortion_check, n, m) == _outcome(_padded_list_check, n, m)
+
+    def test_seeded_far_pairs_in_both_length_orders(self):
+        # tops log-uniform up to 10^5, so short images come up as often as long ones
+        rng = random.Random(20260)
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            n, m = _far_pair(rng, k, max(2 * k + 2, round(10 ** rng.uniform(1, 5))))
+            img_n, img_m = summing_image(n), summing_image(m)
+            for a, b, images in [(n, m, (img_n, img_m)), (m, n, (img_m, img_n))]:
+                want = _outcome(_padded_list_check, a, b, images=images)
+                assert want == "(1.0, 1.0)"  # dist is k and so is the sup at the gap
+                assert _outcome(summing_distortion_check, a, b, images=images) == want
+
+    def test_explicit_images_with_zeros_negatives_and_wrong_distances(self):
+        images = [
+            FinSeq(()),
+            FinSeq((0.0, 1.0)),
+            FinSeq((-0.0, 1.0)),
+            FinSeq((2.0, 0.0, 1.0)),
+            FinSeq((1.0, -0.0, -1.0, 0.0, 1.0)),
+            FinSeq((-1.0, -2.0, 0.0, -1.0)),
+            FinSeq((0.5, -0.5)),
+            FinSeq((2.0, 2.0, 1.0, 1.0)),
+        ]
+        tuples = [(itup(1), itup(1)), (itup(1), itup(2)), (itup(1, 3), itup(2, 4))]
+        seen = set()
+        for (n, m), img_n, img_m, d in itertools.product(
+            tuples, images, images, [None, 0, 0.0, 1, 2, 3, 0.5]
+        ):
+            pair = (img_n, img_m)
+            want = _outcome(_padded_list_check, n, m, images=pair, d=d)
+            assert _outcome(summing_distortion_check, n, m, images=pair, d=d) == want
+            seen.add(want.split(" for ")[0].split(" at ")[0])
+        # every outcome of the certificate is reached, a -0.0 sup among them
+        assert {
+            "(1.0, 1.0)",
+            "(nan, nan)",
+            "AssertionError: distance 0",
+            "AssertionError: distortion bound violated",
+            "AssertionError: profile identity violated",
+        } <= seen
+        assert _outcome(
+            summing_distortion_check, itup(1), itup(2), images=(images[2], images[1]), d=1
+        ).endswith("s=-0.0, d=1")
+
+    def test_passed_images_are_certified_in_working_memory_independent_of_the_tops(self):
+        # the padded list held one float per coordinate: 4.00 MB on this pair
+        n, m = itup(10, 20000, 30000, 49000), itup(50000, 60000, 70000, 100000)
+        images = (summing_image(n), summing_image(m))
+        tracemalloc.start()
+        try:
+            assert summing_distortion_check(n, m, images=images) == (1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def _all_pairs_dp(x, p):
