@@ -33,7 +33,6 @@ from . import acceptance
 from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, dist, geodesic_path
 from .moduli import (
-    _box_row,
     _branch_score,
     _constant_score,
     _identity_score,
@@ -41,6 +40,7 @@ from .moduli import (
     _tuple_sample,
     compute_moduli,
     concentration_probe,
+    equicoarse_report,
     summing_map_sample,
 )
 from .orlicz import (
@@ -178,6 +178,19 @@ def _write_csv(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_table(
+    args: argparse.Namespace, name: str, header: Sequence[str], rows: Iterable[Sequence[Any]]
+) -> dict:
+    """Write the rows as the CSV `name` in the output directory; return them as JSON.
+
+    The JSON document holds each row keyed by the CSV header, and the CSV's path.
+    """
+    rows = list(rows)
+    out = _out_dir(args) / name
+    _write_csv(out, header, map(_render_row, rows), _config_echo(args))
+    return {"rows": [dict(zip(header, row)) for row in rows], "csv": str(out)}
 
 
 def _load_json(path: str | None, text: str | None = None) -> Any:
@@ -361,8 +374,8 @@ def _cmd_jt_embed(args: argparse.Namespace) -> dict:
 
 
 # each family's pair score, a function of the arity and the profile heights; the
-# moduli table scores the family's tuple box from (k, |U|) and builds no tuple,
-# the equicoarse rows take the score alone, and the probe lists its tuples
+# moduli table and the equicoarse rows score the family's tuple box from (k, |U|)
+# and build no tuple, and the probe lists its tuples
 _FAMILIES = {
     "summing": _summing_score,
     "g": _branch_score,
@@ -378,25 +391,15 @@ def _cmd_moduli(args: argparse.Namespace) -> dict:
             ks = [int(v) for v in args.ks.split(",")]
         except ValueError as exc:
             raise InvalidInput(f"cannot parse --ks {args.ks!r}: {exc}") from None
-        if any(k < 1 for k in ks):
-            raise InvalidInput("arity must be >= 1")
-        # the row equicoarse_report makes for the full arity-k box over 2k
-        # elements, scored from its two extremal height patterns with no box built
-        rows = [_box_row(k, 2 * k, score) for k in ks]
-        out = _out_dir(args) / f"equicoarse_{args.family}.csv"
-        _write_csv(
-            out,
+        # the full arity-k box over 2k elements per row; every box is made, and so
+        # every arity checked, before a row is scored
+        rows = equicoarse_report([(k, _tuple_sample(k, 2 * k, score)) for k in ks])
+        return _write_table(
+            args,
+            f"equicoarse_{args.family}.csv",
             ["k", "rho_hat_k", "omega_hat_1", "ratio"],
-            [_render_row((r.k, r.rho_at_k, r.omega_at_1, r.ratio)) for r in rows],
-            _config_echo(args),
+            map(dataclasses.astuple, rows),
         )
-        return {
-            "rows": [
-                {"k": r.k, "rho_hat_k": r.rho_at_k, "omega_hat_1": r.omega_at_1, "ratio": r.ratio}
-                for r in rows
-            ],
-            "csv": str(out),
-        }
     if args.probe:
         if args.c is None:
             raise InvalidInput("the probe needs --c (no canonical default exists)")
@@ -418,19 +421,12 @@ def _cmd_moduli(args: argparse.Namespace) -> dict:
     sample = _tuple_sample(args.k, args.max_entry, score)
     thresholds = _parse_floats(args.thresholds) if args.thresholds else None
     report = compute_moduli(sample, thresholds)
-    out = _out_dir(args) / f"moduli_{args.family}_k{args.k}_max{args.max_entry}.csv"
-    _write_csv(
-        out,
+    return _write_table(
+        args,
+        f"moduli_{args.family}_k{args.k}_max{args.max_entry}.csv",
         ["t", "rho_hat", "omega_hat"],
-        map(_render_row, report.rows()),
-        _config_echo(args),
+        report.rows(),
     )
-    return {
-        "rows": [
-            {"t": t, "rho_hat": r, "omega_hat": w} for t, r, w in report.rows()
-        ],
-        "csv": str(out),
-    }
 
 
 def _cmd_suite(args: argparse.Namespace) -> dict:

@@ -58,13 +58,15 @@ exact integer, max |h|, the range or var_2(h)^2 (a sum of integers below
 
 So rho_hat(t) is the score of _balanced(max(1, ceil t)) for t <= J and inf
 beyond, and omega_hat(t) the score of _peaks(J, min(floor t, J)) for t >= 1
-and 0.0 below.  The tuples over an s-element sub-universe form a full box
-too, so the probe's diameter D(s) is the score of _peaks(j, j),
-j = min(k, s - k).  Each answer is the score of one pattern the pairs
-realise, so every float is one the pair table gives.  A pattern of
-distance J holds 2J + 1 heights, so one box answer scores at most about 4J
-per threshold and 4k per equicoarse row; above BOX_HEIGHTS_CAP heights in
-all it is ResourceLimit.
+and 0.0 below.  `_box_scores` is that rule, and the one place that picks a
+pattern: a box table maps it over the thresholds, an equicoarse row reads
+omega_hat(1) and rho_hat(k), and, as the tuples over an s-element
+sub-universe form a full box too, the probe's diameter D(s) is omega_hat(inf)
+of that box, the score of _peaks(j, j), j = min(k, s - k).  Each answer is
+the score of one pattern the pairs realise, so every float is one the pair
+table gives.  A pattern of distance J holds 2J + 1 heights, so one box
+answer scores at most about 4J per threshold and 4k per equicoarse row;
+above BOX_HEIGHTS_CAP heights in all it is ResourceLimit.
 """
 
 from __future__ import annotations
@@ -203,30 +205,6 @@ class ProbeResult:
     omega_1: float
 
 
-def _box_moduli(
-    k: int, size: int, score: _HeightScore, thresholds: list[float] | None
-) -> ModuliReport:
-    """The moduli of the full arity-k box over `size` elements, two patterns per threshold.
-
-    Thresholds default to the box's distances 1..J, J = min(k, size - k).
-    rho_hat(t) scores `_balanced(max(1, ceil t))` for t <= J, and omega_hat(t)
-    scores `_peaks(J, min(floor t, J))` for t >= 1 (see the module docstring).
-    Each threshold scores at most 4J + 2 heights, so T thresholds above
-    BOX_HEIGHTS_CAP / 4J are ResourceLimit: the default table stops at J = 1000.
-    """
-    j = min(k, size - k)
-    n = j if thresholds is None else len(thresholds)
-    _check_box_heights(
-        4 * j * n, f"a box table of {_short_repr(n)} thresholds at J = {_short_repr(j)}"
-    )
-    ts = [float(t) for t in range(1, j + 1)] if thresholds is None else thresholds
-    of = score.of_heights
-    rho = [of(k, _balanced(max(1, math.ceil(t)))) if t <= j else math.inf for t in ts]
-    # t >= j comes first, so floor is never taken of inf
-    omega = [of(k, _peaks(j, j if t >= j else math.floor(t))) if t >= 1 else 0.0 for t in ts]
-    return ModuliReport(tuple(ts), tuple(rho), tuple(omega))
-
-
 def _threshold(value: Any, what: str) -> float:
     """The value as a float; one that is not a number >= 0 is InvalidInput naming it.
 
@@ -250,15 +228,25 @@ def compute_moduli(
     """Empirical rho/omega over all sample pairs at the given thresholds.
 
     Thresholds default to the realized source distances.  A height-scored
-    `TupleBox` reads no pair and builds no tuple: each threshold scores one
-    `_balanced` and one `_peaks` pattern (`_box_moduli`).  Any other sample,
-    a list of every tuple of a box included, scans the distinct rows of its
-    pair table once per threshold.
+    `TupleBox` reads no pair and builds no tuple: its thresholds default to
+    the box's distances 1..J, and each scores one `_balanced` and one
+    `_peaks` pattern (`_box_scores`), at most 4J + 2 heights, so T
+    thresholds above BOX_HEIGHTS_CAP / 4J are ResourceLimit: the default
+    table stops at J = 1000.  Any other sample, a list of every tuple of a
+    box included, scans the distinct rows of its pair table once per
+    threshold.
     """
     ts = None if thresholds is None else sorted(_threshold(t, "thresholds") for t in thresholds)
     box = sample.points
     if isinstance(box, TupleBox) and sample._scored_by_heights():
-        return _box_moduli(box.k, box.size, sample.d_target, ts)
+        j, rho, omega = _box_scores(box.k, box.size, sample.d_target)
+        n = j if ts is None else len(ts)
+        _check_box_heights(
+            4 * j * n, f"a box table of {_short_repr(n)} thresholds at J = {_short_repr(j)}"
+        )
+        if ts is None:
+            ts = [float(t) for t in range(1, j + 1)]
+        return ModuliReport(tuple(ts), tuple(map(rho, ts)), tuple(map(omega, ts)))
     # dropping repeats keeps first occurrences in order, so a min or max scan
     # returns what it returns over the pairs, NaN included
     rows = dict.fromkeys(sample.pair_distances())
@@ -318,8 +306,10 @@ def concentration_probe(
 
     Both searches read the diameter of a candidate from one of two sources.
     A height-scored sample (`d_target` a canonical score, each image its own
-    tuple) scores one peak pattern per candidate size and reads no pair; any
-    other sample evaluates each image distance once, whatever the mode.
+    tuple) reads no pair: omega_hat(1) is that of the box over U, and D(s)
+    omega_hat(inf) of the box over min(s, 2k) elements, one peak pattern per
+    candidate size (`_box_scores`).  Any other sample evaluates each image
+    distance once, whatever the mode.
     """
     c = float(c)
     if not (math.isfinite(c) and c >= 0.0):
@@ -356,7 +346,12 @@ def concentration_probe(
         images = points
     sample = MapSample(points, dist, images, d_target)
     if sample._scored_by_heights():
-        diameter, omega_1 = _pattern_diameter(d_target.of_heights, k, len(uni))
+        omega_1 = _box_scores(k, len(uni), d_target)[2](1)
+        # past 2k elements J stays k, so one score per J
+        peak = functools.cache(lambda s: _box_scores(k, s, d_target)[2](math.inf))
+
+        def diameter(subset: Sequence[int]) -> float:
+            return peak(min(len(subset), 2 * k))
     else:
         diameter, omega_1 = _pair_diameter(sample, uni)
 
@@ -382,22 +377,6 @@ def concentration_probe(
                 subset, diam_best = cand, d
     flag = diam_best <= c * omega_1 + 1e-12
     return ProbeResult(subset, diam_best, flag, omega_1)
-
-
-def _pattern_diameter(
-    of_heights: Callable[[int, tuple[int, ...]], float], k: int, size: int
-) -> tuple[Callable[[Sequence[int]], float], float]:
-    """(diameter of a sub-universe, omega_hat(1)) of a height-scored box over `size` elements.
-
-    D(s) is the score of `_peaks(j, j)`, j = min(k, s - k), scored once per j;
-    omega_hat(1) is the score of `_peaks(J, 1)`, J = min(k, size - k).
-    """
-    peak = functools.cache(lambda j: of_heights(k, _peaks(j, j)))
-
-    def diameter(subset: Sequence[int]) -> float:
-        return peak(min(k, len(subset) - k))
-
-    return diameter, of_heights(k, _peaks(min(k, size - k), 1))
 
 
 def _pair_diameter(
@@ -434,41 +413,50 @@ def equicoarse_report(
     Growth of the ratio across k is the finite signature of non-concentration:
     a family admitting common moduli would keep rho(k) <= C * omega(1).
 
-    Each row reads `compute_moduli` at thresholds 1 and k, so a height-scored
-    full box scores four patterns and reads no pair.
+    A height-scored full box of arity k scores two patterns and reads no pair
+    (`_box_scores`): omega_hat(1), then rho_hat(k).  Both hold at most 2k + 1
+    heights, so an arity above BOX_HEIGHTS_CAP / 4 = 10^6 is ResourceLimit.
+    Any other sample reads `compute_moduli` at thresholds 1 and k, and an
+    arity beyond the float range is InvalidInput there.
     """
     rows = []
     for k, sample in samples_by_k:
         _check_arity(k)
-        report = compute_moduli(sample, thresholds=[1.0, float(k)])
-        rows.append(_equicoarse_row(k, report.rho_hat[-1], report.omega_hat[0]))
+        box = sample.points
+        if isinstance(box, TupleBox) and box.k == k and sample._scored_by_heights():
+            _check_box_heights(4 * k, f"arity {_short_repr(k)}")
+            _, rho, omega = _box_scores(k, box.size, sample.d_target)
+            omega_1 = omega(1)
+            rho_k = rho(k)
+        else:
+            report = compute_moduli(sample, thresholds=[1, k])
+            rho_k, omega_1 = report.rho_hat[-1], report.omega_hat[0]
+        ratio = 0.0 if rho_k == 0.0 else math.inf if omega_1 == 0.0 else rho_k / omega_1
+        rows.append(EquicoarseRow(k, rho_k, omega_1, ratio))
     return rows
 
 
-def _equicoarse_row(k: int, rho_k: float, omega_1: float) -> EquicoarseRow:
-    if rho_k == 0.0:
-        ratio = 0.0
-    elif omega_1 == 0.0:
-        ratio = math.inf
-    else:
-        ratio = rho_k / omega_1
-    return EquicoarseRow(k, rho_k, omega_1, ratio)
+def _box_scores(
+    k: int, size: int, score: _HeightScore
+) -> tuple[int, Callable[[float], float], Callable[[float], float]]:
+    """(J, rho_hat, omega_hat) of the full arity-k box over `size` elements.
 
-
-def _box_row(k: int, size: int, score: _HeightScore) -> EquicoarseRow:
-    """The equicoarse row of the full arity-k box over `size` elements.
-
-    omega_hat(1) is the score of `_peaks(J, 1)`, J = min(k, size - k), and
-    rho_hat(k) that of `_balanced(k)`, or inf when size < 2k: two scores,
-    where `compute_moduli` at thresholds 1 and k takes four.  Both patterns
-    hold at most 2k + 1 heights, so an arity above BOX_HEIGHTS_CAP / 4 =
-    10^6 is ResourceLimit.
+    J = min(k, size - k); rho_hat(t) scores `_balanced(max(1, ceil t))` for
+    t <= J and is inf beyond, omega_hat(t) scores `_peaks(J, min(floor t, J))`
+    for t >= 1 and is 0.0 below (see the module docstring).  Each call scores
+    one pattern; no other code picks one.
     """
-    _check_box_heights(4 * k, f"arity {k}")
+    j = min(k, size - k)
     of = score.of_heights
-    omega_1 = of(k, _peaks(min(k, size - k), 1))
-    rho_k = of(k, _balanced(k)) if size >= 2 * k else math.inf
-    return _equicoarse_row(k, rho_k, omega_1)
+
+    def rho(t: float) -> float:
+        return of(k, _balanced(max(1, math.ceil(t)))) if t <= j else math.inf
+
+    def omega(t: float) -> float:
+        # t >= j comes first, so floor is never taken of inf
+        return of(k, _peaks(j, j if t >= j else math.floor(t))) if t >= 1 else 0.0
+
+    return j, rho, omega
 
 
 def _check_box_heights(heights: int, what: str) -> None:

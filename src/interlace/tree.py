@@ -56,7 +56,7 @@ __all__ = [
     "BRUTE_FORCE_SUPPORT_CAP",
 ]
 
-JT_SUPPORT_CAP = 4096
+JT_SUPPORT_CAP = 4096  # f_embed images only: top + 1 keys of length up to top
 BRUTE_FORCE_SUPPORT_CAP = 12
 
 
@@ -138,10 +138,6 @@ class TreeVec:
     def from_json_dict(obj: Mapping[str, float]) -> "TreeVec":
         if not isinstance(obj, Mapping):
             raise InvalidInput("tree vectors are JSON objects mapping bit-strings to numbers")
-        if len(obj) > JT_SUPPORT_CAP:
-            raise ResourceLimit(
-                f"{len(obj)} nodes exceed the support cap JT_SUPPORT_CAP = {JT_SUPPORT_CAP}"
-            )
         for key, val in obj.items():
             # float() would also read JSON booleans and numeric strings
             if type(val) not in (int, float):

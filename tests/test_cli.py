@@ -161,19 +161,20 @@ def test_jt_norm_rejects_non_object_json(capsys):
     assert doc["error"]["kind"] == "invalid-input"
 
 
-def test_jt_norm_support_cap(capsys):
+def test_jt_norm_has_no_support_cap(capsys):
     # node length does not set the solver's cost: a depth-9 node is solved
     code, out = run_cli(capsys, "jt-norm", "--entries", json.dumps({"0" * 9: 1.0}))
     doc = json.loads(out)
     assert code == 0
     assert doc["norm"] == 1.0
     assert "depth_cap" not in doc["config"]
+    # nor does a support past 4,096 nodes: 4,097 disjoint leaves have norm sqrt(4097)
     entries = json.dumps({format(i, "013b"): 1.0 for i in range(4097)})
     code, out = run_cli(capsys, "jt-norm", "--entries", entries)
     doc = json.loads(out)
-    assert code == 3
-    assert doc["error"]["kind"] == "resource"
-    assert "JT_SUPPORT_CAP = 4096" in doc["error"]["message"]
+    assert code == 0
+    assert doc["norm"] == float(f"{math.sqrt(4097):.12g}") == 64.0078120232
+    assert len(doc["witness"]) == 4097
 
 
 def test_jt_norm_four_leaf_bush_is_solved(capsys):
@@ -879,6 +880,17 @@ def test_equicoarse_arity_above_the_cap_is_a_resource_limit(tmp_path, capsys, ks
         "BOX_HEIGHTS_CAP = 4000000",
     }
     assert not (tmp_path / "equicoarse_g.csv").exists()
+
+
+def test_equicoarse_names_a_long_arity_short(tmp_path, capsys):
+    # a 4,000-digit arity: the message echoed all of it, 4,174 bytes
+    ks = "1," + "9" * 4000
+    code, out = run_cli(capsys, "moduli", "--equicoarse", "--ks", ks, "--out", str(tmp_path))
+    assert code == 3
+    message = json.loads(out)["error"]["message"]
+    assert len(message) < 200
+    assert message.startswith("arity 9999") and "..." in message
+    assert message.endswith("pattern heights to score, BOX_HEIGHTS_CAP = 4000000")
 
 
 @pytest.mark.parametrize("max_entry", [10**9, 2**63 + 5, 10**40])

@@ -31,11 +31,10 @@ from interlace import (
 )
 from interlace.cli import main
 from interlace.errors import ResourceLimit
-from interlace.graphs import TupleBox
+from interlace.graphs import TupleBox, _short_repr
 from interlace.moduli import (
     _balanced,
-    _box_row,
-    _equicoarse_row,
+    _HeightScore,
     _peaks,
     constant_map_sample,
     g_map_sample,
@@ -615,10 +614,13 @@ class TestBoxPatterns:
                 ratio = max(dt / ds for ds, dt in rows)
                 assert lipschitz_constant(sample).hex() == omega_1.hex(), (k, size)
                 assert max(w / t for t, _, w in report.rows()).hex() == ratio.hex(), (k, size)
+                # the row's two patterns give what compute_moduli reads at 1 and k
                 rho_k = min((dt for ds, dt in rows if ds >= k), default=math.inf)
-                want_row = _row_bits(_equicoarse_row(k, rho_k, omega_1))
+                want_row = _want_row_bits(k, rho_k, omega_1)
                 assert _row_bits(equicoarse_report([(k, sample)])[0]) == want_row, (k, size)
-                assert _row_bits(_box_row(k, size, score)) == want_row, (k, size)
+                at_1_k = compute_moduli(sample, [1, k])
+                got = (at_1_k.rho_hat[-1], at_1_k.omega_hat[0])
+                assert _want_row_bits(k, *got) == want_row, (k, size)
         assert cases == 120
 
     def test_the_two_builders_attain_the_integer_bounds(self):
@@ -824,10 +826,15 @@ class TestPatternProbe:
         assert (res.subset, res.diameter, res.concentrated) == ((11, 12, 13, 14), 1.0, True)
 
 
-def _recorded_patterns(k, size):
-    """The heights `_box_row` scores for the arity-k box over `size` elements."""
-    from interlace.moduli import _HeightScore
+def _box_row(k, size, score):
+    """The equicoarse row of the arity-k box over `size` elements, as the library makes it."""
+    box = TupleBox(range(1, size + 1), k)
+    (row,) = equicoarse_report([(k, MapSample(box, dist, box, score))])
+    return row
 
+
+def _recorded_patterns(k, size):
+    """The heights the equicoarse row scores for the arity-k box over `size` elements."""
     seen = []
     _box_row(k, size, _HeightScore(lambda k, h: seen.append(h) or 0.0))
     return seen
@@ -849,6 +856,12 @@ def _scan_patterns(k, size):
 
 def _row_bits(row):
     return (row.k, row.rho_at_k.hex(), row.omega_at_1.hex(), row.ratio.hex())
+
+
+def _want_row_bits(k, rho_k, omega_1):
+    """The row bits by definition: 0 when rho_hat(k) is 0, else inf when omega_hat(1) is."""
+    ratio = 0.0 if rho_k == 0.0 else math.inf if omega_1 == 0.0 else rho_k / omega_1
+    return (k, rho_k.hex(), omega_1.hex(), ratio.hex())
 
 
 class TestBoxRow:
@@ -879,21 +892,37 @@ class TestBoxRow:
             rho_k = min(score.of_heights(k, h) for h in far)
             for size in range(k + 1, 2 * k + 3):
                 omega_1 = max(near_scores[: min(k, size - k)])
-                want = _equicoarse_row(k, rho_k if size >= 2 * k else math.inf, omega_1)
-                assert _row_bits(_box_row(k, size, score)) == _row_bits(want), (k, size)
+                want = _want_row_bits(k, rho_k if size >= 2 * k else math.inf, omega_1)
+                assert _row_bits(_box_row(k, size, score)) == want, (k, size)
 
-    @pytest.mark.parametrize("k", [10**6 + 1, 99999999999])
+    @pytest.mark.parametrize(
+        "k", [10**6 + 1, 99999999999, pytest.param(10**4000, id="10**4000")]
+    )
     def test_an_arity_above_the_cap_is_a_named_resource_limit(self, k):
         # the patterns of an arity-k row hold about 2k heights each: k = 99999999999
-        # was a MemoryError.  The box cap fires exactly above k = 10^6
+        # was a MemoryError.  The box cap fires exactly above k = 10^6, and names a
+        # long arity short: all 4,001 digits of 10^4000 were echoed
         from interlace.moduli import BOX_HEIGHTS_CAP
 
         assert BOX_HEIGHTS_CAP == 4 * 10**6
-        score = g_map_sample(1, 2).d_target
         with pytest.raises(
-            ResourceLimit, match=f"arity {k} exceeds the box cap: .* BOX_HEIGHTS_CAP = 4000000"
+            ResourceLimit,
+            match=f"^arity {re.escape(_short_repr(k))} exceeds the box cap: .{{,80}} "
+            "BOX_HEIGHTS_CAP = 4000000$",
         ):
-            _box_row(k, 2 * k, score)
+            equicoarse_report([(k, g_map_sample(k, 2 * k))])
+
+    def test_the_library_answers_the_arity_at_the_cap(self):
+        # the CLI's edge: a row at k = 10^6 scores two patterns of 2 * 10^6 + 1 heights
+        (row,) = equicoarse_report([(10**6, summing_map_sample(10**6, 2 * 10**6))])
+        assert (row.k, row.rho_at_k, row.omega_at_1, row.ratio) == (10**6, 5e5, 1.0, 5e5)
+
+    def test_an_arity_beyond_the_float_range_is_invalid_input(self):
+        # a threshold of the compute_moduli path: float(k) was a bare OverflowError
+        box = summing_map_sample(2, 6)
+        for sample in (box, MapSample(list(box.points), dist, list(box.points), box.d_target)):
+            with pytest.raises(InvalidInput, match="^thresholds must be non-negative numbers"):
+                equicoarse_report([(10**400, sample)])
 
     @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
     def test_rows_equal_the_pair_table_rows(self, make):

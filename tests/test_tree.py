@@ -149,13 +149,15 @@ class TestTreeVec:
         x = TreeVec({"": 1.0, "01": -0.5})
         assert TreeVec.from_json_dict(x.to_json_dict()) == x
 
-    def test_support_cap_enforced_on_load(self):
+    def test_a_load_has_no_support_cap(self):
         deep = TreeVec.from_json_dict({"0" * 9: 1.0})
         assert jt_norm_exact(deep)[0] == 1.0
-        at_cap = {format(i, "012b"): 1.0 for i in range(JT_SUPPORT_CAP)}
-        assert len(TreeVec.from_json_dict(at_cap).entries) == JT_SUPPORT_CAP
-        with pytest.raises(ResourceLimit, match="JT_SUPPORT_CAP = 4096"):
-            TreeVec.from_json_dict({format(i, "013b"): 1.0 for i in range(4097)})
+        # 4,097 disjoint leaves, one more than f_embed's image cap: each is its own
+        # segment, so the norm is sqrt(4097) and the witness holds every leaf
+        leaves = {format(i, "013b"): 1.0 for i in range(JT_SUPPORT_CAP + 1)}
+        norm, witness = jt_norm_exact(TreeVec.from_json_dict(leaves))
+        assert norm == math.sqrt(4097) == 64.00781202322104
+        assert sorted(seg.lo for seg in witness) == sorted(leaves)
 
     def test_rejects_bad_keys(self):
         for key in ("ab", "012", " ", "0\n", b"01", 5):
