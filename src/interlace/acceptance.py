@@ -24,9 +24,9 @@ import math
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, replace
 from typing import Callable
 
+from ._record import Record
 from .graphs import (
     InterlacedTuple,
     dist,
@@ -35,6 +35,7 @@ from .graphs import (
     is_adjacent,
 )
 from .moduli import (
+    MapSample,
     compute_moduli,
     constant_map_sample,
     equicoarse_report,
@@ -75,14 +76,19 @@ __all__ = ["CriterionResult", "run_all", "DEFAULT_SEED", "CRITERIA"]
 DEFAULT_SEED = 402
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    cid: str
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
-    expected_defect: bool = False
+class CriterionResult(Record):
+    _fields = ("cid", "name", "passed", "detail", "seconds", "expected_defect")
+
+    def __init__(
+        self,
+        cid: str,
+        name: str,
+        passed: bool,
+        detail: str,
+        seconds: float,
+        expected_defect: bool = False,
+    ) -> None:
+        self._set(cid, name, passed, detail, seconds, expected_defect)
 
     @property
     def in_order(self) -> bool:
@@ -436,7 +442,7 @@ def criterion_14(seed: int) -> str:
         if oracle is not None:
             embed, norm, rel = oracle
             images = {t: embed(t) for t in points}
-        listed = replace(sample, points=points, images=points)
+        listed = MapSample(points, sample.d_source, points, sample.d_target)
         for (ds, dt), (n, m) in zip(
             listed.pair_distances(), itertools.combinations(points, 2)
         ):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import itertools
 import json
@@ -33,6 +32,7 @@ from . import acceptance
 from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, dist, geodesic_path
 from .moduli import (
+    MapSample,
     _branch_score,
     _constant_score,
     _identity_score,
@@ -83,19 +83,23 @@ __all__ = ["main"]
 _INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-def _parse_tuple(text: str) -> InterlacedTuple:
-    entries = []
+def _parse_ints(text: str, what: str) -> list[int]:
+    values = []
     for i, field in enumerate(text.split(","), 1):
         try:
-            entries.append(int(field))
+            values.append(int(field))
         except ValueError:
-            # name the first bad field only: a long --n is not echoed back
+            # name the first bad field only: a long --n or --ks is not echoed back
             if _INT_TEXT.fullmatch(field):
                 raise InvalidInput(
-                    f"cannot parse tuple: the integer at index {i} is too long to parse"
+                    f"cannot parse {what}: the integer at index {i} is too long to parse"
                 ) from None
-            raise InvalidInput(f"cannot parse tuple: {reprlib.repr(field)} at index {i}") from None
-    return InterlacedTuple(tuple(entries))
+            raise InvalidInput(f"cannot parse {what}: {reprlib.repr(field)} at index {i}") from None
+    return values
+
+
+def _parse_tuple(text: str) -> InterlacedTuple:
+    return InterlacedTuple(tuple(_parse_ints(text, "tuple")))
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -246,7 +250,7 @@ def _cmd_embed_c0(args: argparse.Namespace) -> dict:
     # The sample's tuple box is read four times, so its tuples are listed once
     sample = summing_map_sample(args.k, args.max_entry)
     points = list(sample.points)
-    sample = dataclasses.replace(sample, points=points, images=points)
+    sample = MapSample(points, sample.d_source, points, sample.d_target)
     pairs = zip(
         itertools.combinations(sample.points, 2),
         itertools.combinations([summing_image(t) for t in sample.points], 2),
@@ -387,10 +391,7 @@ _FAMILIES = {
 def _cmd_moduli(args: argparse.Namespace) -> dict:
     score = _FAMILIES[args.family]
     if args.equicoarse:
-        try:
-            ks = [int(v) for v in args.ks.split(",")]
-        except ValueError as exc:
-            raise InvalidInput(f"cannot parse --ks {args.ks!r}: {exc}") from None
+        ks = _parse_ints(args.ks, "--ks")
         # the full arity-k box over 2k elements per row; every box is made, and so
         # every arity checked, before a row is scored
         rows = equicoarse_report([(k, _tuple_sample(k, 2 * k, score)) for k in ks])
@@ -398,7 +399,7 @@ def _cmd_moduli(args: argparse.Namespace) -> dict:
             args,
             f"equicoarse_{args.family}.csv",
             ["k", "rho_hat_k", "omega_hat_1", "ratio"],
-            map(dataclasses.astuple, rows),
+            [(r.k, r.rho_at_k, r.omega_at_1, r.ratio) for r in rows],
         )
     if args.probe:
         if args.c is None:

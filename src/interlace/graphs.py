@@ -30,9 +30,9 @@ import math
 import operator
 import reprlib
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
+from ._record import Record, setfield
 from .errors import InvalidInput
 
 __all__ = [
@@ -47,14 +47,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class InterlacedTuple:
-    """A vertex of the arity-k graph: a strictly increasing tuple of positive ints."""
+class InterlacedTuple(Record):
+    """A vertex of the arity-k graph: a strictly increasing tuple of positive ints.
 
-    entries: tuple[int, ...]
+    Tuples compare and order by their entries; the hash is `hash((entries,))`.
+    """
 
-    def __post_init__(self) -> None:
-        ent = _as_ints(self.entries, "entries")
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        ent = _as_ints(entries, "entries")
         if len(ent) == 0:
             raise InvalidInput("tuple must have at least one entry")
         if not all(map(operator.lt, ent, ent[1:])):
@@ -66,7 +68,27 @@ class InterlacedTuple:
             )
         if ent[0] < 1:  # the smallest entry
             raise InvalidInput(f"entries must be positive: {_short_repr(ent[0])} at index 1")
-        object.__setattr__(self, "entries", ent)
+        setfield(self, "entries", ent)
+
+    # written out rather than inherited: tuples are compared, hashed and sorted
+    # in the graph kernels
+    def __eq__(self, other: object) -> Any:
+        return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __lt__(self, other: InterlacedTuple) -> Any:
+        return self.entries < other.entries if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other: InterlacedTuple) -> Any:
+        return self.entries <= other.entries if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other: InterlacedTuple) -> Any:
+        return self.entries > other.entries if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other: InterlacedTuple) -> Any:
+        return self.entries >= other.entries if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def arity(self) -> int:
@@ -93,10 +115,10 @@ def _trusted(entries: tuple[int, ...]) -> InterlacedTuple:
     """The tuple of entries already known to be valid, built without the checks.
 
     For combinations of a checked universe: ints, sorted, distinct and
-    positive, so every combination passes `__post_init__` as it stands.
+    positive, so every combination passes `__init__` as it stands.
     """
     t = object.__new__(InterlacedTuple)
-    object.__setattr__(t, "entries", entries)
+    setfield(t, "entries", entries)
     return t
 
 

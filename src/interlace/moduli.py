@@ -75,9 +75,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
+from ._record import Record
 from .errors import InvalidInput, ResourceLimit
 from .graphs import (
     InterlacedTuple,
@@ -110,27 +110,33 @@ EXHAUSTIVE_PROBE_CAP = 12
 BOX_HEIGHTS_CAP = 4 * 10**6  # the most pattern heights one box answer scores
 
 
-@dataclass
-class MapSample:
+class MapSample(Record):
     """A finite map sample: source points and their images, with both metrics.
 
     The points are a sequence or a `TupleBox`, which is never counted here:
     its C(|U|, k) tuples outgrow `len()`.  Pair enumeration treats the
-    metric callbacks as pure functions.
+    metric callbacks as pure functions.  Its fields can be assigned, so it
+    has no hash.
     """
 
-    points: Sequence[Any] | TupleBox
-    d_source: Callable[[Any, Any], float]
-    images: Sequence[Any] | TupleBox
-    d_target: Callable[[Any, Any], float]
+    _fields = ("points", "d_source", "images", "d_target")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
-    def __post_init__(self) -> None:
-        points = self.points
-        if self.images is not points and len(points) != len(self.images):
+    def __init__(
+        self,
+        points: Sequence[Any] | TupleBox,
+        d_source: Callable[[Any, Any], float],
+        images: Sequence[Any] | TupleBox,
+        d_target: Callable[[Any, Any], float],
+    ) -> None:
+        if images is not points and len(points) != len(images):
             raise InvalidInput("points and images must have equal length")
         # a box holds one tuple when |U| = k, and at least two otherwise
         if points.size == points.k if isinstance(points, TupleBox) else len(points) < 2:
             raise InvalidInput("a sample needs at least two points")
+        self._set(points, d_source, images, d_target)
 
     def pair_distances(self) -> list[tuple[float, float]]:
         """(source distance, image distance) per pair, in `itertools.combinations` order.
@@ -170,39 +176,42 @@ class MapSample:
         )
 
 
-@dataclass(frozen=True)
-class ModuliReport:
+class ModuliReport(Record):
     """Empirical moduli per threshold; math.inf marks an empty compression constraint."""
 
-    thresholds: tuple[float, ...]
-    rho_hat: tuple[float, ...]
-    omega_hat: tuple[float, ...]
+    _fields = ("thresholds", "rho_hat", "omega_hat")
 
-    def __post_init__(self) -> None:
-        if not (len(self.thresholds) == len(self.rho_hat) == len(self.omega_hat)):
+    def __init__(
+        self,
+        thresholds: tuple[float, ...],
+        rho_hat: tuple[float, ...],
+        omega_hat: tuple[float, ...],
+    ) -> None:
+        if not (len(thresholds) == len(rho_hat) == len(omega_hat)):
             raise InvalidInput("report columns must have equal length")
-        for seq in (self.rho_hat, self.omega_hat):
+        for seq in (rho_hat, omega_hat):
             if any(b < a for a, b in zip(seq, seq[1:])):
                 raise AssertionError("empirical moduli must be non-decreasing")
+        self._set(thresholds, rho_hat, omega_hat)
 
     def rows(self) -> list[tuple[float, float, float]]:
         return list(zip(self.thresholds, self.rho_hat, self.omega_hat))
 
 
-@dataclass(frozen=True)
-class EquicoarseRow:
-    k: int
-    rho_at_k: float
-    omega_at_1: float
-    ratio: float
+class EquicoarseRow(Record):
+    _fields = ("k", "rho_at_k", "omega_at_1", "ratio")
+
+    def __init__(self, k: int, rho_at_k: float, omega_at_1: float, ratio: float) -> None:
+        self._set(k, rho_at_k, omega_at_1, ratio)
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    subset: tuple[int, ...]
-    diameter: float
-    concentrated: bool
-    omega_1: float
+class ProbeResult(Record):
+    _fields = ("subset", "diameter", "concentrated", "omega_1")
+
+    def __init__(
+        self, subset: tuple[int, ...], diameter: float, concentrated: bool, omega_1: float
+    ) -> None:
+        self._set(subset, diameter, concentrated, omega_1)
 
 
 def _threshold(value: Any, what: str) -> float:

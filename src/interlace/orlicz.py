@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._record import Record
 from .errors import InvalidInput, ResourceLimit
 
 __all__ = [
@@ -77,45 +77,58 @@ GRID: tuple[float, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class OrliczSpec:
+class OrliczSpec(Record):
     """A scalar function [0, inf) -> [0, inf) with declared structural flags.
 
     The flags record what the supplier claims; validate_orlicz checks the
     claims on a grid.  n_norm requires both flags to be declared.
     """
 
-    fn: Callable[[float], float]
-    is_one_lipschitz: bool = False
-    slope_limit_one: bool = False
-    name: str = ""
+    _fields = ("fn", "is_one_lipschitz", "slope_limit_one", "name")
+
+    def __init__(
+        self,
+        fn: Callable[[float], float],
+        is_one_lipschitz: bool = False,
+        slope_limit_one: bool = False,
+        name: str = "",
+    ) -> None:
+        self._set(fn, is_one_lipschitz, slope_limit_one, name)
 
 
-@dataclass(frozen=True)
-class ModulusSpec:
+class ModulusSpec(Record):
     """A candidate convexity modulus: positive on (0, inf), fn(t)/t -> 1 increasingly."""
 
-    fn: Callable[[float], float]
-    name: str = ""
+    _fields = ("fn", "name")
+
+    def __init__(self, fn: Callable[[float], float], name: str = "") -> None:
+        self._set(fn, name)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...] = ()
+class ValidationReport(Record):
+    _fields = ("violations",)
+
+    def __init__(self, violations: tuple[str, ...] = ()) -> None:
+        self._set(violations)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class LpComparisonReport:
-    side: str
-    applicable: bool
-    grid_constant: float
-    worst_ratio: float
-    n_samples: int
-    note: str = ""
+class LpComparisonReport(Record):
+    _fields = ("side", "applicable", "grid_constant", "worst_ratio", "n_samples", "note")
+
+    def __init__(
+        self,
+        side: str,
+        applicable: bool,
+        grid_constant: float,
+        worst_ratio: float,
+        n_samples: int,
+        note: str = "",
+    ) -> None:
+        self._set(side, applicable, grid_constant, worst_ratio, n_samples, note)
 
 
 def _slack(v: float) -> float:

@@ -24,9 +24,9 @@ import math
 import operator
 import reprlib
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
+from ._record import Record, setfield
 from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, dist
 
@@ -43,28 +43,25 @@ __all__ = [
 BRUTE_FORCE_CAP = 16
 
 
-@dataclass(frozen=True)
-class FinSeq:
+class FinSeq(Record):
     """A real sequence: coeffs at indices 1..L, constant `tail` afterwards."""
 
-    coeffs: tuple[float, ...] = ()
-    tail: float = 0.0
+    _fields = ("coeffs", "tail")
 
-    def __post_init__(self) -> None:
-        coeffs = self.coeffs
+    def __init__(self, coeffs: Iterable[float] = (), tail: float = 0.0) -> None:
         try:
             if not isinstance(coeffs, (tuple, list)):
                 coeffs = tuple(coeffs)  # an iterator is read once, here
             vals = [float(v) for v in coeffs]
-            t = float(self.tail)
+            t = float(tail)
         except (TypeError, ValueError, OverflowError):
-            raise InvalidInput(_first_bad_value(coeffs, self.tail)) from None
+            raise InvalidInput(_first_bad_value(coeffs, tail)) from None
         if not (math.isfinite(t) and all(map(math.isfinite, vals))):
             raise InvalidInput(_first_bad_value(vals, t))
         while vals and vals[-1] == t:  # canonical form: no stored trailing tail values
             vals.pop()
-        object.__setattr__(self, "coeffs", tuple(vals))
-        object.__setattr__(self, "tail", t)
+        setfield(self, "coeffs", tuple(vals))
+        setfield(self, "tail", t)
 
     def value_at(self, i: int) -> float:
         if i < 1:

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._record import Record, setfield
 from .errors import InvalidInput, ResourceLimit
 from .graphs import InterlacedTuple, is_adjacent
 from .sequences import summing_image
@@ -66,32 +66,34 @@ def _check_bits(s: str) -> str:
     return s
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """Vertical chain between two comparable nodes: all prefixes of hi above lo."""
 
-    lo: str
-    hi: str
+    _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
+    def __init__(self, lo: str, hi: str) -> None:
         # a str prefix of a 0/1 string is a 0/1 string, so lo needs no bit check
-        _check_bits(self.hi)
-        if not (isinstance(self.lo, str) and self.hi.startswith(self.lo)):
-            raise InvalidInput(f"{self.lo!r} is not a prefix of {self.hi!r}")
+        _check_bits(hi)
+        if not (isinstance(lo, str) and hi.startswith(lo)):
+            raise InvalidInput(f"{lo!r} is not a prefix of {hi!r}")
+        setfield(self, "lo", lo)
+        setfield(self, "hi", hi)
 
     def nodes(self) -> list[str]:
         return [self.hi[:j] for j in range(len(self.lo), len(self.hi) + 1)]
 
 
-@dataclass(frozen=True)
-class TreeVec:
-    """Finitely supported function on the dyadic tree; zero entries are dropped."""
+class TreeVec(Record):
+    """Finitely supported function on the dyadic tree; zero entries are dropped.
 
-    entries: Mapping[str, float]
+    Its `entries` field is a dict, so a TreeVec has no hash.
+    """
 
-    def __post_init__(self) -> None:
+    _fields = ("entries",)
+
+    def __init__(self, entries: Mapping[str, float]) -> None:
         clean = {}
-        for key, val in self.entries.items():
+        for key, val in entries.items():
             _check_bits(key)
             try:
                 v = float(val)
@@ -104,7 +106,7 @@ class TreeVec:
                 raise InvalidInput(f"entry at {key!r} is not finite: {v!r}")
             if v != 0.0:
                 clean[key] = v
-        object.__setattr__(self, "entries", clean)
+        setfield(self, "entries", clean)
 
     def value(self, node: str) -> float:
         return self.entries.get(node, 0.0)
@@ -145,14 +147,13 @@ class TreeVec:
         return TreeVec(dict(obj))
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     """A finite 0/1 prefix standing in for an infinite branch of the tree."""
 
-    bits: str
+    _fields = ("bits",)
 
-    def __post_init__(self) -> None:
-        _check_bits(self.bits)
+    def __init__(self, bits: str) -> None:
+        self._set(_check_bits(bits))
 
     def prefix(self, n: int) -> str:
         if n > len(self.bits):

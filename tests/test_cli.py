@@ -831,6 +831,22 @@ def test_moduli_inputs_outside_the_domain_are_invalid_input(tmp_path, capsys, ar
     assert json.loads(out)["error"]["kind"] == "invalid-input"
 
 
+@pytest.mark.parametrize(
+    "ks, message",
+    [
+        ("1," + "x" * 5000, "cannot parse --ks: 'xxxxxxxxxxxx...xxxxxxxxxxxxx' at index 2"),
+        ("1," + "9" * 5000, "cannot parse --ks: the integer at index 2 is too long to parse"),
+    ],
+    ids=["bad-field", "too-long"],
+)
+def test_a_bad_ks_field_is_named_by_its_index(tmp_path, capsys, ks, message):
+    # --ks is read by the rule --n is read by: none of the 5,000 characters are echoed
+    code, out = run_cli(capsys, "moduli", "--equicoarse", f"--ks={ks}", "--out", str(tmp_path))
+    assert code == 2
+    assert len(out.encode()) < 300
+    assert json.loads(out)["error"] == {"kind": "invalid-input", "message": message}
+
+
 def test_equicoarse_table(tmp_path, capsys):
     code, out = run_cli(
         capsys,
