@@ -7,9 +7,10 @@ defaults to $INTERLACE_OUT or the working directory.  Floats are rounded to 12
 significant digits before serialization and all randomness is seed-driven, so
 outputs are bit-identical across runs with the same flags.
 
-Exit codes: 0 success, 2 invalid input (including unreadable or malformed
-JSON input), 3 resource cap, 4 suite found failing checks, 1 unexpected
-error.  Failures print a JSON object {"error": {"kind": ..., "message": ...}}.
+Exit codes: 0 success, 2 invalid input (including argparse failures and
+unreadable or malformed JSON input), 3 resource cap, 4 suite found failing
+checks, 1 unexpected error.  Failures print a JSON object
+{"error": {"kind": ..., "message": ...}}.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 import reprlib
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 from . import acceptance
 from .errors import InvalidInput, ResourceLimit
@@ -471,11 +472,19 @@ def _cmd_suite(args: argparse.Namespace) -> dict:
 
 # ----------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    # an argparse failure is invalid input, printed as main's JSON error object; a
+    # message past 200 characters keeps its two ends, as reprlib elides a string.
+    # The subparsers are built from this class too, argparse's parser_class default
+    def error(self, message: str) -> NoReturn:
+        raise InvalidInput(message if len(message) <= 200 else f"{message[:98]}...{message[-99:]}")
+
+
 # built on the first call, not at import, and kept for the process: parse_args
 # leaves the parser unchanged, so every later main() reuses it
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> _Parser:
+    parser = _Parser(
         prog="interlace",
         description="Interlaced-graph metrics, variation norms, and embedding certificates.",
     )
@@ -562,9 +571,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         doc = args.handler(args)
     except InvalidInput as exc:
         print(json.dumps({"error": {"kind": "invalid-input", "message": str(exc)}}))

@@ -579,10 +579,13 @@ def test_the_parser_is_built_once_and_reused(tmp_path, capsys):
 
     first = embed()
     built = cli._build_parser.cache_info()
-    with pytest.raises(SystemExit) as exc:
-        main(["embed-c0", "--k", "three", "--max-entry", "6", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, out = run_cli(
+        capsys, "embed-c0", "--k", "three", "--max-entry", "6", "--out", str(tmp_path)
+    )
+    assert code == 2 and json.loads(out)["error"] == {
+        "kind": "invalid-input",
+        "message": "argument --k: invalid int value: 'three'",
+    }
     code, out = run_cli(capsys, "dist", "--n", "1,x", "--m", "1,2")
     assert code == 2 and json.loads(out)["error"]["kind"] == "invalid-input"
     code, out = run_cli(capsys, "moduli", "--family", "g", "--k", "2", "--out", str(tmp_path))
@@ -761,10 +764,33 @@ def test_jt_embed_f_beyond_the_support_cap_is_a_resource_limit(capsys):
         ["dist", "--n", "1,2", "--m", "3,4", "--seed", "1"],
     ],
 )
-def test_commands_reject_flags_they_do_not_read(argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+def test_commands_reject_flags_they_do_not_read(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "invalid-input",
+        "message": f"unrecognized arguments: {' '.join(argv[-2:])}",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["moduli", "--k", "1" + "x" * 3000], "--k"),
+        (["james-norm", "--coeffs", "1", "--p", "two"], "--p"),
+        (["moduli", "--family", "nope"], "--family"),
+        (["dist", "--n", "1,2"], "--m"),
+        (["dist", "--n", "1,2", "--m", "3,4", "--max-entry", "6"], "--max-entry"),
+    ],
+    ids=["bad-int", "bad-float", "bad-choice", "missing-required", "unrecognized"],
+)
+def test_an_argparse_failure_prints_the_json_error_object(capsys, argv, option):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert captured.out.count("\n") == 1 and len(captured.out.encode()) < 300
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "invalid-input" and option in error["message"]
 
 
 @pytest.mark.parametrize("kind", ["g", "f"])
@@ -861,17 +887,27 @@ def test_equicoarse_table(tmp_path, capsys):
 
 
 def test_equicoarse_rows_at_large_arities_build_no_box(tmp_path, capsys):
-    # C(2000, 1000) tuples would never finish; each row scores 2k height patterns
-    code, out = run_cli(
-        capsys,
-        "moduli", "--equicoarse", "--family", "summing", "--ks", "1,10,100,1000",
-        "--out", str(tmp_path),
-    )
-    assert code == 0
-    rows = json.loads(out)["rows"]
-    assert [(r["k"], r["rho_hat_k"], r["omega_hat_1"], r["ratio"]) for r in rows] == [
-        (k, float(-(-k // 2)), 1.0, float(-(-k // 2))) for k in (1, 10, 100, 1000)
-    ]
+    # C(2000, 1000) tuples would never finish; each row scores 2k height patterns.
+    # For g, rho_hat(k) = sqrt(3k/4) for k >= 2, from the balanced k/2 up, k down,
+    # k/2 up: its k = 1000 row runs two 2-variation DPs on up to 2,001 heights
+    expected = {
+        "summing": [(k, float(-(-k // 2)), 1.0, float(-(-k // 2))) for k in (1, 10, 100, 1000)],
+        "g": [
+            (1, 1.0, 1.0, 1.0),
+            (10, 2.73861278753, 1.0, 2.73861278753),
+            (100, 8.66025403784, 1.0, 8.66025403784),
+            (1000, 27.3861278753, 1.0, 27.3861278753),
+        ],
+    }
+    for family, want in expected.items():
+        code, out = run_cli(
+            capsys,
+            "moduli", "--equicoarse", "--family", family, "--ks", "1,10,100,1000",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [(r["k"], r["rho_hat_k"], r["omega_hat_1"], r["ratio"]) for r in rows] == want
 
 
 def test_equicoarse_rejects_an_arity_below_one(tmp_path, capsys):
