@@ -472,10 +472,20 @@ def _cmd_suite(args: argparse.Namespace) -> dict:
 
 # ----------------------------------------------------------------- parser
 
+# a token that starts as a negative number is a value, as in `--x -3,1` or
+# `--tail -1e5`, not an unknown option; argparse's own pattern reads only a lone
+# -3 or -0.5 so. No option here starts with a digit
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     # an argparse failure is invalid input, printed as main's JSON error object; a
     # message past 200 characters keeps its two ends, as reprlib elides a string.
     # The subparsers are built from this class too, argparse's parser_class default
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
     def error(self, message: str) -> NoReturn:
         raise InvalidInput(message if len(message) <= 200 else f"{message[:98]}...{message[-99:]}")
 

@@ -259,11 +259,13 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
     """
     if not (tol > 0 and math.isfinite(tol)):  # also rejects NaN
         raise InvalidInput(f"tol must be positive and finite, got {tol!r}")
-    xs = [abs(v) for v in _finite(x) if v != 0.0]
-    if not xs:
+    vals = _finite(x)
+    top = max(map(abs, vals), default=0.0)
+    if top == 0.0:
         return 0.0
-    _, exp = math.frexp(max(xs))
-    xs = [math.ldexp(v, -exp) for v in xs]
+    # m, the largest scaled |x_n|, is the mantissa of top, in [0.5, 1)
+    m, exp = math.frexp(top)
+    xs = [math.ldexp(abs(v), -exp) for v in vals if v != 0.0]
     try:
         tol = math.ldexp(tol, -exp)
     except OverflowError:  # wider than any bracket: no bisection step is needed
@@ -281,7 +283,6 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
 
     # total is non-increasing in r, so a < b with total(a) > 1 >= total(b) decide
     # every r outside (a, b); an unknown a reads as 0, an unknown b as inf
-    m = max(xs)  # in [0.5, 1)
     r_min, r_max = math.ldexp(m, -MAX_BRACKET_STEPS), math.ldexp(m, MAX_BRACKET_STEPS)
     a, b, ta, tb = 0.0, math.inf, math.inf, 0.0
     wa = wb = 1.0  # Illinois weights of the ends' log totals (linear: totals - 1)

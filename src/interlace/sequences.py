@@ -131,17 +131,32 @@ def summing_image(n: InterlacedTuple) -> FinSeq:
     """Sum of the summing-basis vectors s_{n_i}: coordinate j counts entries >= j.
 
     The count is k - i on the run (n_i, n_{i+1}], with n_0 = 0, so the image is
-    filled run by run in O(top + k).  Working memory: the runs fill one list
-    in one pass, which `FinSeq` reads once into its coefficient tuple; no
-    tuple copy is made in between.
+    filled run by run in O(top + k).  Working memory: the runs fill one list,
+    which is copied once into the coefficient tuple; the tuple is already
+    canonical, so `FinSeq.__init__` does not read it again (see `_canonical`).
     """
     k = n.arity
     coeffs: list[float] = []
     prev = 0
     for i, e in enumerate(n):
-        coeffs.extend([float(k - i)] * (e - prev))
+        coeffs.extend(itertools.repeat(float(k - i), e - prev))
         prev = e
-    return FinSeq(coeffs, 0.0)
+    return _canonical(tuple(coeffs))
+
+
+def _canonical(coeffs: tuple[float, ...]) -> FinSeq:
+    """The tail-0 sequence of a canonical coefficient tuple, built without the checks.
+
+    For summing images: every coefficient is a float holding a small positive
+    integer, so it is finite and `float` would return it unchanged, and the
+    last one is 1.0, not the tail 0.0, so `__init__` would strip nothing.  The
+    result equals `FinSeq(coeffs)`, hash included, without the list and the
+    second tuple that `__init__` would copy the coefficients into.
+    """
+    x = object.__new__(FinSeq)
+    setfield(x, "coeffs", coeffs)
+    setfield(x, "tail", 0.0)
+    return x
 
 
 def summing_distortion_check(

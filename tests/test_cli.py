@@ -10,7 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from interlace import dist, itup, summing_distortion_check, summing_image, sup_norm
+from interlace import (
+    FinSeq,
+    dist,
+    itup,
+    james_norm,
+    orlicz_fixture,
+    orlicz_norm,
+    summing_distortion_check,
+    summing_image,
+    sup_norm,
+)
 from interlace.cli import main
 
 
@@ -791,6 +801,38 @@ def test_an_argparse_failure_prints_the_json_error_object(capsys, argv, option):
     assert captured.out.count("\n") == 1 and len(captured.out.encode()) < 300
     error = json.loads(captured.out)["error"]
     assert error["kind"] == "invalid-input" and option in error["message"]
+
+
+def _printed(value):
+    return float(f"{value:.12g}")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["james-norm", "--coeffs", "-1,2"], {"norm": _printed(james_norm(FinSeq((-1, 2))))}),
+        (
+            ["orlicz", "--op", "norm", "--phi", "identity", "--x", "-3,1"],
+            {"norm": _printed(orlicz_norm((-3, 1), orlicz_fixture("identity")))},
+        ),
+        # the value reaches the moduli layer, which names it
+        (
+            ["moduli", "--thresholds", "-1,2"],
+            {"error": {"kind": "invalid-input",
+                       "message": "thresholds must be non-negative numbers, got -1.0"}},
+        ),
+    ],
+    ids=["coeffs", "x", "thresholds"],
+)
+def test_a_comma_list_that_starts_with_a_negative_value_is_a_value(capsys, argv, want):
+    code, out = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert {key: doc[key] for key in want} == want
+    assert code == (2 if "error" in want else 0)
+    # a missing value is still an argparse failure
+    code, out = run_cli(capsys, *argv[:-1])
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == f"argument {argv[-2]}: expected one argument"
 
 
 @pytest.mark.parametrize("kind", ["g", "f"])

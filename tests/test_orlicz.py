@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -164,7 +165,8 @@ class TestOrliczNorm:
         assert abs(orlicz_norm([3.0, 4.0], orlicz_fixture("pow:2")) - 5.0) < 1e-9
 
     def test_zero_vector(self):
-        assert orlicz_norm([0.0, 0.0], orlicz_fixture("identity")) == 0.0
+        for vec in ([0.0, 0.0], [], [0], [-0.0], [0.0, -0.0, 0]):
+            assert orlicz_norm(vec, orlicz_fixture("identity")) == 0.0
 
     def test_l1_case(self):
         got = orlicz_norm([1.0, 1.0, 1.0], orlicz_fixture("identity"))
@@ -296,6 +298,40 @@ class TestReplayedBisection:
         vec = [math.ldexp(1.0, -40), 3e-13]
         huber = orlicz_fixture("huber")
         assert orlicz_norm(vec, huber, 1e300) == plain_bisection(vec, huber, 1e300)
+
+
+class TestPreprocessing:
+    """|x| is scaled by the power of two of max|x_n| into one list."""
+
+    @pytest.mark.parametrize("key", ["identity", "huber", "pow:3", "t_minus_log1p"])
+    @pytest.mark.parametrize(
+        "vec",
+        [
+            [-7, 3.5, -0.0, 2, 0],
+            [-0.0, -1e-300, 5e-301, 0],
+            [3, -0.0, -2**60, 1],
+            [-0.0, -1.5],
+        ],
+    )
+    def test_a_negative_top_signed_zeros_and_ints(self, vec, key):
+        # the largest |x_n| is a negative entry in every vector
+        spec = orlicz_fixture(key)
+        assert orlicz_norm(vec, spec) == plain_bisection(vec, spec)
+
+    def test_the_entries_are_copied_once_in_working_memory(self):
+        # the entries (0.24 MB of list) and the scaled |x_n| (0.96 MB of list and
+        # floats): 1.21 MB; a separate list of |x_n| took it to 1.93 MB
+        rng = random.Random(5)
+        vec = [rng.uniform(-5.0, 5.0) for _ in range(30_000)]
+        huber = orlicz_fixture("huber")
+        tracemalloc.start()
+        try:
+            got = orlicz_norm(vec, huber)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == plain_bisection(vec, huber)
+        assert peak <= 1.4e6
 
 
 class TestBracketSearch:

@@ -175,6 +175,29 @@ class TestSummingImage:
         want = [float(sum(e >= j for e in n.entries)) for j in range(1, n.top + 1)]
         assert list(summing_image(n).coeffs) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(1, 200), min_size=1, max_size=8))
+    def test_images_are_canonical(self, entries):
+        # built without FinSeq.__init__, so it must be what __init__ would build
+        img = summing_image(itup(*sorted(entries)))
+        again = FinSeq(img.coeffs)
+        assert img == again and hash(img) == hash(again)
+        assert img.tail == 0.0 and img.coeffs[-1] != 0.0
+        assert all(type(v) is float for v in img.coeffs)
+
+    def test_an_image_is_one_list_and_one_tuple_in_working_memory(self):
+        # 8 MB of list and 8 MB of tuple for 10^6 coordinates; building the
+        # FinSeq through __init__ took another list, 24.45 MB in all
+        n = itup(3, 10**6)
+        tracemalloc.start()
+        try:
+            img = summing_image(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(img.coeffs) == 10**6
+        assert peak <= 16.8e6
+
     def test_distortion_examples(self):
         assert summing_distortion_check(itup(1, 3), itup(2, 4)) == (1.0, 1.0)
         assert summing_distortion_check(itup(1, 2), itup(3, 4)) == (1.0, 1.0)
