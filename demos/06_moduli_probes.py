@@ -29,10 +29,10 @@ for row in rows:
 print("  growing ratios rule out common compression/expansion controls")
 
 print("\n== concentration probe ==")
-sample = summing_map_sample(3, 10)  # its images are the tuples themselves
+sample = summing_map_sample(3, 10)  # its d_target is the c0 distance of the images
 for mode in ("greedy", "exhaustive"):
     res = concentration_probe(
-        lambda t: t, sample.d_target, range(1, 11), 3, c=1.0, mode=mode
+        d_target=sample.d_target, universe=range(1, 11), k=3, c=1.0, mode=mode
     )
     print(
         f"  {mode:<10} M={res.subset} diameter={res.diameter:g} "

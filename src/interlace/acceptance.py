@@ -442,7 +442,7 @@ def criterion_14(seed: int) -> str:
         if oracle is not None:
             embed, norm, rel = oracle
             images = {t: embed(t) for t in points}
-        listed = MapSample(points, sample.d_source, points, sample.d_target)
+        listed = MapSample(points, sample.d_source, sample.d_target)
         for (ds, dt), (n, m) in zip(
             listed.pair_distances(), itertools.combinations(points, 2)
         ):

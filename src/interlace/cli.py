@@ -251,7 +251,7 @@ def _cmd_embed_c0(args: argparse.Namespace) -> dict:
     # The sample's tuple box is read four times, so its tuples are listed once
     sample = summing_map_sample(args.k, args.max_entry)
     points = list(sample.points)
-    sample = MapSample(points, sample.d_source, points, sample.d_target)
+    sample = MapSample(points, sample.d_source, sample.d_target)
     pairs = zip(
         itertools.combinations(sample.points, 2),
         itertools.combinations([summing_image(t) for t in sample.points], 2),
@@ -379,8 +379,8 @@ def _cmd_jt_embed(args: argparse.Namespace) -> dict:
 
 
 # each family's pair score, a function of the arity and the profile heights; the
-# moduli table and the equicoarse rows score the family's tuple box from (k, |U|)
-# and build no tuple, and the probe lists its tuples
+# moduli table, the equicoarse rows and the probe score the family's tuple box
+# from (k, |U|) and build no tuple
 _FAMILIES = {
     "summing": _summing_score,
     "g": _branch_score,
@@ -406,11 +406,10 @@ def _cmd_moduli(args: argparse.Namespace) -> dict:
         if args.c is None:
             raise InvalidInput("the probe needs --c (no canonical default exists)")
         result = concentration_probe(
-            lambda t: t,  # each family's images are its tuples
-            score,
-            range(1, args.max_entry + 1),
-            args.k,
-            args.c,
+            d_target=score,
+            universe=range(1, args.max_entry + 1),
+            k=args.k,
+            c=args.c,
             mode=args.probe_mode,
             subset_size=args.subset_size,
         )

@@ -30,10 +30,10 @@ import math
 import operator
 import reprlib
 from collections import deque
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from ._record import Record, setfield
-from .errors import InvalidInput
+from .errors import InvalidInput, _short_repr
 
 __all__ = [
     "InterlacedTuple",
@@ -125,18 +125,6 @@ def _trusted(entries: tuple[int, ...]) -> InterlacedTuple:
 def itup(*values: int) -> InterlacedTuple:
     """Shorthand constructor, e.g. itup(1, 3, 4)."""
     return InterlacedTuple(tuple(values))
-
-
-def _short_repr(v: object) -> str:
-    """`reprlib.repr(v)`, or a note for an int too long to convert to text.
-
-    Such an int has more digits than `sys.get_int_max_str_digits()`, and its
-    repr raises `ValueError`; the limit is process-wide, so it is left alone.
-    """
-    try:
-        return reprlib.repr(v)
-    except ValueError:
-        return "an integer too long to print"
 
 
 def _as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -346,12 +334,7 @@ class TupleBox:
     __slots__ = ("universe", "size", "k")
 
     def __init__(self, universe: Iterable[int], k: int) -> None:
-        if isinstance(universe, range):
-            uni = universe if universe.step > 0 else universe[::-1]
-            size = max(0, -((uni.start - uni.stop) // uni.step))  # len() stops at sys.maxsize
-        else:
-            uni = tuple(sorted(set(_as_ints(universe, "universe values"))))
-            size = len(uni)
+        uni, size = _universe(universe)
         _check_arity(k)
         if size < k:
             raise InvalidInput(f"universe of size {size} cannot host arity {k}")
@@ -364,6 +347,16 @@ class TupleBox:
 
     def __len__(self) -> int:
         return math.comb(self.size, self.k)
+
+
+def _universe(universe: Iterable[int]) -> tuple[Sequence[int], int]:
+    """(U, |U|) as a `TupleBox` keeps them: a range stays an increasing range,
+    any other universe becomes its sorted distinct values, each an integer."""
+    if isinstance(universe, range):
+        uni = universe if universe.step > 0 else universe[::-1]
+        return uni, max(0, -((uni.start - uni.stop) // uni.step))  # len() stops at sys.maxsize
+    uni = tuple(sorted(set(_as_ints(universe, "universe values"))))
+    return uni, len(uni)
 
 
 def enumerate_tuples(universe: Iterable[int], k: int) -> list[InterlacedTuple]:

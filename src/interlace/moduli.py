@@ -13,8 +13,9 @@ probe searches for a small sub-universe on which the image of the tuple graph
 has small diameter; a finite search cannot certify the infinite concentration
 phenomenon, so its verdict is observational.
 
-The canonical samples below have the tuples themselves as their `images`,
-and their `d_target` scores a pair of tuples from the heights
+A sample reads its map through the target metric alone: `d_target(n, m)`
+is the distance between the images of the points n and m, and no image is
+held.  The canonical samples below score a pair of tuples from the heights
 h = (0, h_1, ..., h_r) of `walk_profile(n, m)` alone:
 
     summing   ||s(n) - s(m)||_inf = max |h|      (the difference at j is -F(j-1))
@@ -74,21 +75,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from typing import Any, Callable, Iterable, Sequence
 
 from ._record import Record
-from .errors import InvalidInput, ResourceLimit
-from .graphs import (
-    InterlacedTuple,
-    TupleBox,
-    _as_ints,
-    _check_arity,
-    _short_repr,
-    dist,
-    enumerate_tuples,
-    walk_profile,
-)
+from .errors import InvalidInput, ResourceLimit, _number, _short_repr
+from .graphs import InterlacedTuple, TupleBox, _check_arity, _universe, dist, walk_profile
 from .sequences import FinSeq, james_norm
 
 __all__ = [
@@ -111,15 +102,16 @@ BOX_HEIGHTS_CAP = 4 * 10**6  # the most pattern heights one box answer scores
 
 
 class MapSample(Record):
-    """A finite map sample: source points and their images, with both metrics.
+    """A finite map sample: source points, their metric, and the target metric.
 
-    The points are a sequence or a `TupleBox`, which is never counted here:
-    its C(|U|, k) tuples outgrow `len()`.  Pair enumeration treats the
-    metric callbacks as pure functions.  Its fields can be assigned, so it
-    has no hash.
+    d_target(n, m) is the distance between the images of the points n and m,
+    so the map is read through it alone.  The points are a sequence or a
+    `TupleBox`, which is never counted here: its C(|U|, k) tuples outgrow
+    `len()`.  Pair enumeration treats the metric callbacks as pure
+    functions.  Its fields can be assigned, so it has no hash.
     """
 
-    _fields = ("points", "d_source", "images", "d_target")
+    _fields = ("points", "d_source", "d_target")
     __hash__ = None
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
@@ -128,26 +120,23 @@ class MapSample(Record):
         self,
         points: Sequence[Any] | TupleBox,
         d_source: Callable[[Any, Any], float],
-        images: Sequence[Any] | TupleBox,
         d_target: Callable[[Any, Any], float],
     ) -> None:
-        if images is not points and len(points) != len(images):
-            raise InvalidInput("points and images must have equal length")
         # a box holds one tuple when |U| = k, and at least two otherwise
         if points.size == points.k if isinstance(points, TupleBox) else len(points) < 2:
             raise InvalidInput("a sample needs at least two points")
-        self._set(points, d_source, images, d_target)
+        self._set(points, d_source, d_target)
 
     def pair_distances(self) -> list[tuple[float, float]]:
         """(source distance, image distance) per pair, in `itertools.combinations` order.
 
-        When the source metric is `dist`, the target metric a height score and
-        the images the points themselves, both distances are functions of the
-        pair's profile heights h: each pair's profile is read once, and each
-        distinct h is scored once, in a table kept for this call only.  Any
-        other sample evaluates both callbacks on every pair.
+        When the source metric is `dist` and the target metric a height score,
+        both distances are functions of the pair's profile heights h: each
+        pair's profile is read once, and each distinct h is scored once, in a
+        table kept for this call only.  Any other sample evaluates both
+        callbacks on every pair.
         """
-        points, images, score = self.points, self.images, self.d_target
+        points, score = self.points, self.d_target
         if self._scored_by_heights():
             # walk_profile rejects mixed arities, so a returned table has one k
             table: dict[tuple[int, ...], tuple[float, float]] = {}
@@ -160,20 +149,15 @@ class MapSample(Record):
                     row = table[h] = (_dist_of_heights(k, h), score.of_heights(k, h))
                 out.append(row)
             return out
-        pairs = zip(itertools.combinations(points, 2), itertools.combinations(images, 2))
-        return [(float(self.d_source(*p)), float(score(*q))) for p, q in pairs]
+        return [
+            (float(self.d_source(n, m)), float(score(n, m)))
+            for n, m in itertools.combinations(points, 2)
+        ]
 
     def _scored_by_heights(self) -> bool:
-        """True when both distances of a pair are functions of its profile heights.
-
-        That is: the source metric is `dist`, the target metric a height score,
-        and the images are the points themselves, one object.
-        """
-        return (
-            self.d_source is dist
-            and isinstance(self.d_target, _HeightScore)
-            and self.images is self.points
-        )
+        """True when both distances of a pair are functions of its profile heights:
+        the source metric is `dist` and the target metric a height score."""
+        return self.d_source is dist and isinstance(self.d_target, _HeightScore)
 
 
 class ModuliReport(Record):
@@ -215,20 +199,8 @@ class ProbeResult(Record):
 
 
 def _threshold(value: Any, what: str) -> float:
-    """The value as a float; one that is not a number >= 0 is InvalidInput naming it.
-
-    A number is an int or a float, not a bool: as in the CLI's JSON readers,
-    float() would also read a bool or a numeric string.
-    """
-    t = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            t = float(value)
-        except OverflowError:
-            pass
-    if not t >= 0:  # NaN fails too
-        raise InvalidInput(f"{what} must be non-negative numbers, got {_short_repr(value)}")
-    return t
+    """The value as a float; one that is not a number >= 0 is InvalidInput naming it."""
+    return _number(value, f"{what} must be non-negative numbers", lambda t: t >= 0)
 
 
 def compute_moduli(
@@ -294,8 +266,7 @@ def lipschitz_constant(sample: MapSample) -> float:
 
 
 def concentration_probe(
-    f: Callable[[InterlacedTuple], Any],
-    d_target: Callable[[Any, Any], float],
+    d_target: Callable[[InterlacedTuple, InterlacedTuple], float],
     universe: Iterable[int],
     k: int,
     c: float,
@@ -304,33 +275,34 @@ def concentration_probe(
 ) -> ProbeResult:
     """Search for a sub-universe M with image diameter <= c * omega_hat(1).
 
-    Greedy mode repeatedly removes the element whose removal most reduces the
-    image diameter of the arity-k tuples over M, stopping at |M| = k + 1 or at
-    a local minimum; it takes no `subset_size`.  Exhaustive mode (|U| <= 12)
-    scans every subset of size `subset_size`, which defaults to 2k: that is
-    the smallest sub-universe whose tuple graph attains the full diameter k.  Anything smaller is
+    The map is read through `d_target`, the distance between the images of
+    two arity-k tuples over the universe U.  Greedy mode repeatedly removes
+    the element whose removal most reduces the image diameter of the arity-k
+    tuples over M, stopping at |M| = k + 1 or at a local minimum; it takes no
+    `subset_size`.  Exhaustive mode (|U| <= 12) scans every subset of size
+    `subset_size`, which defaults to 2k: that is the smallest sub-universe
+    whose tuple graph attains the full diameter k.  Anything smaller is
     degenerate -- over k + 1 elements all tuples are pairwise adjacent, so the
     flag would hold trivially.  The flag is observational either way: no
     finite search proves concentration.
 
-    Both searches read the diameter of a candidate from one of two sources.
-    A height-scored sample (`d_target` a canonical score, each image its own
-    tuple) reads no pair: omega_hat(1) is that of the box over U, and D(s)
+    Both searches read the diameter of a candidate from the sample
+    `MapSample(TupleBox(universe, k), dist, d_target)`, in one of two ways.
+    A height-scored sample (`d_target` a canonical score) reads no pair and
+    builds no tuple: omega_hat(1) is that of the box over U, and D(s)
     omega_hat(inf) of the box over min(s, 2k) elements, one peak pattern per
     candidate size (`_box_scores`).  Any other sample evaluates each image
     distance once, whatever the mode.
     """
-    c = float(c)
-    if not (math.isfinite(c) and c >= 0.0):
-        raise InvalidInput(f"c must be finite and >= 0, got {c!r}")
+    c = _number(c, "c must be finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0)
     _check_arity(k)
-    uni = sorted(set(_as_ints(universe, "universe values")))
-    if len(uni) < k + 1:
+    uni, size_u = _universe(universe)
+    if size_u < k + 1:
         raise InvalidInput("universe must have at least k + 1 elements")
     if mode == "exhaustive":
-        if len(uni) > EXHAUSTIVE_PROBE_CAP:
+        if size_u > EXHAUSTIVE_PROBE_CAP:
             raise ResourceLimit(
-                f"universe of size {len(uni)} exceeds the exhaustive probe cap "
+                f"universe of size {size_u} exceeds the exhaustive probe cap "
                 f"EXHAUSTIVE_PROBE_CAP = {EXHAUSTIVE_PROBE_CAP}"
             )
         if subset_size is not None and (
@@ -338,9 +310,9 @@ def concentration_probe(
         ):
             raise InvalidInput(f"subset size must be an int, got {subset_size!r}")
         size = 2 * k if subset_size is None else subset_size
-        if not (k + 1 <= size <= len(uni)):
+        if not (k + 1 <= size <= size_u):
             raise InvalidInput(
-                f"subset size {size} must lie in [k + 1, |U|] = [{k + 1}, {len(uni)}]"
+                f"subset size {size} must lie in [k + 1, |U|] = [{k + 1}, {size_u}]"
             )
     elif mode != "greedy":
         raise InvalidInput(f"unknown probe mode {mode!r}")
@@ -349,20 +321,17 @@ def concentration_probe(
             f"subset size {subset_size!r} (--subset-size) applies to the exhaustive "
             "probe only; the greedy probe stops at |M| = k + 1"
         )
-    points = enumerate_tuples(uni, k)
-    images = [f(t) for t in points]
-    if all(map(operator.is_, images, points)):  # each image is its own tuple
-        images = points
-    sample = MapSample(points, dist, images, d_target)
+    box = TupleBox(uni, k)
+    sample = MapSample(box, dist, d_target)
     if sample._scored_by_heights():
-        omega_1 = _box_scores(k, len(uni), d_target)[2](1)
+        omega_1 = _box_scores(k, size_u, d_target)[2](1)
         # past 2k elements J stays k, so one score per J
         peak = functools.cache(lambda s: _box_scores(k, s, d_target)[2](math.inf))
 
         def diameter(subset: Sequence[int]) -> float:
             return peak(min(len(subset), 2 * k))
     else:
-        diameter, omega_1 = _pair_diameter(sample, uni)
+        diameter, omega_1 = _pair_diameter(sample)
 
     if mode == "greedy":
         current = list(uni)
@@ -388,10 +357,9 @@ def concentration_probe(
     return ProbeResult(subset, diam_best, flag, omega_1)
 
 
-def _pair_diameter(
-    sample: MapSample, uni: list[int]
-) -> tuple[Callable[[Iterable[int]], float], float]:
-    """(diameter of a sub-universe, omega_hat(1)) from the sample's pair table.
+def _pair_diameter(sample: MapSample) -> tuple[Callable[[Iterable[int]], float], float]:
+    """(diameter of a sub-universe, omega_hat(1)) from the pair table of a sample
+    over a `TupleBox`.
 
     The table keeps the largest image distance per union of element masks,
     sorted decreasingly; the diameter of a subset is the first entry whose
@@ -400,7 +368,7 @@ def _pair_diameter(
     pairs = sample.pair_distances()
     omega_1 = max((dt for ds, dt in pairs if ds <= 1.0), default=0.0)
 
-    bit = {v: 1 << i for i, v in enumerate(uni)}
+    bit = {v: 1 << i for i, v in enumerate(sample.points.universe)}
     masks = [sum(bit[v] for v in t) for t in sample.points]
     widest: dict[int, float] = {}
     for (_, dt), (a, b) in zip(pairs, itertools.combinations(masks, 2)):
@@ -541,8 +509,7 @@ _constant_score = _HeightScore(_zero_of_heights)
 
 
 def _tuple_sample(k: int, max_entry: int, score: _HeightScore) -> MapSample:
-    box = TupleBox(range(1, max_entry + 1), k)
-    return MapSample(box, dist, box, score)
+    return MapSample(TupleBox(range(1, max_entry + 1), k), dist, score)
 
 
 def summing_map_sample(k: int, max_entry: int) -> MapSample:

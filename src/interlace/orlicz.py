@@ -41,7 +41,7 @@ import reprlib
 from typing import Callable, Sequence
 
 from ._record import Record
-from .errors import InvalidInput, ResourceLimit
+from .errors import InvalidInput, ResourceLimit, _number
 
 __all__ = [
     "OrliczSpec",
@@ -257,8 +257,7 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
     float, for 4 to 9 sums on 30,000 entries where the plain bisection takes
     45 to 47.
     """
-    if not (tol > 0 and math.isfinite(tol)):  # also rejects NaN
-        raise InvalidInput(f"tol must be positive and finite, got {tol!r}")
+    tol = _number(tol, "tol must be positive and finite", lambda v: v > 0 and math.isfinite(v))
     vals = _finite(x)
     top = max(map(abs, vals), default=0.0)
     if top == 0.0:
@@ -411,9 +410,7 @@ def delta_transform(mod: ModulusSpec, t: float, steps: int = 256) -> float:
     so the returned value is within h (f(t) - f(eps)) + mod(eps) of delta(t),
     up to rounding.  A sum beyond the float range is InvalidInput.
     """
-    t = float(t)
-    if not math.isfinite(t) or t < 0:
-        raise InvalidInput(f"t must be finite and non-negative, got {t!r}")
+    t = _number(t, "t must be finite and non-negative", lambda v: math.isfinite(v) and v >= 0)
     if isinstance(steps, bool) or not isinstance(steps, int):
         raise InvalidInput(f"steps must be an int, got {steps!r}")
     if steps < 16:
@@ -470,8 +467,7 @@ def compare_lp(
     """
     if side not in ("upper", "lower"):
         raise InvalidInput("side must be 'upper' or 'lower'")
-    if not (math.isfinite(p) and p >= 1.0):
-        raise InvalidInput(f"p must be finite and >= 1, got {p!r}")
+    p = _number(p, "p must be finite and >= 1", lambda v: math.isfinite(v) and v >= 1.0)
     powers = [(t, t**p) for t in GRID if t <= 1.0]
     # a t^p below the float range puts the ratio beyond it
     ratios = [_at(spec.fn, t) / tp if tp > 0.0 else math.inf for t, tp in powers]

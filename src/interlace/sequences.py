@@ -27,7 +27,7 @@ import sys
 from typing import Any, Callable, Iterable, Sequence
 
 from ._record import Record, setfield
-from .errors import InvalidInput, ResourceLimit
+from .errors import InvalidInput, ResourceLimit, _number
 from .graphs import InterlacedTuple, dist
 
 __all__ = [
@@ -219,10 +219,8 @@ def _canonical_values(x: FinSeq) -> list[float]:
 
 
 def _check_p(p: float) -> float:
-    p = float(p)
-    if not (p > 1.0) or math.isinf(p):
-        raise InvalidInput("the variation exponent must satisfy 1 < p < inf")
-    return p
+    rule = "the variation exponent must satisfy 1 < p < inf"
+    return _number(p, rule, lambda v: 1.0 < v < math.inf)
 
 
 def _turning_points(vals: list[float]) -> list[float]:

@@ -883,6 +883,41 @@ def test_greedy_probe_rejects_a_subset_size(capsys):
     assert "--subset-size" in error["message"]
 
 
+def test_a_canonical_probe_answers_from_k_and_the_universe_size(capsys):
+    # no tuple is built: the probe listed all C(200, 3) = 1,313,400 tuples here
+    code, out = run_cli(
+        capsys,
+        "moduli", "--probe", "--family", "summing", "--k", "3", "--max-entry", "200", "--c", "1",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["subset"], doc["diameter"], doc["omega_1"], doc["concentrated"]) == (
+        list(range(1, 201)), 3.0, 1.0, False
+    )
+
+
+def test_the_probe_takes_its_arguments_by_keyword(capsys, monkeypatch):
+    # the benchmark's tracer reads d_target, universe and k of a probe call by name
+    import interlace.cli as cli
+
+    probe, calls = cli.concentration_probe, []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "concentration_probe", recorded)
+    code, _ = run_cli(
+        capsys, "moduli", "--probe", "--family", "g", "--k", "2", "--max-entry", "6", "--c", "1"
+    )
+    assert code == 0
+    ((args, kwargs),) = calls
+    assert args == ()
+    assert (kwargs["d_target"], kwargs["universe"], kwargs["k"]) == (
+        cli._FAMILIES["g"], range(1, 7), 2
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -82,7 +82,7 @@ class TestComputeModuli:
 
     def test_rejects_tiny_samples(self):
         with pytest.raises(InvalidInput):
-            MapSample([itup(1)], lambda a, b: 0.0, [0.0], lambda a, b: 0.0)
+            MapSample([itup(1)], lambda a, b: 0.0, lambda a, b: 0.0)
 
     def test_rejects_negative_thresholds(self):
         with pytest.raises(InvalidInput):
@@ -99,14 +99,14 @@ class TestComputeModuli:
     @pytest.mark.parametrize("bad", ["a", None, [1.0]])
     def test_a_threshold_that_is_not_a_number_is_invalid_input(self, bad):
         # float() raised ValueError on "a" and TypeError on None; the first bad one is named
-        for sample in (summing_map_sample(2, 5), _copied(summing_map_sample(2, 5))):
+        for sample in (summing_map_sample(2, 5), _wrapped(summing_map_sample(2, 5))):
             with pytest.raises(InvalidInput, match=re.escape(f"got {bad!r}")):
                 compute_moduli(sample, [1.0, bad, "b"])
 
     @pytest.mark.parametrize("bad", ["1.5", "0", " 2 ", True, False], ids=repr)
     def test_a_numeric_string_or_a_bool_is_not_a_threshold(self, bad):
         # float() reads each of these as a number; the CLI's JSON readers refuse them
-        for sample in (summing_map_sample(2, 5), _copied(summing_map_sample(2, 5))):
+        for sample in (summing_map_sample(2, 5), _wrapped(summing_map_sample(2, 5))):
             with pytest.raises(InvalidInput, match=re.escape(f"got {bad!r}")):
                 compute_moduli(sample, [1.0, bad])
 
@@ -144,10 +144,7 @@ class TestComputeModuli:
         n, table = sized_table
         by_pair = dict(zip(itertools.combinations(range(n), 2), table))
         sample = MapSample(
-            list(range(n)),
-            lambda a, b: by_pair[a, b][0],
-            list(range(n)),
-            lambda a, b: by_pair[a, b][1],
+            list(range(n)), lambda a, b: by_pair[a, b][0], lambda a, b: by_pair[a, b][1]
         )
         report = compute_moduli(sample, thresholds)
         ts = sorted({ds for ds, _ in table}) if thresholds is None else sorted(thresholds)
@@ -172,9 +169,7 @@ class TestLipschitz:
         assert lipschitz_constant(constant_map_sample(2, 5)) == 0.0
 
     def test_rejects_non_graph_source(self):
-        sample = MapSample(
-            [1, 2], lambda a, b: 0.5 * abs(a - b), [1.0, 2.0], lambda a, b: abs(a - b)
-        )
+        sample = MapSample([1, 2], lambda a, b: 0.5 * abs(a - b), lambda a, b: abs(a - b))
         with pytest.raises(InvalidInput):
             lipschitz_constant(sample)
 
@@ -184,49 +179,36 @@ class TestLipschitz:
         sample = MapSample(
             [1, 2, 3],
             lambda a, b: far if abs(a - b) == 2 else 1.0,
-            [1, 2, 3],
             lambda a, b: float(abs(a - b)),
         )
         with pytest.raises(InvalidInput):
             lipschitz_constant(sample)
 
 
-def _image_table(sample):
-    return dict(zip(sample.points, sample.images))
+def _wrapped_score(score):
+    """The score behind a plain function, which is not a `_HeightScore`: it takes the pair path."""
+    return lambda n, m: score(n, m)
 
 
 class TestConcentrationProbe:
     def test_constant_map_concentrates(self):
-        sample = constant_map_sample(2, 6)
-        table = _image_table(sample)
-        res = concentration_probe(
-            lambda t: table[t], sample.d_target, range(1, 7), 2, c=0.0
-        )
+        score = _wrapped_score(constant_map_sample(2, 6).d_target)
+        res = concentration_probe(score, range(1, 7), 2, c=0.0)
         assert res.diameter == 0.0
         assert res.concentrated
 
     def test_summing_map_does_not_concentrate(self):
-        sample = summing_map_sample(3, 10)
-        table = _image_table(sample)
+        score = _wrapped_score(summing_map_sample(3, 10).d_target)
         for mode in ("greedy", "exhaustive"):
-            res = concentration_probe(
-                lambda t: table[t],
-                sample.d_target,
-                range(1, 11),
-                3,
-                c=1.0,
-                mode=mode,
-            )
+            res = concentration_probe(score, range(1, 11), 3, c=1.0, mode=mode)
             assert res.omega_1 == 1.0
             assert res.diameter >= 2.0  # any 4-point sub-universe keeps diameter >= 2
             assert not res.concentrated
 
     def test_greedy_removes_an_outlier(self):
-        def f(t):
-            return FinSeq((100.0,)) if t.entries == (6,) else FinSeq()
-
+        images = {itup(v): FinSeq((100.0,)) if v == 6 else FinSeq() for v in range(1, 7)}
         res = concentration_probe(
-            f, lambda x, y: sup_norm(x - y), range(1, 7), 1, c=1.0
+            lambda n, m: sup_norm(images[n] - images[m]), range(1, 7), 1, c=1.0
         )
         assert 6 not in res.subset
         assert res.diameter == 0.0
@@ -235,36 +217,18 @@ class TestConcentrationProbe:
     def test_exhaustive_small_subsets_are_degenerate(self):
         # over k + 1 elements every pair of tuples is adjacent, so the flag
         # holds trivially; the default subset size 2k avoids this
-        sample = summing_map_sample(3, 10)
-        table = _image_table(sample)
-        res = concentration_probe(
-            lambda t: table[t],
-            sample.d_target,
-            range(1, 11),
-            3,
-            c=1.0,
-            mode="exhaustive",
-            subset_size=4,
-        )
+        score = _wrapped_score(summing_map_sample(3, 10).d_target)
+        res = concentration_probe(score, range(1, 11), 3, c=1.0, mode="exhaustive", subset_size=4)
         assert res.diameter == 1.0
         assert res.concentrated
 
     def test_exhaustive_cap(self):
-        sample = summing_map_sample(1, 14)
-        table = _image_table(sample)
+        score = _wrapped_score(summing_map_sample(1, 14).d_target)
         with pytest.raises(ResourceLimit, match="size 14 exceeds .* EXHAUSTIVE_PROBE_CAP = 12"):
-            concentration_probe(
-                lambda t: table[t],
-                sample.d_target,
-                range(1, 15),
-                1,
-                c=1.0,
-                mode="exhaustive",
-            )
+            concentration_probe(score, range(1, 15), 1, c=1.0, mode="exhaustive")
 
     def test_each_image_distance_is_evaluated_once(self):
         sample = summing_map_sample(3, 10)
-        table = _image_table(sample)
         for mode, size in (("greedy", None), ("exhaustive", None), ("exhaustive", 4)):
             calls = []
 
@@ -272,15 +236,7 @@ class TestConcentrationProbe:
                 calls.append(None)
                 return sample.d_target(x, y)
 
-            concentration_probe(
-                lambda t: table[t],
-                d_target,
-                range(1, 11),
-                3,
-                c=1.0,
-                mode=mode,
-                subset_size=size,
-            )
+            concentration_probe(d_target, range(1, 11), 3, c=1.0, mode=mode, subset_size=size)
             assert len(calls) == 120 * 119 // 2  # C(10, 3) tuples, every pair once
 
     @pytest.mark.parametrize(
@@ -289,14 +245,12 @@ class TestConcentrationProbe:
     @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
     def test_result_matches_direct_evaluation(self, make, mode):
         sample = make(2, 7)
-        table = _image_table(sample)
         res = concentration_probe(
-            lambda t: table[t], sample.d_target, range(1, 8), 2, c=1.0, mode=mode
+            _wrapped_score(sample.d_target), range(1, 8), 2, c=1.0, mode=mode
         )
         tuples = [itup(*c) for c in itertools.combinations(res.subset, 2)]
         direct = max(
-            (sample.d_target(table[a], table[b]) for a, b in itertools.combinations(tuples, 2)),
-            default=0.0,
+            (sample.d_target(a, b) for a, b in itertools.combinations(tuples, 2)), default=0.0
         )
         assert res.diameter == direct
         assert res.omega_1 == lipschitz_constant(sample)
@@ -304,25 +258,35 @@ class TestConcentrationProbe:
     def test_greedy_mode_rejects_a_subset_size(self):
         sample = summing_map_sample(2, 6)
         with pytest.raises(InvalidInput, match="--subset-size"):
-            concentration_probe(
-                lambda t: t, sample.d_target, range(1, 7), 2, c=1.0, subset_size=3
-            )
+            concentration_probe(sample.d_target, range(1, 7), 2, c=1.0, subset_size=3)
 
     def test_universe_too_small(self):
         with pytest.raises(InvalidInput):
-            concentration_probe(
-                lambda t: FinSeq(), lambda x, y: 0.0, range(1, 3), 2, c=1.0
-            )
+            concentration_probe(lambda x, y: 0.0, range(1, 3), 2, c=1.0)
 
     @pytest.mark.parametrize("c", [math.nan, -1.0, math.inf])
     def test_rejects_c_outside_its_domain(self, c):
         with pytest.raises(InvalidInput):
-            concentration_probe(lambda t: FinSeq(), lambda x, y: 0.0, range(1, 4), 1, c=c)
+            concentration_probe(lambda x, y: 0.0, range(1, 4), 1, c=c)
+
+    @pytest.mark.parametrize(
+        "c", ["1", True, b"1", None, 10**400, math.nan], ids=lambda c: _short_repr(c)[:12]
+    )
+    def test_c_is_an_int_or_a_float(self, c):
+        # float() read "1", True and b"1" as 1.0, and raised OverflowError on 10**400
+        score = summing_map_sample(1, 2).d_target
+        with pytest.raises(
+            InvalidInput, match=f"^c must be finite and >= 0, got {re.escape(_short_repr(c))}$"
+        ):
+            concentration_probe(score, range(1, 4), 1, c=c)
+        assert concentration_probe(score, range(1, 4), 1, c=1) == concentration_probe(
+            score, range(1, 4), 1, c=1.0
+        )
 
     @pytest.mark.parametrize("universe", [[1.5, 2.7, 3, 4.2, 5.9], [1, 2, "3"], [True, 2, 3]])
     def test_rejects_universe_values_that_are_not_integers(self, universe):
         with pytest.raises(InvalidInput, match="universe values must be integers") as probe:
-            concentration_probe(lambda t: t, summing_map_sample(1, 2).d_target, universe, 1, 1.0)
+            concentration_probe(summing_map_sample(1, 2).d_target, universe, 1, 1.0)
         with pytest.raises(InvalidInput) as tuples:
             enumerate_tuples(universe, 1)
         assert str(probe.value) == str(tuples.value)
@@ -333,14 +297,14 @@ class TestConcentrationProbe:
         # checked first: the exhaustive default 2k would make k = 0 a subset-size error
         with pytest.raises(InvalidInput, match="arity must be >= 1"):
             concentration_probe(
-                lambda t: t, summing_map_sample(1, 2).d_target, range(1, 7), k, 1.0, mode=mode
+                summing_map_sample(1, 2).d_target, range(1, 7), k, 1.0, mode=mode
             )
 
     @pytest.mark.parametrize("size", [4.9, 4.0, True, "4"])
     def test_rejects_a_subset_size_that_is_not_an_int(self, size):
         with pytest.raises(InvalidInput, match="subset size must be an int"):
             concentration_probe(
-                lambda t: t, summing_map_sample(1, 2).d_target, range(1, 9), 3, 1.0,
+                summing_map_sample(1, 2).d_target, range(1, 9), 3, 1.0,
                 mode="exhaustive", subset_size=size,
             )
 
@@ -383,7 +347,6 @@ class TestProfileScores:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_summing_score_is_the_sup_norm_of_the_image_difference(self, k):
         sample = summing_map_sample(k, 8)
-        assert sample.images == sample.points
         images = {t: summing_image(t) for t in sample.points}
         for (n, m), (_, score) in _box_pairs(sample):
             assert score == sup_norm(images[n] - images[m])
@@ -391,7 +354,6 @@ class TestProfileScores:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_branch_score_is_the_jt_norm_of_the_image_difference(self, k):
         sample = g_map_sample(k, 8)
-        assert sample.images == sample.points
         sigma = Branch("0" * 8)
         images = {t: g_embed(sigma, t) for t in sample.points}
         for (n, m), (_, score) in _box_pairs(sample):
@@ -415,9 +377,9 @@ def _bits(pairs):
     return [(ds.hex(), dt.hex()) for ds, dt in pairs]
 
 
-def _copied(sample):
-    """The sample with copies of its tuples as images: it takes the pair table."""
-    return MapSample(sample.points, dist, [itup(*t.entries) for t in sample.points], sample.d_target)
+def _wrapped(sample):
+    """The sample with its score wrapped, which is not a `_HeightScore`: it takes the pair table."""
+    return MapSample(sample.points, sample.d_source, _wrapped_score(sample.d_target))
 
 
 def _count_metric_calls(monkeypatch):
@@ -482,14 +444,14 @@ class TestPairTable:
         assert len(calls.heights) == 2 * pairs
         assert len(calls.norms) == 2 * scored
 
-    def test_images_that_are_copies_take_the_two_metric_loop(self, monkeypatch):
+    def test_a_wrapped_score_takes_the_two_metric_loop(self, monkeypatch):
         sample = g_map_sample(2, 6)
         want = sample.pair_distances()
-        copies = [itup(*t.entries) for t in sample.points]
         calls = _count_metric_calls(monkeypatch)
-        got = MapSample(sample.points, calls.dist, copies, sample.d_target).pair_distances()
+        score = _wrapped_score(sample.d_target)
+        got = MapSample(sample.points, calls.dist, score).pair_distances()
         assert _bits(got) == _bits(want)
-        pairs = math.comb(len(copies), 2)
+        pairs = math.comb(len(sample.points), 2)
         # per pair: one `dist` call for the source, one profile read and one score for the target
         assert (len(calls.heights), len(calls.dists), len(calls.norms)) == (pairs, pairs, pairs)
 
@@ -498,9 +460,8 @@ def _image_g_sample(k, max_entry):
     """The branch map with TreeVec images, measured by jt_norm_exact."""
     sigma = Branch("0" * max_entry)
     pts = enumerate_tuples(range(1, max_entry + 1), k)
-    return MapSample(
-        pts, dist, [g_embed(sigma, t) for t in pts], lambda x, y: jt_norm_exact(x - y)[0]
-    )
+    images = {t: g_embed(sigma, t) for t in pts}
+    return MapSample(pts, dist, lambda n, m: jt_norm_exact(images[n] - images[m])[0])
 
 
 def _r12(value):
@@ -584,7 +545,7 @@ class TestBoxPatterns:
         score = make(1, 2).d_target
         for k, universe in _boxes():
             box = TupleBox(universe, k)
-            sample = MapSample(box, dist, box, score)
+            sample = MapSample(box, dist, score)
             table = sample.pair_distances()
             rows = _enumerated_rows(score, k, len(universe))
             assert set(_bits(rows)) == set(_bits(table)), (k, universe)
@@ -602,7 +563,7 @@ class TestBoxPatterns:
                 j = min(k, size - k)
                 rows = _enumerated_rows(score, k, size)
                 box = TupleBox(range(1, size + 1), k)
-                sample = MapSample(box, dist, box, score)
+                sample = MapSample(box, dist, score)
                 for ts in ([0, 0.5, 1, 1.5, j - 0.5, j, j + 0.5, math.inf, k, 2 * k], None):
                     want = sorted({ds for ds, _ in rows}) if ts is None else sorted(map(float, ts))
                     report = compute_moduli(sample, ts)
@@ -655,16 +616,17 @@ class TestBoxPatterns:
         pts = list(box.points)
         shuffled = pts[1:] + pts[:1]
         short = pts[:10] + pts[11:]
-        copies = [itup(*t.entries) for t in pts]
+        wrapped = _wrapped_score(box.d_target)
         want = compute_moduli(box)
         heights = _count_metric_calls(monkeypatch).heights
-        for points, images, same_pairs in (
-            (shuffled, shuffled, True),
-            (short, short, False),
-            (pts, copies, True),
-            (pts, pts, True),  # every tuple of the box, listed: not a TupleBox
+        for points, score, same_pairs in (
+            (shuffled, box.d_target, True),
+            (short, box.d_target, False),
+            (pts, wrapped, True),
+            (box.points, wrapped, True),  # the box itself, under a score that is not a height score
+            (pts, box.d_target, True),  # every tuple of the box, listed: not a TupleBox
         ):
-            sample = MapSample(points, dist, images, box.d_target)
+            sample = MapSample(points, dist, score)
             read = len(heights)
             got = compute_moduli(sample)
             assert len(heights) > read  # the pairs were read
@@ -701,7 +663,7 @@ class TestBoxPatterns:
         monkeypatch.setattr(TupleBox, "__iter__", no_tuples)
         monkeypatch.setattr(TupleBox, "__len__", no_tuples)
         sample = g_map_sample(40, 80)
-        assert isinstance(sample.points, TupleBox) and sample.images is sample.points
+        assert isinstance(sample.points, TupleBox)
         of = sample.d_target.of_heights
         want = [
             (float(t), of(40, _balanced(t)), of(40, _peaks(40, t))) for t in range(1, 41)
@@ -715,7 +677,7 @@ class TestBoxPatterns:
         # the box builds no tuple, so it names a value below 1 as its first tuple would
         with pytest.raises(InvalidInput, match="^entries must be positive: 0 at index 1$"):
             box = TupleBox([0, 1, 2, 3], 2)
-            compute_moduli(MapSample(box, dist, box, summing_map_sample(1, 2).d_target))
+            compute_moduli(MapSample(box, dist, summing_map_sample(1, 2).d_target))
 
     def test_a_default_table_above_the_box_cap_is_a_resource_limit(self):
         # each threshold scores two patterns of up to 2J + 1 heights: J = 1000 is the
@@ -737,12 +699,7 @@ class TestBoxPatterns:
         heights = _count_metric_calls(monkeypatch).heights
         rows = equicoarse_report(samples)
         assert heights == []
-        by_pairs = equicoarse_report(
-            [
-                (k, MapSample(s.points, dist, [itup(*t.entries) for t in s.points], s.d_target))
-                for k, s in samples
-            ]
-        )
+        by_pairs = equicoarse_report([(k, _wrapped(s)) for k, s in samples])
         assert len(heights) > 0
         assert rows == by_pairs
 
@@ -759,8 +716,8 @@ def _probe_cases(k, size):
 
 
 class TestPatternProbe:
-    """A height-scored probe reads each diameter from one peak pattern per size; an
-    image table gives the same searches the pair-table diameter, the independent side."""
+    """A height-scored probe reads each diameter from one peak pattern per size; a
+    wrapped score gives the same searches the pair-table diameter, the independent side."""
 
     @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("odd", [False, True], ids=["contiguous", "odd"])
@@ -772,24 +729,19 @@ class TestPatternProbe:
             # at k = 1, which runs up to the exhaustive cap
             for size in range(k + 1, (12 if k == 1 else 2 * k + 1) + 1):
                 universe = range(1, 2 * size, 2) if odd else range(1, size + 1)
-                # the same tuples, as copies: images that are not their tuples
-                table = {t: itup(*t.entries) for t in enumerate_tuples(universe, k)}
                 scored = {}
 
-                def d_target(x, y):  # the score of each image pair, read once per box
-                    key = id(x), id(y)
-                    if key not in scored:
-                        scored[key] = score(x, y)
-                    return scored[key]
+                def d_target(x, y):  # the score behind a plain function, read once per pair
+                    if (x, y) not in scored:
+                        scored[x, y] = score(x, y)
+                    return scored[x, y]
 
                 for mode, s in _probe_cases(k, size):
                     pairs = concentration_probe(
-                        lambda t: table[t], d_target, universe, k, 1.0, mode=mode, subset_size=s
+                        d_target, universe, k, 1.0, mode=mode, subset_size=s
                     )
                     for c in (0.0, 0.5, 1.0, 2.0):
-                        got = concentration_probe(
-                            lambda t: t, score, universe, k, c, mode=mode, subset_size=s
-                        )
+                        got = concentration_probe(score, universe, k, c, mode=mode, subset_size=s)
                         # c enters the pair-table probe only through this flag
                         flag = pairs.diameter <= c * pairs.omega_1 + 1e-12
                         want = (*_probe_bits(pairs)[:2], flag, pairs.omega_1.hex())
@@ -803,8 +755,7 @@ class TestPatternProbe:
     ):
         calls = _count_metric_calls(monkeypatch)
         res = concentration_probe(
-            lambda t: t, g_map_sample(1, 2).d_target, range(1, 11), 3, 1.0,
-            mode=mode, subset_size=size,
+            g_map_sample(1, 2).d_target, range(1, 11), 3, 1.0, mode=mode, subset_size=size
         )
         assert calls.heights == []
         # the alternating pattern of 6 steps, and one peak: no search here removes
@@ -812,24 +763,56 @@ class TestPatternProbe:
         assert len(calls.norms) == 2
         assert res.omega_1 == 1.0
 
+    def test_a_canonical_probe_builds_no_tuple(self, monkeypatch):
+        # the pair path over the same universe is the oracle, read before the patch
+        cases = [("greedy", None), ("exhaustive", None), ("exhaustive", 4)]
+        scores = [make(1, 2).d_target for make in FAMILIES]
+        want = [
+            _probe_bits(
+                concentration_probe(
+                    _wrapped_score(score), range(1, 10), 3, 1.0, mode=m, subset_size=s
+                )
+            )
+            for score in scores
+            for m, s in cases
+        ]
+
+        def no_tuples(self):
+            raise AssertionError("the probe built a tuple")
+
+        monkeypatch.setattr(TupleBox, "__iter__", no_tuples)
+        monkeypatch.setattr(TupleBox, "__len__", no_tuples)
+        got = [
+            _probe_bits(concentration_probe(score, range(1, 10), 3, 1.0, mode=m, subset_size=s))
+            for score in scores
+            for m, s in cases
+        ]
+        assert got == want
+        # C(1000, 3) ~ 1.7e8 tuples: past 2k elements no removal lowers the diameter
+        for score in scores:
+            of = score.of_heights
+            res = concentration_probe(score, range(1, 1001), 3, 1.0)
+            assert res.subset == tuple(range(1, 1001))
+            assert (res.diameter, res.omega_1) == (of(3, _peaks(3, 3)), of(3, _peaks(3, 1)))
+
     def test_omega_1_reads_every_alternating_pattern(self):
         # an adjacent pair can take 2k steps, (0, 1, 0, 1, ..., 0): the branch map
         # scores (0, 1, 0) at (2k)^(-1/2) but the alternating 2k steps at 1
-        res = concentration_probe(lambda t: t, g_map_sample(1, 2).d_target, range(1, 9), 4, 0.5)
+        res = concentration_probe(g_map_sample(1, 2).d_target, range(1, 9), 4, 0.5)
         assert res.omega_1 == 1.0
         assert g_map_sample(1, 2).d_target.of_heights(4, (0, 1, 0)) == 0.5
 
     def test_greedy_keeps_the_largest_elements(self):
         # below 2k every removal lowers D(s); the strict < drops the smallest each round
         score = summing_map_sample(1, 2).d_target
-        res = concentration_probe(lambda t: t, score, range(10, 15), 3, 1.0)
+        res = concentration_probe(score, range(10, 15), 3, 1.0)
         assert (res.subset, res.diameter, res.concentrated) == ((11, 12, 13, 14), 1.0, True)
 
 
 def _box_row(k, size, score):
     """The equicoarse row of the arity-k box over `size` elements, as the library makes it."""
     box = TupleBox(range(1, size + 1), k)
-    (row,) = equicoarse_report([(k, MapSample(box, dist, box, score))])
+    (row,) = equicoarse_report([(k, MapSample(box, dist, score))])
     return row
 
 
@@ -920,7 +903,7 @@ class TestBoxRow:
     def test_an_arity_beyond_the_float_range_is_invalid_input(self):
         # a threshold of the compute_moduli path: float(k) was a bare OverflowError
         box = summing_map_sample(2, 6)
-        for sample in (box, MapSample(list(box.points), dist, list(box.points), box.d_target)):
+        for sample in (box, MapSample(list(box.points), dist, box.d_target)):
             with pytest.raises(InvalidInput, match="^thresholds must be non-negative numbers"):
                 equicoarse_report([(10**400, sample)])
 
@@ -929,11 +912,8 @@ class TestBoxRow:
         cases = [(k, make(k, size)) for k in (1, 2, 3, 4) for size in range(k + 1, 2 * k + 2)]
         cases += [(3, make(2, 6)), (1, make(2, 5))]  # k is not the box arity
         rows = equicoarse_report(cases)
-        copies = [
-            (k, MapSample(s.points, dist, [itup(*t.entries) for t in s.points], s.d_target))
-            for k, s in cases
-        ]
-        assert [_row_bits(r) for r in rows] == [_row_bits(r) for r in equicoarse_report(copies)]
+        wrapped = [(k, _wrapped(s)) for k, s in cases]
+        assert [_row_bits(r) for r in rows] == [_row_bits(r) for r in equicoarse_report(wrapped)]
 
 
 def _steps_of_a_box_pattern(h):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -21,8 +22,17 @@ from interlace import (
     validate_modulus,
     validate_orlicz,
 )
-from interlace.errors import ResourceLimit
+from interlace.errors import ResourceLimit, _short_repr
 from interlace.orlicz import GRID, MAX_BRACKET_STEPS
+
+# each is read by float() as a number, or is an int past the float range
+NOT_NUMBERS = ["1", True, False, b"1", None, 10**400]
+
+
+def _not_a_number(rule, value):
+    """The InvalidInput that names a scalar parameter which is not an int or a float."""
+    return pytest.raises(InvalidInput, match=f"^{rule}, got {re.escape(_short_repr(value))}$")
+
 
 FIXTURE_KEYS = (
     "identity", "square", "sqrt", "log1p", "huber", "t_minus_log1p", "pow:1.5", "pow:3",
@@ -201,6 +211,14 @@ class TestOrliczNorm:
         # a NaN tol used to skip the bisection and return the bracket's upper end
         with pytest.raises(InvalidInput, match="tol must be positive"):
             orlicz_norm([3.0, 4.0], orlicz_fixture("pow:2"), tol=tol)
+
+    @pytest.mark.parametrize("tol", NOT_NUMBERS, ids=lambda v: _short_repr(v)[:12])
+    def test_tol_is_an_int_or_a_float(self, tol):
+        # a string was a TypeError, and True a tolerance of 1.0
+        with _not_a_number("tol must be positive and finite", tol):
+            orlicz_norm([3.0, 4.0], orlicz_fixture("pow:2"), tol=tol)
+        spec = orlicz_fixture("huber")
+        assert orlicz_norm([3.0, 4.0], spec, tol=1) == orlicz_norm([3.0, 4.0], spec, tol=1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entries(self, bad):
@@ -576,6 +594,14 @@ class TestDeltaTransform:
     def test_zero(self):
         assert delta_transform(modulus_fixture("rational"), 0.0) == 0.0
 
+    @pytest.mark.parametrize("t", NOT_NUMBERS, ids=lambda v: _short_repr(v)[:12])
+    def test_t_is_an_int_or_a_float(self, t):
+        # float() read "1" and True, and raised OverflowError on 10**400
+        mod = modulus_fixture("rational")
+        with _not_a_number("t must be finite and non-negative", t):
+            delta_transform(mod, t)
+        assert delta_transform(mod, 2) == delta_transform(mod, 2.0)
+
     def test_rational_modulus_closed_form(self):
         # integral of s/(1+s) is t - log(1+t)
         mod = modulus_fixture("rational")
@@ -642,6 +668,14 @@ class TestDeltaTransform:
 
 
 class TestCompareLp:
+    @pytest.mark.parametrize("p", NOT_NUMBERS, ids=lambda v: _short_repr(v)[:12])
+    def test_p_is_an_int_or_a_float(self, p):
+        # a string was a TypeError, and 10**400 an OverflowError
+        spec = orlicz_fixture("huber")
+        with _not_a_number("p must be finite and >= 1", p):
+            compare_lp(spec, p, "upper", [[0.5, 0.25]])
+        assert compare_lp(spec, 2, "upper", [[0.5]]) == compare_lp(spec, 2.0, "upper", [[0.5]])
+
     def test_power_matches_exactly(self):
         rng = random.Random(5)
         samples = [[rng.uniform(-2, 2) for _ in range(5)] for _ in range(20)]

@@ -56,10 +56,9 @@ CASES = [
     ),
     (Branch, ("bits",), ("0110",), ("0110",), None, "Branch(bits='0110')"),
     (
-        MapSample, ("points", "d_source", "images", "d_target"),
-        (POINTS, dist, POINTS, dist), (POINTS, dist, POINTS, dist), None,
-        f"MapSample(points=[(1,2), (1,3)], d_source={dist!r}, images=[(1,2), (1,3)],"
-        f" d_target={dist!r})",
+        MapSample, ("points", "d_source", "d_target"),
+        (POINTS, dist, dist), (POINTS, dist, dist), None,
+        f"MapSample(points=[(1,2), (1,3)], d_source={dist!r}, d_target={dist!r})",
     ),
     (
         ModuliReport, ("thresholds", "rho_hat", "omega_hat"),

@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import time
 import tracemalloc
 
@@ -25,7 +26,7 @@ from interlace import (
     sup_norm,
 )
 from interlace import acceptance, sequences
-from interlace.errors import ResourceLimit
+from interlace.errors import ResourceLimit, _short_repr
 
 finseqs = st.builds(
     FinSeq,
@@ -551,6 +552,20 @@ class TestJamesNorm:
             james_norm(FinSeq((1.0,)), 1.0)
         with pytest.raises(InvalidInput):
             james_norm_bruteforce(FinSeq((1.0,)), 0.5)
+
+    @pytest.mark.parametrize(
+        "p", ["2", True, b"2", None, 10**400, 1, math.inf], ids=lambda p: _short_repr(p)[:12]
+    )
+    def test_the_exponent_is_an_int_or_a_float_in_its_domain(self, p):
+        # float() read "2" and True, and raised OverflowError on 10**400
+        x = FinSeq((0.0, 1.0, -1.0))
+        for norm in (james_norm, james_norm_bruteforce):
+            with pytest.raises(
+                InvalidInput,
+                match=f"^the variation exponent must satisfy 1 < p < inf, got {re.escape(_short_repr(p))}$",
+            ):
+                norm(x, p)
+        assert james_norm(x, 2) == james_norm(x, 2.0)
 
     def test_bruteforce_cap(self):
         with pytest.raises(ResourceLimit, match="BRUTE_FORCE_CAP"):
