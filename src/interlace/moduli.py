@@ -323,7 +323,8 @@ def concentration_probe(
         )
     box = TupleBox(uni, k)
     sample = MapSample(box, dist, d_target)
-    if sample._scored_by_heights():
+    heights = sample._scored_by_heights()
+    if heights:
         omega_1 = _box_scores(k, size_u, d_target)[2](1)
         # past 2k elements J stays k, so one score per J
         peak = functools.cache(lambda s: _box_scores(k, s, d_target)[2](math.inf))
@@ -338,7 +339,9 @@ def concentration_probe(
         diam = diameter(current)
         while len(current) > k + 1:
             best_u, best_diam = None, diam
-            for u in current:
+            # a height score reads a candidate's size alone, so every candidate of
+            # a round scores alike and the scan keeps the first: score that one
+            for u in current[:1] if heights else current:
                 d = diameter([v for v in current if v != u])
                 if d < best_diam:
                     best_u, best_diam = u, d

@@ -14,10 +14,13 @@ sum of nonnegative terms keeps it again.  So two points a < b with total(a) > 1
 (a, b).  The search runs the plain bisection's own loops and answers a query
 inside (a, b) by summing at secant points of log total against log r, where
 total is close to a line for power-like phi, until (a, b) no longer holds it.
-It takes 4 to 9 sums per call on 30,000 entries, where the plain bisection
-takes 45 to 47.  For a phi non-decreasing only up to rounding, the two
-searches can end at different points of the region where the sum is 1 up to
-rounding.
+A vector of LONG or more entries first finds the root of a strided
+subsample's total, which places its first two sums, and once the secant
+estimate is settled it sums only at the two bisection midpoints that
+estimate says decide the rest.  On 30,000 entries that is 3.2 to 6.3 sums
+per call, subsample included, where the plain bisection takes 45 to 47.  For
+a phi non-decreasing only up to rounding, the two searches can end at
+different points of the region where the sum is 1 up to rounding.
 
 For a phi that is 1-Lipschitz with slope limit 1 at infinity, the two-variable
 rule
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+import sys
 from typing import Callable, Sequence
 
 from ._record import Record
@@ -62,6 +66,9 @@ __all__ = [
 ]
 
 MAX_BRACKET_STEPS = 64
+STRIDE = 16  # a long vector's subsample is every STRIDE-th scaled |x_n|
+SUBSAMPLE_STEPS, SUBSAMPLE_STEP = 8, 1e-3  # secant steps on the subsample: cap, relative stop
+LONG = 256 * STRIDE  # the length from which orlicz_norm localises on the subsample
 GRID_LO, GRID_HI, GRID_POINTS = 1e-6, 1e3, 512  # the geometric validation grid
 REL_TOL = 1e-9  # relative slack of every grid check
 SLOPE_TOL = 0.1  # allowed distance of phi(t)/t from 1 at the right end of the grid
@@ -226,6 +233,45 @@ def _loglog_root(
     return r2 * math.exp(min(max(step, -90.0), 90.0))
 
 
+def _subsample_root(
+    xs: list[float], fn: Callable[[float], float], m: float, r_min: float, r_max: float
+) -> tuple[float, float]:
+    """Where a long vector's first full sum goes, and the power 1/k its second takes.
+
+    STRIDE sum phi(v / r) over every STRIDE-th v of xs, plus phi(m / r),
+    estimates total(r) for about 1/STRIDE of a sum.  Secant steps of log
+    estimate against log r, from m and m T(m) as in the full search, find the
+    estimate's root to a relative step of SUBSAMPLE_STEP; k is minus the slope
+    of the last line.  A total of 0, infinity or NaN, or a flat line, ends the
+    steps at the last point; without a slope, the power is 1.
+    """
+    sub = xs[::STRIDE]
+
+    def estimate(r: float) -> float:
+        try:
+            return STRIDE * sum(fn(v / r) for v in sub) + fn(m / r)
+        except OverflowError:
+            return math.inf
+
+    r1, t1 = m, estimate(m)
+    if not 0.0 < t1 < math.inf:
+        return m, 1.0
+    r2, power = min(max(m * t1, r_min), r_max), 1.0
+    for _ in range(SUBSAMPLE_STEPS):
+        if r2 == r1:
+            break
+        t2 = estimate(r2)
+        c = _loglog_root(r1, t1, r2, t2)
+        if c is None:
+            return (r2 if 0.0 < t2 < math.inf else r1), power
+        k = (math.log(t1) - math.log(t2)) / math.log(r2 / r1)
+        power = 1.0 / k if k > 0.0 else 1.0
+        r1, t1, r2 = r2, t2, min(max(c, r_min), r_max)
+        if abs(r2 - r1) <= SUBSAMPLE_STEP * r1:
+            break
+    return r2, power
+
+
 def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> float:
     """Luxemburg value inf { r : sum phi(|x_n|/r) <= 1 }, within `tol` of the infimum.
 
@@ -245,17 +291,33 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
     max|x_n|; after it, c is where a line in (log r, log total) meets total = 1:
     - with one end unknown, the line through the last two sums (after the
       first sum, the line of slope -1), or else the known end's ratio to m
-      squared;
+      squared; but where the known end's total is 1 up to the sum's rounding,
+      a step from that end of max(tol/2, ulp), doubled for each further sum
+      with the same total, if that is shorter;
     - with b > 2a, which leaves room only for a bracket end m 2^k as the
       query, the Illinois secant through a and b, or else the median power
       m 2^k inside (a, b);
     - with b <= 2a, that secant (the linear one when total(b) = 0), kept
       max(tol/2, ulp(b)) inside (a, b), or else r itself.
     After MAX_BRACKET_STEPS sums, or with total(a) infinite and b <= 2a, c is
-    r itself.  For phi non-decreasing at the float level, each query gets the
-    answer its own sum would give, so the result is the plain bisection's
-    float, for 4 to 9 sums on 30,000 entries where the plain bisection takes
-    45 to 47.
+    r itself.
+
+    A vector of LONG or more nonzero entries changes only the points.  Its
+    first sum is at the root of _subsample_root's estimate, and its second
+    steps from there along the estimate's slope.  After that, c is the secant
+    estimate through the last two sums when it lies in (a, b) and the last
+    total is not 1 up to rounding (n times the float epsilon).  Once that
+    estimate is within max(tol, ulp) of the last sum, or both totals are 1
+    up to rounding, the plain bisection is run on with the estimate as the
+    root, and c is the last query it calls infeasible or the first it calls
+    feasible that lies in (a, b): if the estimate holds, these two sums
+    answer every later query.  When both totals are 1 up to rounding and no
+    estimate lies in (a, b), c is r itself.
+
+    For phi non-decreasing at the float level, each query gets the answer its
+    own sum would give, so the result is the plain bisection's float.  On
+    30,000 entries that takes 3.2 to 6.3 sums, subsample included, where the
+    plain bisection takes 45 to 47.
     """
     tol = _number(tol, "tol must be positive and finite", lambda v: v > 0 and math.isfinite(v))
     vals = _finite(x)
@@ -287,17 +349,57 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
     wa = wb = 1.0  # Illinois weights of the ends' log totals (linear: totals - 1)
     side = 0  # +1 after a sum that moved a, -1 after one that moved b
     sums: list[tuple[float, float]] = []  # (c, total(c)) of each sum, in order
+    # the first sum's point and the power 1/k of the second's step from it
+    long = len(xs) >= LONG
+    first, power = _subsample_root(xs, fn, m, r_min, r_max) if long else (m, 1.0)
+    rounding = len(xs) * sys.float_info.epsilon  # a bound on a sum's relative rounding
 
     def point(r: float) -> float:
         """The point in (a, b) to sum at next, for a query r in (a, b)."""
         if not 0 < len(sums) < MAX_BRACKET_STEPS:
-            return r
+            return r if sums else first
+        if long and len(sums) > 1:
+            # the secant estimate picks the last sums once it is settled, or once
+            # both totals are 1 up to rounding and no slope can be read
+            noise = ta - 1.0 <= rounding and 1.0 - tb <= rounding
+            est = _loglog_root(*sums[-2], *sums[-1])
+            c = sums[-1][0]
+            if est is not None and a < est < b:
+                if (noise or abs(est - c) <= max(tol, math.ulp(c))) and r_min < est < r_max:
+                    # bisect on as if est were the root: the queries asked so far lie
+                    # outside (a, b), so this follows the search to its query r, and
+                    # the last query it calls infeasible, or else the first it calls
+                    # feasible, lies in (a, b); if est holds, a sum at each answers
+                    # every later query
+                    lo, hi = bisect(lambda q: q >= est)
+                    return lo if lo > a else hi
+                if abs(sums[-1][1] - 1.0) > rounding:
+                    return est
+            elif noise:
+                return r
         if not a or b == math.inf:
-            # for convex phi with phi(0) = 0, total(m T) is <= 1 if T = total(m) >= 1,
-            # and >= 1 if T <= 1
-            c = m * sums[0][1] if len(sums) == 1 else _loglog_root(*sums[-2], *sums[-1])
+            if len(sums) == 1:
+                # for convex phi with phi(0) = 0, total(m T) is <= 1 if T = total(m) >= 1,
+                # and >= 1 if T <= 1: the line of slope -1, or -k on a long vector
+                c0, t0 = sums[0]
+                try:
+                    c = c0 * t0**power
+                except OverflowError:
+                    c = r_max
+            else:
+                c = _loglog_root(*sums[-2], *sums[-1])
             if c is None or not a < min(max(c, r_min), r_max) < b:
                 c = max(a * a / m, 2.0 * a) if a else min(b * b / m, 0.5 * b)
+                t = sums[-1][1]  # the known end's total
+                if len(sums) > 1 and abs(t - 1.0) <= rounding:
+                    # the root is next to the known end: step from it, first by the
+                    # least step the bisection tells from none, doubled for each
+                    # further sum with the same total
+                    run = 1
+                    while run < len(sums) and sums[-run - 1][1] == t:
+                        run += 1
+                    step = math.ldexp(max(0.5 * tol, math.ulp(a or b)), max(run - 2, 0))
+                    c = min(c, a + step) if a else max(c, b - step)
             return min(max(c, r_min), r_max)
         c = _loglog_root(a, ta, b, tb, wa, wb)
         if b > 2.0 * a:  # only a bracket end m 2^k lies this far inside
@@ -336,33 +438,44 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
                 side = -1
         return r >= b
 
-    # the plain bisection, with each total(r) <= 1 answered by feasible(r)
-    lo = hi = m
-    if not feasible(m):
-        for _ in range(MAX_BRACKET_STEPS):
-            lo, hi = hi, 2.0 * hi
-            if feasible(hi):
+    def bisect(inside: Callable[[float], bool]) -> tuple[float, float] | None:
+        """The plain bisection's last bracket (lo, hi), or None past the halving cap.
+
+        Each query total(r) <= 1 is answered from (a, b), or by inside(r) for
+        r in (a, b); most queries lie outside, and cost no call.
+        """
+        lo = hi = m
+        if not (m >= b or (m > a and inside(m))):
+            for _ in range(MAX_BRACKET_STEPS):
+                lo, hi = hi, 2.0 * hi
+                if hi >= b or (hi > a and inside(hi)):
+                    break
+            else:
+                raise ResourceLimit(
+                    "bracket search exceeded the doubling cap "
+                    f"MAX_BRACKET_STEPS = {MAX_BRACKET_STEPS}"
+                )
+        else:
+            for _ in range(MAX_BRACKET_STEPS):
+                hi, lo = lo, 0.5 * lo
+                if not (lo >= b or (lo > a and inside(lo))):
+                    break
+            else:
+                return None
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
                 break
-        else:
-            raise ResourceLimit(
-                f"bracket search exceeded the doubling cap MAX_BRACKET_STEPS = {MAX_BRACKET_STEPS}"
-            )
-    else:
-        for _ in range(MAX_BRACKET_STEPS):
-            hi, lo = lo, 0.5 * lo
-            if not feasible(lo):
-                break
-        else:
-            return 0.0  # the constraint holds for every r > 0: the infimum is 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        # most midpoints lie outside (a, b): read those off without a call
-        if mid >= b or (mid > a and feasible(mid)):
-            hi = mid
-        else:
-            lo = mid
+            if mid >= b or (mid > a and inside(mid)):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    bracket = bisect(feasible)
+    if bracket is None:
+        return 0.0  # the constraint holds for every r > 0: the infimum is 0
+    hi = bracket[1]
     try:
         return math.ldexp(hi, exp)
     except OverflowError:

@@ -74,11 +74,24 @@ class FinSeq(Record):
         return tuple(i + 1 for i, v in enumerate(self.coeffs) if v != 0.0)
 
     def _combine(self, other: "FinSeq", op: Callable[[float, float], float]) -> "FinSeq":
-        # pad both coefficient tuples with their tails, then combine in one pass
-        L = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (self.tail,) * (L - len(self.coeffs))
-        b = other.coeffs + (other.tail,) * (L - len(other.coeffs))
-        return FinSeq(tuple(map(op, a, b)), op(self.tail, other.tail))
+        # the common prefix, then the longer tuple's rest against the other's tail,
+        # into one tuple; op of two floats is a float, so only an overflow is checked
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        if len(a) > n:
+            rest = map(op, itertools.islice(a, n, None), itertools.repeat(other.tail))
+        else:
+            rest = map(op, itertools.repeat(self.tail), itertools.islice(b, n, None))
+        vals = tuple(itertools.chain(map(op, a, b), rest))
+        t = op(self.tail, other.tail)
+        if not (math.isfinite(t) and all(map(math.isfinite, vals))):
+            raise InvalidInput(_first_bad_value(vals, t))
+        if vals and vals[-1] == t:  # canonical form: no stored trailing tail values
+            k = len(vals)
+            while k and vals[k - 1] == t:
+                k -= 1
+            vals = vals[:k]
+        return _canonical(vals, t)
 
     def __add__(self, other: "FinSeq") -> "FinSeq":
         return self._combine(other, operator.add)
@@ -144,18 +157,20 @@ def summing_image(n: InterlacedTuple) -> FinSeq:
     return _canonical(tuple(coeffs))
 
 
-def _canonical(coeffs: tuple[float, ...]) -> FinSeq:
-    """The tail-0 sequence of a canonical coefficient tuple, built without the checks.
+def _canonical(coeffs: tuple[float, ...], tail: float = 0.0) -> FinSeq:
+    """The sequence of a canonical coefficient tuple and tail, built without the checks.
 
-    For summing images: every coefficient is a float holding a small positive
-    integer, so it is finite and `float` would return it unchanged, and the
-    last one is 1.0, not the tail 0.0, so `__init__` would strip nothing.  The
-    result equals `FinSeq(coeffs)`, hash included, without the list and the
-    second tuple that `__init__` would copy the coefficients into.
+    The caller vouches that every value is a finite float, which `float`
+    would return unchanged, and that the last coefficient is not the tail, so
+    `__init__` would strip nothing: summing images (small positive integers
+    ending in 1.0, tail 0.0) and `FinSeq` sums and differences (checked in
+    `_combine`).  The result equals `FinSeq(coeffs, tail)`, hash included,
+    without the list and the second tuple that `__init__` would copy the
+    coefficients into.
     """
     x = object.__new__(FinSeq)
     setfield(x, "coeffs", coeffs)
-    setfield(x, "tail", 0.0)
+    setfield(x, "tail", tail)
     return x
 
 

@@ -23,7 +23,7 @@ from interlace import (
     validate_orlicz,
 )
 from interlace.errors import ResourceLimit, _short_repr
-from interlace.orlicz import GRID, MAX_BRACKET_STEPS
+from interlace.orlicz import GRID, LONG, MAX_BRACKET_STEPS, STRIDE
 
 # each is read by float() as a number, or is an int past the float range
 NOT_NUMBERS = ["1", True, False, b"1", None, 10**400]
@@ -452,6 +452,23 @@ class TestBracketSearch:
             assert got == plain_bisection(vec, spec, 1e-6)
             assert sums <= 7
 
+    def test_a_flat_line_next_to_the_root_steps_from_the_known_end(self):
+        # the third 3,000-entry vector of the seeded identity/1e-10 cases: the sums at
+        # m T and at three secant points all total 1 + a few ulps, the line through
+        # the last two is flat, and squaring the end's ratio to m jumped to 8,332 m
+        # and came back by median powers: 11 sums, where a power gallop took 7
+        rng = random.Random("identity/1e-10")
+        vecs = [
+            [rng.uniform(-1, 1) * 10 ** rng.uniform(-4, 4) for _ in range(n)]
+            for n in (1, 2, 5, 30, 300, 3000)
+            for _ in range(7)
+        ]
+        vec = vecs[-5]
+        identity = orlicz_fixture("identity")
+        got, sums = self.counted(vec, identity)
+        assert got == plain_bisection(vec, identity)
+        assert sums <= 7  # 6 here
+
     @pytest.mark.parametrize("seed", range(5))
     def test_sums_per_call_where_the_total_is_1_over_several_ulps(self, seed):
         # sqrt over 10^(+-4) at tol 1e-10: total(r) is exactly 1 over several ulps,
@@ -463,6 +480,74 @@ class TestBracketSearch:
         got, sums = self.counted(vec, root)
         assert sums <= 8
         assert got == plain_bisection(vec, root)
+
+
+class TestLongVectors:
+    """From LONG nonzero entries on, a strided subsample places the first two sums,
+    and a settled secant estimate the last two; the float stays the plain bisection's."""
+
+    counted = staticmethod(TestBracketSearch.counted)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 1e-3])
+    @pytest.mark.parametrize("key", FIXTURE_KEYS)
+    def test_equals_the_plain_bisection(self, key, tol):
+        spec = orlicz_fixture(key)
+        rng = random.Random(f"long/{key}/{tol}")
+        for decades in (1.0, 4.0):
+            vec = [rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-decades, decades)
+                   for _ in range(5000)]
+            assert orlicz_norm(vec, spec, tol) == plain_bisection(vec, spec, tol)
+
+    @pytest.mark.parametrize(
+        "key", ["identity", "square", "sqrt", "log1p", "huber", "t_minus_log1p", "pow:3"]
+    )
+    def test_dominant_entries_off_the_stride(self, key):
+        # the subsample reads every STRIDE-th entry and max|x_n|: it sees one of the
+        # ten large entries and the noise, so its root is far off, and the full sums
+        # find the root from there (3 to 9 sums here, where the search of shorter
+        # vectors takes 3 to 8)
+        rng = random.Random(key)
+        vec = [rng.uniform(-1e-6, 1e-6) for _ in range(5000)]
+        large = range(7, 5000, 500)
+        assert not any(i % STRIDE == 0 for i in large)
+        for i in large:
+            vec[i] = rng.uniform(1.0, 3.0)
+        spec = orlicz_fixture(key)
+        got, sums = self.counted(vec, spec)
+        assert got == plain_bisection(vec, spec)
+        assert sums <= 9
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("key, bound", [("huber", 3.5), ("t_minus_log1p", 5.5), ("pow:3", 3.5)])
+    def test_sums_per_call_on_30000_entries(self, key, bound, seed):
+        # the benchmark's wide vectors: the subsample's phi calls count too, at
+        # 1/STRIDE of a sum each; the search of shorter vectors took 4 to 9 sums here
+        rng = random.Random(seed)
+        vec = [rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-1.0, 1.0) for _ in range(30_000)]
+        spec = orlicz_fixture(key)
+        got, sums = self.counted(vec, spec)
+        assert got == plain_bisection(vec, spec)
+        assert sums <= bound
+
+    def test_shorter_vectors_make_only_full_sums(self):
+        # below LONG nonzero entries every phi call belongs to a full sum, whose
+        # first point is max|x_n|; zeros do not count towards LONG
+        huber = orlicz_fixture("huber")
+        rng = random.Random(7)
+        vec = [rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-1.0, 1.0) for _ in range(LONG)]
+        short = [0.0, *vec[1:]]
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return huber.fn(t)
+
+        assert orlicz_norm(short, OrliczSpec(fn)) == plain_bisection(short, huber)
+        assert len(calls) % (LONG - 1) == 0
+        assert calls[0] == abs(short[1]) / max(map(abs, short))
+        got, sums = self.counted(vec, huber)
+        assert got == plain_bisection(vec, huber)
+        assert sums % 1.0 != 0.0  # the subsample's calls
 
 
 class TestNNorm:

@@ -133,6 +133,33 @@ class TestFinSeq:
         with pytest.raises(InvalidInput):
             FinSeq((1e308,)) + FinSeq((1e308,))
 
+    @pytest.mark.parametrize(
+        "x, y, where",
+        [
+            (FinSeq((1.0, 1e308)), FinSeq((0.0, -1e308)), "inf at index 2"),
+            (FinSeq((1.0,), 1e308), FinSeq((2.0, 3.0), -1e308), "inf at the tail"),
+            (FinSeq((1e308, 1.0, 5.0)), FinSeq((-1e308,)), "inf at index 1"),
+            (FinSeq((1.0,), 1e308), FinSeq((0.0, 2.0, -1e308)), "inf at index 3"),
+        ],
+    )
+    def test_an_overflowing_difference_names_its_first_infinite_value(self, x, y, where):
+        with pytest.raises(InvalidInput, match=f"^sequence values must be finite: {where}$"):
+            x - y
+
+    def test_a_difference_is_one_tuple_in_working_memory(self):
+        # the result holds 0.8 MB of tuple and 2.4 MB of floats; padding both
+        # tuples and copying the result through __init__ peaked at 5.60 MB
+        x, y = summing_image(itup(1, 10**5)), summing_image(itup(2, 10**5 + 1))
+        tracemalloc.start()
+        try:
+            d = x - y
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d.coeffs) == 10**5 + 1 and d.tail == 0.0
+        assert d == FinSeq(tuple(x.value_at(i) - y.value_at(i) for i in range(1, 10**5 + 2)))
+        assert peak <= 3.6e6
+
     @settings(max_examples=200, deadline=None)
     @given(SIGNED_ZEROS_AND_FLOATS, SIGNED_ZEROS_AND_FLOATS)
     def test_sum_and_difference_are_the_per_index_values(self, x, y):
