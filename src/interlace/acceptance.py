@@ -384,6 +384,34 @@ def criterion_12(seed: int) -> str:
     return f"{lips} adjacent pairs are 1-Lipschitz; separations equal sqrt(k/2)"
 
 
+def _sample_adjacent(
+    rng: random.Random, verts: list[InterlacedTuple], count: int
+) -> list[tuple[InterlacedTuple, InterlacedTuple]]:
+    """A uniform sample of min(count, #adjacent) adjacent pairs (n, m), n before m.
+
+    A lazy Fisher-Yates shuffle of the V*V index pairs, its swaps kept in a
+    dict: each draw r is unranked as divmod(r, V), and a pair with a < b is
+    kept when `is_adjacent` accepts it.  The kept pairs come in the order of
+    a uniform shuffle of the adjacent pairs, so the first `count` of them are
+    as uniform a sample as the head of the shuffled filtered list, after about
+    count * C(V, 2) / #adjacent adjacency calls instead of C(V, 2).
+    """
+    size = len(verts)
+    total = size * size
+    swaps: dict[int, int] = {}
+    out: list[tuple[InterlacedTuple, InterlacedTuple]] = []
+    for i in range(total):
+        if len(out) == count:
+            break
+        j = rng.randrange(i, total)
+        r = swaps.get(j, j)
+        swaps[j] = swaps.get(i, i)
+        a, b = divmod(r, size)
+        if a < b and is_adjacent(verts[a], verts[b]):
+            out.append((verts[a], verts[b]))
+    return out
+
+
 @_criterion("13", "dual-side embedding certificates (decomposition, sqrt(k))")
 def criterion_13(seed: int) -> str:
     rng = random.Random(seed + 13)
@@ -392,13 +420,7 @@ def criterion_13(seed: int) -> str:
         top = k + 3
         sigma, tau = Branch("0" * top), Branch("1" * top)
         verts = enumerate_tuples(range(1, top + 1), k)
-        adj = [
-            (n, m)
-            for n, m in itertools.combinations(verts, 2)
-            if is_adjacent(n, m)
-        ]
-        rng.shuffle(adj)
-        for n, m in adj[:20]:
+        for n, m in _sample_adjacent(rng, verts, 20):
             segs = f_difference_segments(sigma, n, m)  # verifies the identity
             coeff = 1.0 / math.sqrt(k)
             _check(len(segs) <= k, "%s segments for k=%s at %s, %s", len(segs), k, n, m)

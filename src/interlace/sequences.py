@@ -104,7 +104,7 @@ class FinSeq(Record):
         return self._combine(other, operator.sub)
 
     def __mul__(self, scalar: float) -> "FinSeq":
-        s = float(scalar)
+        s = _number(scalar, "the scalar must be a finite number", math.isfinite)
         return FinSeq(tuple(s * v for v in self.coeffs), s * self.tail)
 
     __rmul__ = __mul__

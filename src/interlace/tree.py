@@ -30,11 +30,12 @@ solver handles every finite support, and one independent oracle certifies it:
 from __future__ import annotations
 
 import math
+import operator
 import reprlib
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ._record import Record, setfield
-from .errors import InvalidInput, ResourceLimit
+from .errors import InvalidInput, ResourceLimit, _number
 from .graphs import InterlacedTuple, is_adjacent
 from .sequences import summing_image
 
@@ -115,20 +116,32 @@ class TreeVec(Record):
     def support(self) -> tuple[str, ...]:
         return tuple(sorted(self.entries, key=lambda s: (len(s), s)))
 
-    def __add__(self, other: "TreeVec") -> "TreeVec":
+    def _combine(self, other: "TreeVec", op: Callable[[float, float], float]) -> "TreeVec":
+        # both operands hold checked keys and finite nonzero floats, so only a
+        # shared or new key is read: a zero result is dropped, an overflow named
         out = dict(self.entries)
         for k, v in other.entries.items():
-            out[k] = out.get(k, 0.0) + v
-        return TreeVec(out)
+            s = op(out.get(k, 0.0), v)
+            if s == 0.0:
+                del out[k]  # 0.0 op v is nonzero, so k was in self
+            elif math.isinf(s):
+                raise InvalidInput(f"entry at {k!r} is not finite: {s!r}")
+            else:
+                out[k] = s
+        return _checked(out)
+
+    def __add__(self, other: "TreeVec") -> "TreeVec":
+        return self._combine(other, operator.add)
 
     def __neg__(self) -> "TreeVec":
-        return TreeVec({k: -v for k, v in self.entries.items()})
+        return _checked({k: -v for k, v in self.entries.items()})
 
     def __sub__(self, other: "TreeVec") -> "TreeVec":
-        return self + (-other)
+        # a - b is a + (-b) in IEEE arithmetic
+        return self._combine(other, operator.sub)
 
     def __mul__(self, scalar: float) -> "TreeVec":
-        s = float(scalar)
+        s = _number(scalar, "the scalar must be a finite number", math.isfinite)
         return TreeVec({k: s * v for k, v in self.entries.items()})
 
     __rmul__ = __mul__
@@ -145,6 +158,17 @@ class TreeVec(Record):
             if type(val) not in (int, float):
                 raise InvalidInput(f"entry at {key!r} is not a number: {reprlib.repr(val)}")
         return TreeVec(dict(obj))
+
+
+def _checked(entries: dict[str, float]) -> TreeVec:
+    """The vector of entries the caller vouches for, built without `__init__`'s checks.
+
+    Every key must be a 0/1 string and every value a finite nonzero float, as
+    in the result of arithmetic on TreeVecs; the dict is kept, not copied.
+    """
+    x = object.__new__(TreeVec)
+    setfield(x, "entries", entries)
+    return x
 
 
 class Branch(Record):
@@ -505,13 +529,15 @@ def f_difference_segments(
         for a, b in zip(lo, hi)
         if b > a
     ]
-    expect = TreeVec({})
+    # summed, not set, so a node two segments share would expect 2c
+    expect: dict[str, float] = {}
     c = 1.0 / math.sqrt(n.arity)
     for seg in segs:
-        expect = expect + c * segment_functional(seg)
+        for node in seg.nodes():
+            expect[node] = expect.get(node, 0.0) + c
     actual = f_embed(sigma, hi) - f_embed(sigma, lo)
-    keys = set(expect.entries) | set(actual.entries)
+    keys = set(expect) | set(actual.entries)
     for key in keys:
-        if abs(expect.value(key) - actual.value(key)) > 1e-12:
+        if abs(expect.get(key, 0.0) - actual.value(key)) > 1e-12:
             raise AssertionError(f"decomposition mismatch at node {key!r}")
     return _witness_sorted(segs)

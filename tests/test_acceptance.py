@@ -9,10 +9,19 @@ strict expected-failure and the suite alerts if it ever passes.
 
 import inspect
 import itertools
+import math
+import random
 
 import pytest
 
-from interlace import acceptance, dist, dist_oracle_bfs, enumerate_tuples, itup
+from interlace import (
+    acceptance,
+    dist,
+    dist_oracle_bfs,
+    enumerate_tuples,
+    is_adjacent,
+    itup,
+)
 
 # seconds per criterion id; the others run well under a second
 BUDGETS = {"1": 30, "2": 30, "4": 60, "5": 60, "11": 120}
@@ -135,3 +144,42 @@ def test_criterion_01_oracle_does_not_read_dist(monkeypatch):
     res = acceptance.criterion_01()
     assert not res.passed
     assert res.detail == "dist((2,5),(3,7))=2 but BFS gives 1"
+
+
+def _adjacent_pairs(verts):
+    return {(n, m) for n, m in itertools.combinations(verts, 2) if is_adjacent(n, m)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sample_adjacent_draws_every_adjacent_pair_when_asked_for_all(k):
+    verts = enumerate_tuples(range(1, k + 4), k)
+    every = math.comb(len(verts), 2)
+    sample = acceptance._sample_adjacent(random.Random(k), verts, every)
+    assert len(sample) == len(set(sample))
+    assert set(sample) == _adjacent_pairs(verts)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_sample_adjacent_keeps_distinct_adjacent_pairs_in_box_order(k):
+    verts = enumerate_tuples(range(1, k + 4), k)
+    sample = acceptance._sample_adjacent(random.Random(402 + k), verts, 20)
+    assert len(sample) == min(20, len(_adjacent_pairs(verts)))
+    assert len(set(sample)) == len(sample)
+    for n, m in sample:
+        assert n.entries < m.entries and is_adjacent(n, m)
+    again = acceptance._sample_adjacent(random.Random(402 + k), verts, 20)
+    assert again == sample
+
+
+def test_criterion_13_fails_when_segments_overlap(monkeypatch):
+    # from arity 2 on, the decomposition returns its first segment twice
+    real = acceptance.f_difference_segments
+
+    def overlapping(sigma, n, m):
+        segs = real(sigma, n, m)
+        return segs if n.arity == 1 else [segs[0], segs[0]]
+
+    monkeypatch.setattr(acceptance, "f_difference_segments", overlapping)
+    res = acceptance.criterion_13()
+    assert not res.passed
+    assert res.detail == "segments overlap"

@@ -69,6 +69,13 @@ class TestFinSeq:
         assert (x - y).coeffs == (1.0, 4.0, -3.0)
         assert (2.0 * x).coeffs == (2.0, 4.0)
 
+    @pytest.mark.parametrize("scalar", [True, 10**400, "x", math.inf])
+    def test_scalar_is_read_as_a_number(self, scalar):
+        with pytest.raises(InvalidInput, match="the scalar must be a finite number, got"):
+            FinSeq((1.0,)) * scalar
+        with pytest.raises(InvalidInput, match="the scalar must be a finite number, got"):
+            scalar * FinSeq((1.0,))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(InvalidInput):

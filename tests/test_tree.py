@@ -145,6 +145,32 @@ class TestTreeVec:
         assert (x + y).support == ("11",)
         assert (2.0 * x).value("0") == 2.0
 
+    def test_arithmetic_keeps_the_input_rules(self):
+        with pytest.raises(InvalidInput, match="entry at '0' is not finite: inf"):
+            TreeVec({"0": 1e308}) + TreeVec({"0": 1e308})
+        with pytest.raises(InvalidInput, match="entry at '1' is not finite: -inf"):
+            TreeVec({"1": -1e308}) - TreeVec({"1": 1e308})
+        rng = random.Random(36)
+        # x and y share "1" and "01", where some differences cancel and some round
+        keys = ["", "0", "1", "01", "10", "110"]
+        for _ in range(50):
+            x = TreeVec({key: rng.choice([1.0, -0.5, rng.uniform(-3, 3)]) for key in keys[:4]})
+            y = TreeVec({key: rng.choice([1.0, 0.5, rng.uniform(-3, 3)]) for key in keys[2:]})
+            assert (x - x).entries == {}
+            diff, want = x - y, x + (-y)
+            assert diff == want
+            assert [v.hex() for v in diff.entries.values()] == [
+                v.hex() for v in want.entries.values()
+            ]
+            assert 0.0 not in diff.entries.values()
+
+    @pytest.mark.parametrize("scalar", [True, 10**400, "x", math.inf])
+    def test_scalar_is_read_as_a_number(self, scalar):
+        with pytest.raises(InvalidInput, match="the scalar must be a finite number, got"):
+            TreeVec({"0": 1.0}) * scalar
+        with pytest.raises(InvalidInput, match="the scalar must be a finite number, got"):
+            scalar * TreeVec({"0": 1.0})
+
     def test_json_round_trip(self):
         x = TreeVec({"": 1.0, "01": -0.5})
         assert TreeVec.from_json_dict(x.to_json_dict()) == x
