@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any, Iterable, NoReturn, Sequence
 
 from . import acceptance
-from .errors import InvalidInput, ResourceLimit
+from .errors import InvalidInput, ResourceLimit, _short_repr
 from .graphs import InterlacedTuple, dist, geodesic_path
 from .moduli import (
     MapSample,
@@ -206,7 +206,7 @@ def _load_json(path: str | None, text: str | None = None) -> Any:
         return json.loads(text)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path!r}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, a byte that is not UTF-8, an int past the digit limit
         raise InvalidInput(f"malformed JSON: {exc}") from None
 
 
@@ -217,16 +217,11 @@ def _load_finseq(args: argparse.Namespace) -> FinSeq:
             raise InvalidInput("sequence files are JSON objects with \"coeffs\" and \"tail\"")
         coeffs = obj.get("coeffs", [])
         if not isinstance(coeffs, list):
-            raise InvalidInput(f"\"coeffs\" must be a JSON array, got {coeffs!r}")
-        tail = obj.get("tail", 0.0)
-        for v in (*coeffs, tail):
-            # float() would also read JSON booleans and numeric strings
-            if type(v) not in (int, float):
-                raise InvalidInput(f"sequence values must be numbers, got {v!r}")
-        return FinSeq(tuple(coeffs), tail)
+            raise InvalidInput(f"\"coeffs\" must be a JSON array, got {_short_repr(coeffs)}")
+        return FinSeq(coeffs, obj.get("tail", 0.0))
     if args.coeffs is None:
         raise InvalidInput("provide --coeffs or --input")
-    return FinSeq(tuple(_parse_floats(args.coeffs)), args.tail)
+    return FinSeq(_parse_floats(args.coeffs), args.tail)
 
 
 # ----------------------------------------------------------------- handlers

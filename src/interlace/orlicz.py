@@ -40,12 +40,11 @@ report of observed violations instead of raising.
 from __future__ import annotations
 
 import math
-import reprlib
 import sys
 from typing import Callable, Sequence
 
 from ._record import Record
-from .errors import InvalidInput, ResourceLimit, _number
+from .errors import InvalidInput, ResourceLimit, _number, _numbers
 
 __all__ = [
     "OrliczSpec",
@@ -72,6 +71,7 @@ LONG = 256 * STRIDE  # the length from which orlicz_norm localises on the subsam
 GRID_LO, GRID_HI, GRID_POINTS = 1e-6, 1e3, 512  # the geometric validation grid
 REL_TOL = 1e-9  # relative slack of every grid check
 SLOPE_TOL = 0.1  # allowed distance of phi(t)/t from 1 at the right end of the grid
+_ENTRIES = "vector entries"
 
 # The geometric validation grid: 10 raised to GRID_POINTS equally spaced log10
 # values from GRID_LO to GRID_HI, with both ends set exactly.
@@ -207,14 +207,6 @@ def validate_modulus(spec: ModulusSpec) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def _finite(x: Sequence[float]) -> list[float]:
-    vals = [float(v) for v in x]
-    if not all(map(math.isfinite, vals)):
-        i, v = next((i, v) for i, v in enumerate(vals, 1) if not math.isfinite(v))
-        raise InvalidInput(f"vector entries must be finite: {reprlib.repr(v)} at index {i}")
-    return vals
-
-
 def _loglog_root(
     r1: float, t1: float, r2: float, t2: float, w1: float = 1.0, w2: float = 1.0
 ) -> float | None:
@@ -320,7 +312,7 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
     plain bisection takes 45 to 47.
     """
     tol = _number(tol, "tol must be positive and finite", lambda v: v > 0 and math.isfinite(v))
-    vals = _finite(x)
+    vals = _numbers(x, _ENTRIES)
     top = max(map(abs, vals), default=0.0)
     if top == 0.0:
         return 0.0
@@ -493,7 +485,7 @@ def n_norm(s: Sequence[float], spec: OrliczSpec) -> float:
         raise InvalidInput(
             "n_norm requires an OrliczSpec declared 1-Lipschitz with slope limit 1"
         )
-    vals = _finite(s)
+    vals = _numbers(s, _ENTRIES)
     if not vals:
         raise InvalidInput("n_norm needs at least one coordinate")
     fn = spec.fn
@@ -546,10 +538,11 @@ def delta_transform(mod: ModulusSpec, t: float, steps: int = 256) -> float:
 def _lp_norm(x: Sequence[float], p: float) -> float:
     """(sum |x_n|^p)^(1/p) as M (sum (|x_n|/M)^p)^(1/p), M = max|x_n|.
 
-    The largest term is exactly 1, so a nonzero x never reads as 0, whatever p.
-    A norm beyond the float range is InvalidInput.
+    The entries are floats read by `_numbers`.  The largest term is exactly
+    1, so a nonzero x never reads as 0, whatever p.  A norm beyond the float
+    range is InvalidInput.
     """
-    xs = [abs(float(v)) for v in x]
+    xs = [abs(v) for v in x]
     top = max(xs, default=0.0)
     if top == 0.0:
         return 0.0
@@ -607,10 +600,11 @@ def compare_lp(
 
     sample_ratios = []
     for vec in samples:
-        lp = _lp_norm(vec, p)
+        xs = _numbers(vec, _ENTRIES)
+        lp = _lp_norm(xs, p)
         if lp == 0.0:
             continue
-        ratio = orlicz_norm(vec, spec) / lp
+        ratio = orlicz_norm(xs, spec) / lp
         if not math.isfinite(ratio):
             raise AssertionError("non-finite norm ratio encountered")
         sample_ratios.append(ratio)

@@ -22,12 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import reprlib
 import sys
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._record import Record, setfield
-from .errors import InvalidInput, ResourceLimit, _number
+from .errors import InvalidInput, ResourceLimit, _number, _numbers, _short_repr
 from .graphs import InterlacedTuple, dist
 
 __all__ = [
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 16
+_VALUES = "sequence values"
 
 
 class FinSeq(Record):
@@ -49,15 +49,15 @@ class FinSeq(Record):
     _fields = ("coeffs", "tail")
 
     def __init__(self, coeffs: Iterable[float] = (), tail: float = 0.0) -> None:
-        try:
-            if not isinstance(coeffs, (tuple, list)):
+        if not isinstance(coeffs, (tuple, list)):
+            try:
                 coeffs = tuple(coeffs)  # an iterator is read once, here
-            vals = [float(v) for v in coeffs]
-            t = float(tail)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInput(_first_bad_value(coeffs, tail)) from None
-        if not (math.isfinite(t) and all(map(math.isfinite, vals))):
-            raise InvalidInput(_first_bad_value(vals, t))
+            except TypeError:
+                raise InvalidInput(
+                    f"{_VALUES} must be numbers: coeffs {_short_repr(coeffs)} is not iterable"
+                ) from None
+        vals = _numbers(coeffs, _VALUES)
+        (t,) = _numbers((tail,), _VALUES, _the_tail)
         while vals and vals[-1] == t:  # canonical form: no stored trailing tail values
             vals.pop()
         setfield(self, "coeffs", tuple(vals))
@@ -75,7 +75,7 @@ class FinSeq(Record):
 
     def _combine(self, other: "FinSeq", op: Callable[[float, float], float]) -> "FinSeq":
         # the common prefix, then the longer tuple's rest against the other's tail,
-        # into one tuple; op of two floats is a float, so only an overflow is checked
+        # into one tuple that `_finish` checks and cuts
         a, b = self.coeffs, other.coeffs
         n = min(len(a), len(b))
         if len(a) > n:
@@ -83,21 +83,13 @@ class FinSeq(Record):
         else:
             rest = map(op, itertools.repeat(self.tail), itertools.islice(b, n, None))
         vals = tuple(itertools.chain(map(op, a, b), rest))
-        t = op(self.tail, other.tail)
-        if not (math.isfinite(t) and all(map(math.isfinite, vals))):
-            raise InvalidInput(_first_bad_value(vals, t))
-        if vals and vals[-1] == t:  # canonical form: no stored trailing tail values
-            k = len(vals)
-            while k and vals[k - 1] == t:
-                k -= 1
-            vals = vals[:k]
-        return _canonical(vals, t)
+        return _finish(vals, op(self.tail, other.tail))
 
     def __add__(self, other: "FinSeq") -> "FinSeq":
         return self._combine(other, operator.add)
 
     def __neg__(self) -> "FinSeq":
-        return FinSeq(tuple(-v for v in self.coeffs), -self.tail)
+        return _finish(tuple(map(operator.neg, self.coeffs)), -self.tail)
 
     def __sub__(self, other: "FinSeq") -> "FinSeq":
         # a - b is a + (-b) in IEEE arithmetic, signed zeros included
@@ -105,7 +97,7 @@ class FinSeq(Record):
 
     def __mul__(self, scalar: float) -> "FinSeq":
         s = _number(scalar, "the scalar must be a finite number", math.isfinite)
-        return FinSeq(tuple(s * v for v in self.coeffs), s * self.tail)
+        return _finish(tuple(map(s.__mul__, self.coeffs)), s * self.tail)
 
     __rmul__ = __mul__
 
@@ -114,23 +106,8 @@ class FinSeq(Record):
         return f"FinSeq([{body}], tail={self.tail:g})"
 
 
-def _first_bad_value(coeffs: Sequence[Any], tail: Any) -> str:
-    """The error message naming the first value that is not a finite number."""
-    try:
-        values = (*coeffs, tail)
-    except TypeError:
-        return f"sequence values must be numbers: coeffs {reprlib.repr(coeffs)} is not iterable"
-    for i, v in enumerate(values, 1):
-        where = f"index {i}" if i < len(values) else "the tail"
-        try:
-            if math.isfinite(float(v)):
-                continue
-        except (TypeError, ValueError):
-            return f"sequence values must be numbers: {reprlib.repr(v)} at {where}"
-        except OverflowError:  # an int beyond the float range
-            return f"sequence values must be finite: an integer beyond the float range at {where}"
-        return f"sequence values must be finite: {reprlib.repr(v)} at {where}"
-    return "sequence values must be finite numbers"
+def _the_tail(i: int) -> str:
+    return "the tail"
 
 
 def sup_norm(x: FinSeq) -> float:
@@ -163,8 +140,8 @@ def _canonical(coeffs: tuple[float, ...], tail: float = 0.0) -> FinSeq:
     The caller vouches that every value is a finite float, which `float`
     would return unchanged, and that the last coefficient is not the tail, so
     `__init__` would strip nothing: summing images (small positive integers
-    ending in 1.0, tail 0.0) and `FinSeq` sums and differences (checked in
-    `_combine`).  The result equals `FinSeq(coeffs, tail)`, hash included,
+    ending in 1.0, tail 0.0) and the results of `FinSeq` arithmetic (checked
+    in `_finish`).  The result equals `FinSeq(coeffs, tail)`, hash included,
     without the list and the second tuple that `__init__` would copy the
     coefficients into.
     """
@@ -172,6 +149,25 @@ def _canonical(coeffs: tuple[float, ...], tail: float = 0.0) -> FinSeq:
     setfield(x, "coeffs", coeffs)
     setfield(x, "tail", tail)
     return x
+
+
+def _finish(vals: tuple[float, ...], tail: float) -> FinSeq:
+    """The sequence of an arithmetic result: checked finite, then made canonical.
+
+    Sums, differences, negations and scalar multiples of finite floats are
+    floats, so only an overflow can make a value bad; the first infinity is
+    named through `_numbers`, in the form `__init__` uses.  A finite sum of
+    the values shows there is none (a sum that overflows is read again).
+    The trailing run equal to the tail is cut off, and the tuple is kept,
+    not copied again.
+    """
+    if not math.isfinite(sum(vals, tail)):  # a finite sum has finite terms
+        _numbers(vals, _VALUES)  # names the first infinity, if there is one ...
+        _numbers((tail,), _VALUES, _the_tail)  # ... or the tail's
+    k = len(vals)
+    while k and vals[k - 1] == tail:
+        k -= 1
+    return _canonical(vals[:k], tail)  # a full slice is the tuple itself
 
 
 def summing_distortion_check(

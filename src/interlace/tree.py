@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import math
 import operator
-import reprlib
 from typing import Callable, Mapping, Sequence
 
 from ._record import Record, setfield
-from .errors import InvalidInput, ResourceLimit, _number
+from .errors import InvalidInput, ResourceLimit, _number, _numbers, _short_repr
 from .graphs import InterlacedTuple, is_adjacent
 from .sequences import summing_image
 
@@ -59,11 +58,16 @@ __all__ = [
 
 JT_SUPPORT_CAP = 4096  # f_embed images only: top + 1 keys of length up to top
 BRUTE_FORCE_SUPPORT_CAP = 12
+_ENTRIES = "tree vector entries"
+
+
+def _node(key: str) -> str:
+    return f"node {_short_repr(key)}"
 
 
 def _check_bits(s: str) -> str:
     if not isinstance(s, str) or s.strip("01"):
-        raise InvalidInput(f"tree nodes are 0/1 strings, got {s!r}")
+        raise InvalidInput(f"tree nodes are 0/1 strings, got {_short_repr(s)}")
     return s
 
 
@@ -76,7 +80,7 @@ class Segment(Record):
         # a str prefix of a 0/1 string is a 0/1 string, so lo needs no bit check
         _check_bits(hi)
         if not (isinstance(lo, str) and hi.startswith(lo)):
-            raise InvalidInput(f"{lo!r} is not a prefix of {hi!r}")
+            raise InvalidInput(f"{_short_repr(lo)} is not a prefix of {_short_repr(hi)}")
         setfield(self, "lo", lo)
         setfield(self, "hi", hi)
 
@@ -93,21 +97,10 @@ class TreeVec(Record):
     _fields = ("entries",)
 
     def __init__(self, entries: Mapping[str, float]) -> None:
-        clean = {}
-        for key, val in entries.items():
+        for key in entries:
             _check_bits(key)
-            try:
-                v = float(val)
-            except (TypeError, ValueError):
-                raise InvalidInput(f"entry at {key!r} is not a number: {val!r}") from None
-            except OverflowError:
-                # an integer this large would echo hundreds of digits
-                raise InvalidInput(f"entry at {key!r} is beyond the float range") from None
-            if not math.isfinite(v):
-                raise InvalidInput(f"entry at {key!r} is not finite: {v!r}")
-            if v != 0.0:
-                clean[key] = v
-        setfield(self, "entries", clean)
+        vals = _numbers(entries.values(), _ENTRIES, lambda i: _node(list(entries)[i]))
+        setfield(self, "entries", {k: v for k, v in zip(entries, vals) if v != 0.0})
 
     def value(self, node: str) -> float:
         return self.entries.get(node, 0.0)
@@ -125,7 +118,7 @@ class TreeVec(Record):
             if s == 0.0:
                 del out[k]  # 0.0 op v is nonzero, so k was in self
             elif math.isinf(s):
-                raise InvalidInput(f"entry at {k!r} is not finite: {s!r}")
+                _numbers((s,), _ENTRIES, lambda i: _node(k))  # raises, naming k
             else:
                 out[k] = s
         return _checked(out)
@@ -153,11 +146,7 @@ class TreeVec(Record):
     def from_json_dict(obj: Mapping[str, float]) -> "TreeVec":
         if not isinstance(obj, Mapping):
             raise InvalidInput("tree vectors are JSON objects mapping bit-strings to numbers")
-        for key, val in obj.items():
-            # float() would also read JSON booleans and numeric strings
-            if type(val) not in (int, float):
-                raise InvalidInput(f"entry at {key!r} is not a number: {reprlib.repr(val)}")
-        return TreeVec(dict(obj))
+        return TreeVec(obj)
 
 
 def _checked(entries: dict[str, float]) -> TreeVec:
@@ -205,7 +194,7 @@ def jt_family_value(x: TreeVec, family: Sequence[Segment]) -> float:
         nodes = seg.nodes()
         for node in nodes:
             if node in seen:
-                raise InvalidInput(f"segments overlap at node {node!r}")
+                raise InvalidInput(f"segments overlap at {_node(node)}")
             seen.add(node)
         s = sum(math.ldexp(x.value(node), -exp) for node in nodes)
         total += s * s

@@ -81,10 +81,10 @@ def test_james_norm_from_file(tmp_path, capsys):
         ({"coeffs": [1], "tail": "x"}, "must be numbers"),
         ({"coeffs": "123"}, "must be a JSON array"),
         # float() would read booleans and numeric strings
-        ({"coeffs": [True, 2]}, "must be numbers, got True"),
-        ({"coeffs": [1, "2"]}, "must be numbers, got '2'"),
-        ({"coeffs": [1], "tail": "1"}, "must be numbers, got '1'"),
-        ({"coeffs": [1], "tail": False}, "must be numbers, got False"),
+        ({"coeffs": [True, 2]}, "sequence values must be numbers: True at index 1"),
+        ({"coeffs": [1, "2"]}, "sequence values must be numbers: '2' at index 2"),
+        ({"coeffs": [1], "tail": "1"}, "sequence values must be numbers: '1' at the tail"),
+        ({"coeffs": [1], "tail": False}, "sequence values must be numbers: False at the tail"),
         ({"coeffs": [1, 10**400]}, "must be finite"),
     ],
 )

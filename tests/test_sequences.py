@@ -153,6 +153,37 @@ class TestFinSeq:
         with pytest.raises(InvalidInput, match=f"^sequence values must be finite: {where}$"):
             x - y
 
+    def test_negation_and_scalar_multiples_are_the_per_index_values(self):
+        # what building the result through __init__ gives, signed zeros included
+        rng = random.Random(81)
+        values = [0.0, -0.0, 1.0, -2.5, 1e-310, -1e308]
+        for _ in range(200):
+            pool = values + [rng.uniform(-9, 9)]
+            x = FinSeq(tuple(rng.choice(pool) for _ in range(rng.randrange(9))), rng.choice(pool))
+            assert _signed(-x) == _signed(FinSeq(tuple(-v for v in x.coeffs), -x.tail))
+            for s in (0.0, -0.0, 1.0, -1.0, 0.5, rng.uniform(-1, 1)):
+                want = FinSeq(tuple(s * v for v in x.coeffs), s * x.tail)
+                assert _signed(s * x) == _signed(x * s) == _signed(want)
+        assert (0.0 * FinSeq((1.0, -2.0, 3.0))).coeffs == ()
+        with pytest.raises(InvalidInput, match="^sequence values must be finite: inf at index 1$"):
+            FinSeq((1e308,)) * 10
+        with pytest.raises(InvalidInput, match="^sequence values must be finite: -inf at the tail"):
+            FinSeq((1.0,), 1e308) * -10
+
+    @pytest.mark.parametrize("op", [operator.neg, lambda x: 2.0 * x], ids=["neg", "mul"])
+    def test_negation_and_scalar_multiples_are_one_tuple_in_working_memory(self, op):
+        # the result holds 0.8 MB of tuple and 2.4 MB of floats; building it through
+        # __init__ (a tuple, a list and a second tuple) peaked at 4.80 MB
+        x = summing_image(itup(1, 10**5))
+        tracemalloc.start()
+        try:
+            y = op(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.coeffs == tuple(op(v) for v in x.coeffs)
+        assert peak <= 3.6e6
+
     def test_a_difference_is_one_tuple_in_working_memory(self):
         # the result holds 0.8 MB of tuple and 2.4 MB of floats; padding both
         # tuples and copying the result through __init__ peaked at 5.60 MB

@@ -146,9 +146,9 @@ class TestTreeVec:
         assert (2.0 * x).value("0") == 2.0
 
     def test_arithmetic_keeps_the_input_rules(self):
-        with pytest.raises(InvalidInput, match="entry at '0' is not finite: inf"):
+        with pytest.raises(InvalidInput, match="^tree vector entries must be finite: inf at node '0'$"):
             TreeVec({"0": 1e308}) + TreeVec({"0": 1e308})
-        with pytest.raises(InvalidInput, match="entry at '1' is not finite: -inf"):
+        with pytest.raises(InvalidInput, match="^tree vector entries must be finite: -inf at node '1'$"):
             TreeVec({"1": -1e308}) - TreeVec({"1": 1e308})
         rng = random.Random(36)
         # x and y share "1" and "01", where some differences cancel and some round
@@ -191,7 +191,10 @@ class TestTreeVec:
                 TreeVec({key: 1.0})
 
     def test_entry_beyond_the_float_range_is_invalid_input(self):
-        with pytest.raises(InvalidInput, match="'0' is beyond the float range") as exc:
+        with pytest.raises(
+            InvalidInput,
+            match="^tree vector entries must be finite: an integer beyond the float range at node '0'$",
+        ) as exc:
             TreeVec({"0": 10**400})
         assert "0000" not in str(exc.value)  # the digits are not echoed
 
