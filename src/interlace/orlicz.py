@@ -599,8 +599,8 @@ def compare_lp(
             note = ""
 
     sample_ratios = []
-    for vec in samples:
-        xs = _numbers(vec, _ENTRIES)
+    for j, vec in enumerate(samples, 1):
+        xs = _numbers(vec, _ENTRIES, lambda i: f"index {i + 1} of sample {j}")
         lp = _lp_norm(xs, p)
         if lp == 0.0:
             continue

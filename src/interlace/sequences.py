@@ -341,17 +341,23 @@ def james_norm(x: FinSeq, p: float = 2.0) -> float:
 
 
 def james_norm_bruteforce(x: FinSeq, p: float = 2.0) -> float:
-    """Exhaustive maximum over all increasing index chains; the independent oracle.
+    """Maximum over all increasing index chains by the all-pairs chain DP; the oracle.
 
-    Every increasing chain of two or more canonical indices is formed and its
-    sum of p-th power increments taken; the result is the largest sum's p-th
-    root.  No chain is pruned, so the oracle shares no reduction with
-    `james_norm`.  A chain ending a -> b is enumerated by extension: its sum is
-    the sum of the chain ending at a plus |vals[b] - vals[a]|^p, a power
-    computed once per pair a < b, so each sum is its increments added left to
-    right.  The sums of all chains ending at b (the one-point chain b, with
-    sum 0, included) are kept per b.  Cost for L canonical values: O(L^2)
-    powers and 2^L - L - 1 additions, one per chain; 2^L sums are held at once.
+    best[b] is the largest sum over the chains that end at canonical index b:
+    0.0 for the one-point chain, else best[a] + |vals[b] - vals[a]|^p for the
+    best a < b.  The result is the largest best[b], to the power 1/p.  Each
+    power is computed once per pair a < b, in the order a chain enumeration
+    forms them, and each chain's sum is its increments added left to right.
+
+    Keeping one sum per end index returns the enumeration's float bit for bit:
+    in round-to-nearest, s -> fl(s + t) is non-decreasing, so of the chains
+    that end at a, only the one with the largest sum can give the largest
+    sum of any extension through a.
+
+    It shares no reduction with `james_norm`: every canonical index is a
+    state (no turning points) and every earlier index is scanned (no
+    running-extremum break).  Cost for L canonical values: L (L - 1) / 2
+    powers and additions and O(L) memory.
     """
     p = _check_p(p)
     vals = _canonical_values(x)
@@ -360,16 +366,15 @@ def james_norm_bruteforce(x: FinSeq, p: float = 2.0) -> float:
             f"canonical index set of size {len(vals)} exceeds the cap {BRUTE_FORCE_CAP} "
             "(BRUTE_FORCE_CAP)"
         )
-    ends: list[list[float]] = []  # ends[b]: the sums of all chains ending at b
-    best = 0.0
+    best: list[float] = []  # best[b]: the largest sum of a chain ending at b
     for b, v in enumerate(vals):
-        sums = [0.0]
+        top = 0.0
         for a in range(b):
-            t = abs(v - vals[a]) ** p
-            sums += [s + t for s in ends[a]]
-        ends.append(sums)
-        best = max(best, max(sums))
-    return best ** (1.0 / p)
+            s = best[a] + abs(v - vals[a]) ** p
+            if s > top:
+                top = s
+        best.append(top)
+    return max(best) ** (1.0 / p)
 
 
 def successive_block_ratio(blocks: Sequence[FinSeq], p: float = 2.0) -> float:

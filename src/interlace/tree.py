@@ -23,8 +23,11 @@ solver handles every finite support, and one independent oracle certifies it:
   G_v(top sum at v)) the norm is sqrt(F(root)).  Cost is O(n log n) on unary
   chains and O(n log^2 n) at worst in n virtual nodes, independent of
   string length.
-* jt_norm_bruteforce -- enumeration of disjoint families of raw segments as
-  bitmasks over every prefix of the support, capped by support size.
+* jt_norm_bruteforce -- the maximum over disjoint families of raw segments,
+  bitmasks over every prefix of the support, by a forward DP over the
+  segment list that keeps one best sum per set of used nodes a later segment
+  can still touch.  It returns the full enumeration's float bit for bit, and
+  is capped by support size.
 """
 
 from __future__ import annotations
@@ -135,7 +138,10 @@ class TreeVec(Record):
 
     def __mul__(self, scalar: float) -> "TreeVec":
         s = _number(scalar, "the scalar must be a finite number", math.isfinite)
-        return TreeVec({k: s * v for k, v in self.entries.items()})
+        # the keys are checked already: drop zero products, name an overflow
+        out = {k: t for k, v in self.entries.items() if (t := s * v) != 0.0}
+        _numbers(out.values(), _ENTRIES, lambda i: _node(list(out)[i]))
+        return _checked(out)
 
     __rmul__ = __mul__
 
@@ -357,11 +363,28 @@ def jt_norm_exact(x: TreeVec) -> tuple[float, list[Segment]]:
 
 
 def jt_norm_bruteforce(x: TreeVec) -> float:
-    """Exhaustive maximum over disjoint families of raw segments; the independent oracle.
+    """Maximum over disjoint families of raw segments by a DP over live nodes; the oracle.
 
     Every prefix of a support node gets one bit and a segment is the bitmask
     of its chain.  Only segments whose two ends lie in the support are
     listed: trimming zero ends keeps the sum and removes no disjointness.
+    The list is read once, in order.  A state is the set of used nodes that
+    a later segment can still touch, and it keeps the largest sum of the
+    families that reach it.  Taking segment i from a state disjoint from it
+    adds the segment's square; after segment i the bits no later segment
+    uses are dropped, and states that merge keep their maximum.  The last
+    state is the empty set, and the norm is the square root of its sum.
+
+    This returns the enumeration's float bit for bit: a family's sum is its
+    squares added in list order, and in round-to-nearest s -> fl(s + t) is
+    non-decreasing, so of the families that reach one state only the largest
+    sum can give the largest sum of any extension.  The dropped bits are what
+    merges states: without them a state is a family's whole node set.
+
+    It shares nothing with `jt_norm_exact`: no virtual tree and no parabola
+    envelope, only raw segments and disjointness.  Cost: at most
+    2^(live nodes) states per segment, where a node is live between the
+    first and last segments that use it; O(k^2) segments for k support nodes.
     """
     if len(x.entries) > BRUTE_FORCE_SUPPORT_CAP:
         raise ResourceLimit(
@@ -379,19 +402,25 @@ def jt_norm_bruteforce(x: TreeVec) -> float:
             total += x.entries.get(lo, 0.0)
             if lo in x.entries:
                 segs.append((mask, total * total))
-    best = 0.0
-
-    def extend(start: int, used: int, acc: float) -> None:
-        nonlocal best
-        if acc > best:
-            best = acc
-        for i in range(start, len(segs)):
-            mask, square = segs[i]
-            if not mask & used:
-                extend(i + 1, used | mask, acc + square)
-
-    extend(0, 0, 0.0)
-    return math.sqrt(best)
+    live = [0] * len(segs)  # live[i]: the bits some segment after i uses
+    later = 0
+    for i in range(len(segs) - 1, -1, -1):
+        live[i] = later
+        later |= segs[i][0]
+    states = {0: 0.0}  # used live bits -> the largest family sum reaching them
+    for (mask, square), keep in zip(segs, live):
+        after: dict[int, float] = {}
+        for used, acc in states.items():
+            key = used & keep
+            if acc > after.get(key, -1.0):
+                after[key] = acc
+            if not used & mask:
+                key = (used | mask) & keep
+                acc += square
+                if acc > after.get(key, -1.0):
+                    after[key] = acc
+        states = after
+    return math.sqrt(states[0])
 
 
 def pair(u: TreeVec, x: TreeVec) -> float:
@@ -429,7 +458,8 @@ def f_embed(sigma: Branch, n: InterlacedTuple) -> TreeVec:
     k = n.arity
     c = 1.0 / math.sqrt(k)
     counts = (float(k), *summing_image(n).coeffs)
-    return TreeVec({sigma.prefix(j): c * v for j, v in enumerate(counts)})
+    # prefixes of checked bits, and counts of at least 1: no entry to check
+    return _checked({sigma.bits[:j]: c * v for j, v in enumerate(counts)})
 
 
 def _first_disagreement(sigma: Branch, tau: Branch, n: InterlacedTuple) -> int | None:

@@ -53,7 +53,7 @@ READERS = {
     "compare_lp": (
         lambda v: compare_lp(HUBER, 2.0, "upper", [[1.0, v]]),
         "vector entries must be ",
-        " at index 2",
+        " at index 2 of sample 1",
     ),
     "TreeVec": (
         lambda v: TreeVec({"0": 1.0, "01": v}), "tree vector entries must be ", " at node '01'"
@@ -73,6 +73,12 @@ def test_every_reader_names_the_first_bad_value(reader, value, text):
     with pytest.raises(InvalidInput) as info:
         call(value)
     assert str(info.value) == head + text + where
+
+
+def test_compare_lp_names_the_sample_of_a_bad_entry():
+    with pytest.raises(InvalidInput) as info:
+        compare_lp(HUBER, 2.0, "upper", [[1.0], [1.0, math.nan]])
+    assert str(info.value) == "vector entries must be finite: nan at index 2 of sample 2"
 
 
 @pytest.mark.parametrize("value, text", JSON_BAD, ids=[repr(v)[:12] for v, _ in JSON_BAD])

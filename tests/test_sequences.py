@@ -649,6 +649,11 @@ class TestJamesNorm:
         with pytest.raises(ResourceLimit, match="size 17 exceeds the cap 16"):
             james_norm_bruteforce(FinSeq(x.coeffs + (0.5,)), p)
 
+    def test_bruteforce_at_the_cap_equals_the_chain_definition(self):
+        r = random.Random(16)
+        x = FinSeq(tuple(r.uniform(-1.0, 1.0) for _ in range(15)), r.uniform(-1.0, 1.0))
+        assert james_norm_bruteforce(x, 2.0) == _every_chain(x, 2.0)  # 2^16 - 17 chains
+
     @settings(max_examples=80, deadline=None)
     @given(finseqs, st.sampled_from([1.5, 2.0, 3.0]))
     def test_dp_equals_bruteforce(self, x, p):

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +32,7 @@ from interlace import (
     pair,
     segment_functional,
 )
+from interlace import tree
 from interlace.tree import JT_SUPPORT_CAP
 
 SQ2 = math.sqrt(2)
@@ -105,6 +107,48 @@ def comb_and_spider_vecs():
     return build()
 
 
+def _every_family(x):
+    """The definition: every disjoint family of the oracle's raw segments, its
+    squares added in list order, by recursion over the families."""
+    closure = sorted({s[:j] for s in x.entries for j in range(len(s) + 1)})
+    bit = {node: 1 << i for i, node in enumerate(closure)}
+    segs = []
+    for hi in x.entries:
+        mask, total = 0, 0.0
+        for j in range(len(hi), -1, -1):
+            lo = hi[:j]
+            mask |= bit[lo]
+            total += x.entries.get(lo, 0.0)
+            if lo in x.entries:
+                segs.append((mask, total * total))
+    best = 0.0
+
+    def extend(start, used, acc):
+        nonlocal best
+        if acc > best:
+            best = acc
+        for i in range(start, len(segs)):
+            mask, square = segs[i]
+            if not mask & used:
+                extend(i + 1, used | mask, acc + square)
+
+    extend(0, 0, 0.0)
+    return math.sqrt(best)
+
+
+def _cap_shapes():
+    """A path, a spider and a comb with BRUTE_FORCE_SUPPORT_CAP = 12 support nodes."""
+    rng = random.Random(12)
+
+    def entry():
+        return rng.choice([-1.0, 0.5, rng.uniform(-2.0, 2.0)])
+
+    path = {("01" * 6)[:j]: entry() for j in range(12)}
+    spider = {"0" + leg * d: entry() for leg in ("00", "01", "10", "11") for d in (1, 2, 3)}
+    comb = {**{"0" * j: entry() for j in range(6)}, **{"0" * j + "1": entry() for j in range(6)}}
+    return {"path": path, "spider": spider, "comb": comb}
+
+
 def variation_of_partial_sums(vals):
     """The path identity: on one path the James-tree norm is the 2-variation of
     the partial sums, which start at 0 and keep their last value as the tail."""
@@ -163,6 +207,34 @@ class TestTreeVec:
                 v.hex() for v in want.entries.values()
             ]
             assert 0.0 not in diff.entries.values()
+
+    def test_scaling_equals_the_checked_build_bit_for_bit(self):
+        rng = random.Random(39)
+        keys = ["", "0", "1", "01", "10", "110", "0111"]
+        for _ in range(200):
+            wide = rng.uniform(-3, 3) * 10.0**rng.randint(-300, 300)
+            x = TreeVec({k: rng.choice([1.0, -0.5, wide])
+                         for k in rng.sample(keys, rng.randint(0, len(keys)))})
+            s = rng.choice([0.0, -0.0, -1.0, 1e-300, rng.uniform(-2, 2) * 10.0**rng.randint(-9, 9)])
+            try:
+                want = TreeVec({k: s * v for k, v in x.entries.items()})
+            except InvalidInput as exc:
+                with pytest.raises(InvalidInput, match=f"^{re.escape(str(exc))}$"):
+                    s * x
+                continue
+            got = s * x
+            assert [(k, v.hex()) for k, v in got.entries.items()] == [
+                (k, v.hex()) for k, v in want.entries.items()
+            ]
+
+    def test_scaling_drops_zeros_and_names_an_overflow(self):
+        x = TreeVec({"0": 1.0, "1": -2.0})
+        assert (0.0 * x).entries == {}
+        assert (1e-300 * TreeVec({"0": 1e-300, "1": 1.0})).entries == {"1": 1e-300}
+        with pytest.raises(InvalidInput, match="^tree vector entries must be finite: inf at node '0'$"):
+            TreeVec({"0": 1e308}) * 10
+        with pytest.raises(InvalidInput, match="^tree vector entries must be finite: -inf at node '1'$"):
+            TreeVec({"0": 1.0, "1": 1e308, "00": 1e308}) * -10
 
     @pytest.mark.parametrize("scalar", [True, 10**400, "x", math.inf])
     def test_scalar_is_read_as_a_number(self, scalar):
@@ -355,6 +427,18 @@ class TestJTNorm:
         assert abs(norm - want) <= 1e-12 * want
         assert abs(jt_family_value(x, witness) - norm) <= 1e-12 * norm
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(two_branch_vecs(), bush_vecs(), comb_and_spider_vecs()))
+    def test_bruteforce_equals_the_family_definition_bit_for_bit(self, x):
+        assert jt_norm_bruteforce(x) == _every_family(x)
+
+    @pytest.mark.parametrize("shape", ["path", "spider", "comb"])
+    def test_bruteforce_at_the_cap(self, shape):
+        x = TreeVec(_cap_shapes()[shape])
+        assert len(x.entries) == 12
+        assert jt_norm_bruteforce(x) == _every_family(x)
+        assert abs(jt_norm_exact(x)[0] - jt_norm_bruteforce(x)) <= 1e-12 * jt_norm_bruteforce(x)
+
     def test_bruteforce_cap_is_named(self):
         x = TreeVec({"0" * j: 1.0 for j in range(13)})
         with pytest.raises(ResourceLimit, match="BRUTE_FORCE_SUPPORT_CAP"):
@@ -447,6 +531,25 @@ class TestFEmbedding:
                     for j in range(n.top + 1)
                 ]
                 assert list(f_embed(sigma, n).entries.items()) == want
+
+    def test_image_equals_the_checked_build_and_checks_no_key_again(self, monkeypatch):
+        # every key is a prefix of the checked branch, so none is checked again
+        checks = []
+        check = tree._check_bits
+        monkeypatch.setattr(tree, "_check_bits", lambda s: checks.append(s) or check(s))
+        rng = random.Random(39)
+        for _ in range(50):
+            n = itup(*sorted(rng.sample(range(1, 60), rng.randint(1, 5))))
+            sigma = Branch("".join(rng.choice("01") for _ in range(n.top + rng.randint(0, 3))))
+            checks.clear()
+            got = f_embed(sigma, n)
+            assert len(checks) <= 1
+            c = 1.0 / math.sqrt(n.arity)
+            want = TreeVec({sigma.prefix(j): c * sum(j <= e for e in n.entries)
+                            for j in range(n.top + 1)})
+            assert [(key, v.hex()) for key, v in got.entries.items()] == [
+                (key, v.hex()) for key, v in want.entries.items()
+            ]
 
     def test_depth_two_counts_prefixes(self):
         vec = f_embed(Branch("00"), itup(1, 2))
