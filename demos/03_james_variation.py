@@ -2,8 +2,8 @@
 
 The norm is the supremum of l_p sums of increments over increasing index
 subsequences.  A dynamic program over the turning points of the sequence
-computes it exactly; a brute-force enumeration over all index subsets
-certifies it.
+computes it exactly; an independent oracle, the all-pairs chain DP over
+every index, certifies it.
 """
 
 import random

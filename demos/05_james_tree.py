@@ -2,8 +2,9 @@
 
 The norm maximizes the l_2 sum of segment sums over disjoint vertical
 segments.  Witness families come back with every norm; the exact solver is
-certified by a brute-force enumeration of segment families; and the branch
-embeddings carry exact Lipschitz and separation certificates.
+certified by an independent oracle, a DP over disjoint segment families that
+keeps one best sum per set of live nodes; and the branch embeddings carry
+exact Lipschitz and separation certificates.
 """
 
 import math

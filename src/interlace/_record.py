@@ -2,10 +2,13 @@
 
 A subclass names its fields in `_fields` and writes its own `__init__`, which
 checks its arguments and sets each field once, with `_set` or, on the hot
-paths, `setfield`.  The base gives `==` and `hash` of the tuple of fields, the
-`Name(field=value, ...)` repr, and no assignment or deletion of a field
-afterwards, with no code generated at import.  Instances keep a `__dict__`,
-so `copy` and `pickle` restore them without calling `__setattr__`.
+paths, `setfield`.  `_trusted` is the one way to build a value whose fields
+the caller has already checked; each subclass states in its docstring the
+invariant such a build must keep.  The base gives `==` and `hash` of the
+tuple of fields, the `Name(field=value, ...)` repr, and no assignment or
+deletion of a field afterwards, with no code generated at import.  Instances
+keep a `__dict__`, so `copy` and `pickle` restore them without calling
+`__setattr__`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,19 @@ class Record:
         """Set the fields to the values, in `_fields` order."""
         for name, value in zip(self._fields, values):
             setfield(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values: Any) -> Any:
+        """The value with these fields, in `_fields` order, built without `__init__`.
+
+        The caller vouches that the values keep the class's invariant, so
+        `__init__` would store them unchanged and the result equals the value
+        it builds, `==` and hash included.  Values read from outside the
+        library go through `__init__`.
+        """
+        self = object.__new__(cls)
+        self._set(*values)
+        return self
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

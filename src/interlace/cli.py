@@ -84,13 +84,15 @@ __all__ = ["main"]
 _INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-def _parse_ints(text: str, what: str) -> list[int]:
+def _parse_list(text: str, kind: type, what: str) -> list:
+    """The comma-separated fields of text, each read by kind (int or float)."""
     values = []
     for i, field in enumerate(text.split(","), 1):
         try:
-            values.append(int(field))
+            values.append(kind(field))
         except ValueError:
-            # name the first bad field only: a long --n or --ks is not echoed back
+            # name the first bad field only: a long --n, --ks or --x is not echoed
+            # back; float() reads every _INT_TEXT field, so only int() gets here
             if _INT_TEXT.fullmatch(field):
                 raise InvalidInput(
                     f"cannot parse {what}: the integer at index {i} is too long to parse"
@@ -100,18 +102,7 @@ def _parse_ints(text: str, what: str) -> list[int]:
 
 
 def _parse_tuple(text: str) -> InterlacedTuple:
-    return InterlacedTuple(tuple(_parse_ints(text, "tuple")))
-
-
-def _parse_floats(text: str) -> list[float]:
-    values = []
-    for i, field in enumerate(text.split(","), 1):
-        try:
-            values.append(float(field))
-        except ValueError:
-            # name the first bad field only: a long --x is not echoed back
-            raise InvalidInput(f"cannot parse vector: {reprlib.repr(field)} at index {i}") from None
-    return values
+    return InterlacedTuple(tuple(_parse_list(text, int, "tuple")))
 
 
 def _round_floats(obj: Any) -> Any:
@@ -221,7 +212,7 @@ def _load_finseq(args: argparse.Namespace) -> FinSeq:
         return FinSeq(coeffs, obj.get("tail", 0.0))
     if args.coeffs is None:
         raise InvalidInput("provide --coeffs or --input")
-    return FinSeq(_parse_floats(args.coeffs), args.tail)
+    return FinSeq(_parse_list(args.coeffs, float, "vector"), args.tail)
 
 
 # ----------------------------------------------------------------- handlers
@@ -294,10 +285,10 @@ def _cmd_orlicz(args: argparse.Namespace) -> dict:
 
     if args.op == "norm":
         spec = orlicz_fixture(required("phi"))
-        return {"norm": orlicz_norm(_parse_floats(required("x")), spec, args.tol)}
+        return {"norm": orlicz_norm(_parse_list(required("x"), float, "vector"), spec, args.tol)}
     if args.op == "nnorm":
         spec = orlicz_fixture(required("phi"))
-        return {"n_norm": n_norm(_parse_floats(required("x")), spec)}
+        return {"n_norm": n_norm(_parse_list(required("x"), float, "vector"), spec)}
     if args.op == "delta":
         mod = modulus_fixture(required("modulus"))
         doc = {
@@ -387,7 +378,7 @@ _FAMILIES = {
 def _cmd_moduli(args: argparse.Namespace) -> dict:
     score = _FAMILIES[args.family]
     if args.equicoarse:
-        ks = _parse_ints(args.ks, "--ks")
+        ks = _parse_list(args.ks, int, "--ks")
         # the full arity-k box over 2k elements per row; every box is made, and so
         # every arity checked, before a row is scored
         rows = equicoarse_report([(k, _tuple_sample(k, 2 * k, score)) for k in ks])
@@ -415,7 +406,7 @@ def _cmd_moduli(args: argparse.Namespace) -> dict:
             "omega_1": result.omega_1,
         }
     sample = _tuple_sample(args.k, args.max_entry, score)
-    thresholds = _parse_floats(args.thresholds) if args.thresholds else None
+    thresholds = _parse_list(args.thresholds, float, "vector") if args.thresholds else None
     report = compute_moduli(sample, thresholds)
     return _write_table(
         args,

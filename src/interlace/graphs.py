@@ -51,6 +51,8 @@ class InterlacedTuple(Record):
     """A vertex of the arity-k graph: a strictly increasing tuple of positive ints.
 
     Tuples compare and order by their entries; the hash is `hash((entries,))`.
+    A trusted build (`_trusted`) takes a non-empty tuple of positive, strictly
+    increasing ints.
     """
 
     _fields = ("entries",)
@@ -109,17 +111,6 @@ class InterlacedTuple(Record):
 
     def __repr__(self) -> str:
         return f"({','.join(str(v) for v in self.entries)})"
-
-
-def _trusted(entries: tuple[int, ...]) -> InterlacedTuple:
-    """The tuple of entries already known to be valid, built without the checks.
-
-    For combinations of a checked universe: ints, sorted, distinct and
-    positive, so every combination passes `__init__` as it stands.
-    """
-    t = object.__new__(InterlacedTuple)
-    setfield(t, "entries", entries)
-    return t
 
 
 def itup(*values: int) -> InterlacedTuple:
@@ -240,7 +231,8 @@ def dist_oracle_bfs(n: InterlacedTuple, m: InterlacedTuple) -> int:
         return 0
     universe = sorted(set(n.entries) | set(m.entries))
     k = n.arity
-    verts = list(map(_trusted, itertools.combinations(universe, k)))
+    # combinations of sorted, distinct, positive ints
+    verts = list(map(InterlacedTuple._trusted, itertools.combinations(universe, k)))
     seen = {n.entries: 0}
     queue = deque([n])
     while queue:
@@ -295,7 +287,8 @@ def geodesic_step(n: InterlacedTuple, m: InterlacedTuple) -> InterlacedTuple:
         top = max(n.top, m.top) + 1
 
         def reflect(t: InterlacedTuple) -> InterlacedTuple:
-            return InterlacedTuple(tuple(top - j for j in reversed(t.entries)))
+            # top exceeds every entry, so the reflected entries are positive
+            return InterlacedTuple._trusted(tuple(top - j for j in reversed(t.entries)))
 
         return reflect(geodesic_step(reflect(n), reflect(m)))
     a: list[int] = []
@@ -308,7 +301,8 @@ def geodesic_step(n: InterlacedTuple, m: InterlacedTuple) -> InterlacedTuple:
     if len(a) == len(b) + 1:
         last_max = max(t for t, (_, h) in enumerate(steps) if h == mx)
         b.append(steps[last_max + 1][0])
-    return InterlacedTuple(tuple(sorted((set(n.entries) - set(a)) | set(b))))
+    # the b's are entries of m: positive ints, like the entries of n
+    return InterlacedTuple._trusted(tuple(sorted((set(n.entries) - set(a)) | set(b))))
 
 
 def _check_arity(k: int) -> None:
@@ -343,7 +337,7 @@ class TupleBox:
         self.universe, self.size, self.k = uni, size, k
 
     def __iter__(self) -> Iterator[InterlacedTuple]:
-        return map(_trusted, itertools.combinations(self.universe, self.k))
+        return map(InterlacedTuple._trusted, itertools.combinations(self.universe, self.k))
 
     def __len__(self) -> int:
         return math.comb(self.size, self.k)

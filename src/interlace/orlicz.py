@@ -287,8 +287,9 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
       a step from that end of max(tol/2, ulp), doubled for each further sum
       with the same total, if that is shorter;
     - with b > 2a, which leaves room only for a bracket end m 2^k as the
-      query, the Illinois secant through a and b, or else the median power
-      m 2^k inside (a, b);
+      query, the Illinois secant through a and b; where that secant meets 1
+      at b or past it and b's total is 1 up to rounding, the step from b
+      above; or else the median power m 2^k inside (a, b);
     - with b <= 2a, that secant (the linear one when total(b) = 0), kept
       max(tol/2, ulp(b)) inside (a, b), or else r itself.
     After MAX_BRACKET_STEPS sums, or with total(a) infinite and b <= 2a, c is
@@ -299,12 +300,14 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
     steps from there along the estimate's slope.  After that, c is the secant
     estimate through the last two sums when it lies in (a, b) and the last
     total is not 1 up to rounding (n times the float epsilon).  Once that
-    estimate is within max(tol, ulp) of the last sum, or both totals are 1
-    up to rounding, the plain bisection is run on with the estimate as the
-    root, and c is the last query it calls infeasible or the first it calls
-    feasible that lies in (a, b): if the estimate holds, these two sums
-    answer every later query.  When both totals are 1 up to rounding and no
-    estimate lies in (a, b), c is r itself.
+    estimate is within max(tol, ulp) of the last sum and lies in [a, b] (an
+    end whose total is 1 up to rounding can round it onto that end), or lies
+    in (a, b) with both totals 1 up to rounding, the plain bisection is run
+    on with the estimate as the root, and c is the last query it calls
+    infeasible or the first it calls feasible that lies in (a, b): if the
+    estimate holds, these two sums answer every later query.  When both
+    totals are 1 up to rounding and no estimate lies in (a, b), c is r
+    itself.
 
     For phi non-decreasing at the float level, each query gets the answer its
     own sum would give, so the result is the plain bisection's float.  On
@@ -346,6 +349,15 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
     first, power = _subsample_root(xs, fn, m, r_min, r_max) if long else (m, 1.0)
     rounding = len(xs) * sys.float_info.epsilon  # a bound on a sum's relative rounding
 
+    def step_from(end: float, t: float) -> float:
+        """A step from a bracket end whose total t is 1 up to rounding: the least
+        step the bisection tells from none, doubled for each further trailing sum
+        with the same total."""
+        run = 0
+        while run < len(sums) and sums[-run - 1][1] == t:
+            run += 1
+        return math.ldexp(max(0.5 * tol, math.ulp(end)), max(run - 2, 0))
+
     def point(r: float) -> float:
         """The point in (a, b) to sum at next, for a query r in (a, b)."""
         if not 0 < len(sums) < MAX_BRACKET_STEPS:
@@ -356,7 +368,9 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
             noise = ta - 1.0 <= rounding and 1.0 - tb <= rounding
             est = _loglog_root(*sums[-2], *sums[-1])
             c = sums[-1][0]
-            if est is not None and a < est < b:
+            # an end whose total is 1 up to rounding can round est onto it, but
+            # with both totals 1 up to rounding, est on an end is noise
+            if est is not None and (a < est < b or (a <= est <= b and not noise)):
                 if (noise or abs(est - c) <= max(tol, math.ulp(c))) and r_min < est < r_max:
                     # bisect on as if est were the root: the queries asked so far lie
                     # outside (a, b), so this follows the search to its query r, and
@@ -365,7 +379,7 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
                     # every later query
                     lo, hi = bisect(lambda q: q >= est)
                     return lo if lo > a else hi
-                if abs(sums[-1][1] - 1.0) > rounding:
+                if a < est < b and abs(sums[-1][1] - 1.0) > rounding:
                     return est
             elif noise:
                 return r
@@ -384,17 +398,15 @@ def orlicz_norm(x: Sequence[float], spec: OrliczSpec, tol: float = 1e-10) -> flo
                 c = max(a * a / m, 2.0 * a) if a else min(b * b / m, 0.5 * b)
                 t = sums[-1][1]  # the known end's total
                 if len(sums) > 1 and abs(t - 1.0) <= rounding:
-                    # the root is next to the known end: step from it, first by the
-                    # least step the bisection tells from none, doubled for each
-                    # further sum with the same total
-                    run = 1
-                    while run < len(sums) and sums[-run - 1][1] == t:
-                        run += 1
-                    step = math.ldexp(max(0.5 * tol, math.ulp(a or b)), max(run - 2, 0))
+                    # the root is next to the known end: step from it
+                    step = step_from(a or b, t)
                     c = min(c, a + step) if a else max(c, b - step)
             return min(max(c, r_min), r_max)
         c = _loglog_root(a, ta, b, tb, wa, wb)
         if b > 2.0 * a:  # only a bracket end m 2^k lies this far inside
+            if (c is None or not a < c < b) and abs(tb - 1.0) <= rounding:
+                # the secant meets 1 at b or past it: the root is next to b
+                c = b - step_from(b, tb)
             if c is None or not a < c < b:
                 # the median power inside (a, b), from the exponents of a/m and b/m:
                 # each quotient keeps its order against every power of two

@@ -44,7 +44,12 @@ _VALUES = "sequence values"
 
 
 class FinSeq(Record):
-    """A real sequence: coeffs at indices 1..L, constant `tail` afterwards."""
+    """A real sequence: coeffs at indices 1..L, constant `tail` afterwards.
+
+    A trusted build (`_trusted`) takes a tuple of finite floats and a finite
+    float tail, the last coefficient not equal to the tail: the canonical
+    form `__init__` leaves, which it would store unchanged.
+    """
 
     _fields = ("coeffs", "tail")
 
@@ -123,7 +128,8 @@ def summing_image(n: InterlacedTuple) -> FinSeq:
     The count is k - i on the run (n_i, n_{i+1}], with n_0 = 0, so the image is
     filled run by run in O(top + k).  Working memory: the runs fill one list,
     which is copied once into the coefficient tuple; the tuple is already
-    canonical, so `FinSeq.__init__` does not read it again (see `_canonical`).
+    canonical (small positive integers ending in 1.0, tail 0.0), so it is
+    built through `FinSeq._trusted` and not read again.
     """
     k = n.arity
     coeffs: list[float] = []
@@ -131,24 +137,7 @@ def summing_image(n: InterlacedTuple) -> FinSeq:
     for i, e in enumerate(n):
         coeffs.extend(itertools.repeat(float(k - i), e - prev))
         prev = e
-    return _canonical(tuple(coeffs))
-
-
-def _canonical(coeffs: tuple[float, ...], tail: float = 0.0) -> FinSeq:
-    """The sequence of a canonical coefficient tuple and tail, built without the checks.
-
-    The caller vouches that every value is a finite float, which `float`
-    would return unchanged, and that the last coefficient is not the tail, so
-    `__init__` would strip nothing: summing images (small positive integers
-    ending in 1.0, tail 0.0) and the results of `FinSeq` arithmetic (checked
-    in `_finish`).  The result equals `FinSeq(coeffs, tail)`, hash included,
-    without the list and the second tuple that `__init__` would copy the
-    coefficients into.
-    """
-    x = object.__new__(FinSeq)
-    setfield(x, "coeffs", coeffs)
-    setfield(x, "tail", tail)
-    return x
+    return FinSeq._trusted(tuple(coeffs), 0.0)
 
 
 def _finish(vals: tuple[float, ...], tail: float) -> FinSeq:
@@ -167,7 +156,7 @@ def _finish(vals: tuple[float, ...], tail: float) -> FinSeq:
     k = len(vals)
     while k and vals[k - 1] == tail:
         k -= 1
-    return _canonical(vals[:k], tail)  # a full slice is the tuple itself
+    return FinSeq._trusted(vals[:k], tail)  # a full slice is the tuple itself
 
 
 def summing_distortion_check(
@@ -363,8 +352,8 @@ def james_norm_bruteforce(x: FinSeq, p: float = 2.0) -> float:
     vals = _canonical_values(x)
     if len(vals) > BRUTE_FORCE_CAP:
         raise ResourceLimit(
-            f"canonical index set of size {len(vals)} exceeds the cap {BRUTE_FORCE_CAP} "
-            "(BRUTE_FORCE_CAP)"
+            f"canonical index set of size {len(vals)} exceeds the cap "
+            f"BRUTE_FORCE_CAP = {BRUTE_FORCE_CAP}"
         )
     best: list[float] = []  # best[b]: the largest sum of a chain ending at b
     for b, v in enumerate(vals):

@@ -75,7 +75,11 @@ def _check_bits(s: str) -> str:
 
 
 class Segment(Record):
-    """Vertical chain between two comparable nodes: all prefixes of hi above lo."""
+    """Vertical chain between two comparable nodes: all prefixes of hi above lo.
+
+    A trusted build (`_trusted`) takes a checked 0/1 string `hi` and a prefix
+    `lo` of it.
+    """
 
     _fields = ("lo", "hi")
 
@@ -94,7 +98,9 @@ class Segment(Record):
 class TreeVec(Record):
     """Finitely supported function on the dyadic tree; zero entries are dropped.
 
-    Its `entries` field is a dict, so a TreeVec has no hash.
+    Its `entries` field is a dict, so a TreeVec has no hash.  A trusted build
+    (`_trusted`) takes a dict of 0/1 string keys and finite nonzero floats,
+    and keeps it, not a copy.
     """
 
     _fields = ("entries",)
@@ -124,13 +130,13 @@ class TreeVec(Record):
                 _numbers((s,), _ENTRIES, lambda i: _node(k))  # raises, naming k
             else:
                 out[k] = s
-        return _checked(out)
+        return TreeVec._trusted(out)
 
     def __add__(self, other: "TreeVec") -> "TreeVec":
         return self._combine(other, operator.add)
 
     def __neg__(self) -> "TreeVec":
-        return _checked({k: -v for k, v in self.entries.items()})
+        return TreeVec._trusted({k: -v for k, v in self.entries.items()})
 
     def __sub__(self, other: "TreeVec") -> "TreeVec":
         # a - b is a + (-b) in IEEE arithmetic
@@ -141,7 +147,7 @@ class TreeVec(Record):
         # the keys are checked already: drop zero products, name an overflow
         out = {k: t for k, v in self.entries.items() if (t := s * v) != 0.0}
         _numbers(out.values(), _ENTRIES, lambda i: _node(list(out)[i]))
-        return _checked(out)
+        return TreeVec._trusted(out)
 
     __rmul__ = __mul__
 
@@ -153,17 +159,6 @@ class TreeVec(Record):
         if not isinstance(obj, Mapping):
             raise InvalidInput("tree vectors are JSON objects mapping bit-strings to numbers")
         return TreeVec(obj)
-
-
-def _checked(entries: dict[str, float]) -> TreeVec:
-    """The vector of entries the caller vouches for, built without `__init__`'s checks.
-
-    Every key must be a 0/1 string and every value a finite nonzero float, as
-    in the result of arithmetic on TreeVecs; the dict is kept, not copied.
-    """
-    x = object.__new__(TreeVec)
-    setfield(x, "entries", entries)
-    return x
 
 
 class Branch(Record):
@@ -184,7 +179,7 @@ class Branch(Record):
 
 def segment_functional(seg: Segment) -> TreeVec:
     """Coefficient vector of the functional x -> sum of x over the segment."""
-    return TreeVec({node: 1.0 for node in seg.nodes()})
+    return TreeVec._trusted({node: 1.0 for node in seg.nodes()})
 
 
 def jt_family_value(x: TreeVec, family: Sequence[Segment]) -> float:
@@ -348,7 +343,7 @@ def jt_norm_exact(x: TreeVec) -> tuple[float, list[Segment]]:
             todo.extend(kids[v])
             continue
         if cum[w] != above[v]:  # a segment summing to 0 adds nothing
-            witness.append(Segment(order[v], order[w]))
+            witness.append(Segment._trusted(order[v], order[w]))  # w lies below v
         # the subtrees hanging off the segment v..w start with nothing open
         todo.extend(kids[w])
         while w != v:
@@ -437,7 +432,8 @@ def g_embed(sigma: Branch, n: InterlacedTuple) -> TreeVec:
     for ni in n:
         key = sigma.prefix(ni)
         out[key] = out.get(key, 0.0) + c
-    return TreeVec(out)
+    # prefixes of checked bits, and positive multiples of c: no entry to check
+    return TreeVec._trusted(out)
 
 
 def f_embed(sigma: Branch, n: InterlacedTuple) -> TreeVec:
@@ -459,7 +455,7 @@ def f_embed(sigma: Branch, n: InterlacedTuple) -> TreeVec:
     c = 1.0 / math.sqrt(k)
     counts = (float(k), *summing_image(n).coeffs)
     # prefixes of checked bits, and counts of at least 1: no entry to check
-    return _checked({sigma.bits[:j]: c * v for j, v in enumerate(counts)})
+    return TreeVec._trusted({sigma.bits[:j]: c * v for j, v in enumerate(counts)})
 
 
 def _first_disagreement(sigma: Branch, tau: Branch, n: InterlacedTuple) -> int | None:
@@ -497,7 +493,7 @@ def f_separation(sigma: Branch, tau: Branch, n: InterlacedTuple) -> float:
     """
     if _first_disagreement(sigma, tau, n) is None:
         return 0.0
-    witness = TreeVec({sigma.prefix(n.entries[0]): 1.0})
+    witness = TreeVec._trusted({sigma.prefix(n.entries[0]): 1.0})
     norm, _ = jt_norm_exact(witness)
     if abs(norm - 1.0) > 1e-12:
         raise AssertionError("unit witness vector must have norm 1")
@@ -515,7 +511,7 @@ def g_separation(sigma: Branch, tau: Branch, n: InterlacedTuple) -> float:
     """
     if _first_disagreement(sigma, tau, n) is None:
         return 0.0
-    seg = Segment(sigma.prefix(n.entries[0]), sigma.prefix(n.top))
+    seg = Segment._trusted(sigma.prefix(n.entries[0]), sigma.prefix(n.top))  # n_1 <= n_k
     functional = segment_functional(seg)
     diff = g_embed(sigma, n) - g_embed(tau, n)
     value = pair(diff, functional)
@@ -544,7 +540,7 @@ def f_difference_segments(
 
     lo, hi = (n, m) if leads(n, m) else (m, n)
     segs = [
-        Segment(sigma.prefix(a + 1), sigma.prefix(b))
+        Segment._trusted(sigma.prefix(a + 1), sigma.prefix(b))  # a + 1 <= b
         for a, b in zip(lo, hi)
         if b > a
     ]

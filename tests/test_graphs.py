@@ -453,6 +453,25 @@ class TestGeodesics:
         assert dist(step, m) == d - 1
 
 
+    def test_paths_equal_the_paths_built_through_init(self, monkeypatch):
+        # criterion 2's boxes: every step and reflection is built as a trusted
+        # tuple, and equals the one __init__ checks and builds
+        def boxes():
+            return [enumerate_tuples(range(1, 9), k) for k in (1, 2, 3)]
+
+        def paths(verts):
+            return [geodesic_path(n, m) for n, m in itertools.combinations_with_replacement(verts, 2)]
+
+        trusted = [paths(verts) for verts in boxes()]
+        monkeypatch.setattr(InterlacedTuple, "_trusted", classmethod(lambda cls, e: cls(e)))
+        checked = [paths(verts) for verts in boxes()]
+        assert trusted == checked
+        for got_box, want_box in zip(trusted, checked):
+            for got, want in zip(got_box, want_box):
+                assert [type(v) for v in got] == [InterlacedTuple] * len(got)
+                assert [v.entries for v in got] == [v.entries for v in want]
+
+
 class TestEnumeration:
     def test_small(self):
         assert enumerate_tuples({1, 2, 3}, 2) == [itup(1, 2), itup(1, 3), itup(2, 3)]

@@ -481,6 +481,19 @@ class TestBracketSearch:
         assert sums <= 8
         assert got == plain_bisection(vec, root)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_total_of_1_at_b_steps_from_b(self, seed):
+        # identity over 10^(+-4): a sum at the root totals 1 up to rounding, and the
+        # log-log secant through a and b then meets 1 at b itself; a step from b
+        # answers the query where the median power m 2^k inside (a, b) went far
+        # from the root: 3 to 5 sums here, where that took up to 8
+        rng = random.Random(seed)
+        vec = [rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-4.0, 4.0) for _ in range(1000)]
+        identity = orlicz_fixture("identity")
+        got, sums = self.counted(vec, identity)
+        assert got == plain_bisection(vec, identity)
+        assert sums <= 5
+
 
 class TestLongVectors:
     """From LONG nonzero entries on, a strided subsample places the first two sums,
@@ -528,6 +541,18 @@ class TestLongVectors:
         got, sums = self.counted(vec, spec)
         assert got == plain_bisection(vec, spec)
         assert sums <= bound
+
+    @pytest.mark.parametrize("key", ["identity", "square", "huber", "pow:1.5", "pow:3"])
+    def test_an_estimate_on_a_bracket_end_is_settled(self, key):
+        # LONG equal entries: the second sum lands within an ulp of the root, and the
+        # secant estimate through the first two rounds onto that bracket end; it is
+        # taken as settled, so the third sum is at the bisection's next query in
+        # (a, b): 3 full sums, where a step of tol/2 from the end took 4
+        vec = [1.0] * LONG
+        spec = orlicz_fixture(key)
+        got, sums = self.counted(vec, spec)
+        assert got == plain_bisection(vec, spec)
+        assert sums < 3.5
 
     def test_shorter_vectors_make_only_full_sums(self):
         # below LONG nonzero entries every phi call belongs to a full sum, whose

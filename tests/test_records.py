@@ -7,6 +7,7 @@ classes promise, so they read the same on any implementation of them.
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,42 @@ def test_value_classes_behave_as_records(cls, names, args, fields, defaults, tex
         with pytest.raises(AttributeError, match=f"^cannot delete field '{f}'$"):
             delattr(x, f)
     assert fields_of(x, names) == fields
+
+
+def _trusted_cases(rng):
+    """Fields that keep each class's trusted-build invariant, drawn from rng."""
+    entries = tuple(sorted(rng.sample(range(1, 10**6), rng.randint(1, 6))))
+    floats = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7e308] + [
+        rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-8.0, 8.0) for _ in range(5)
+    ]
+    tail = rng.choice([0.0, rng.choice(floats)])
+    coeffs = [rng.choice(floats) for _ in range(rng.randint(0, 6))]
+    while coeffs and coeffs[-1] == tail:  # the last coefficient is not the tail
+        coeffs.pop()
+    hi = "".join(rng.choice("01") for _ in range(rng.randint(0, 8)))
+    keys = {"".join(rng.choice("01") for _ in range(rng.randint(0, 6))) for _ in range(5)}
+    vec = {key: rng.choice([v for v in floats if v != 0.0]) for key in keys}
+    return [
+        (InterlacedTuple, (entries,)),
+        (FinSeq, (tuple(coeffs), tail)),
+        (Segment, (hi[: rng.randint(0, len(hi))], hi)),
+        (TreeVec, (vec,)),
+    ]
+
+
+def test_trusted_builds_equal_the_checked_builds():
+    rng = random.Random(40)
+    for _ in range(200):
+        for cls, fields in _trusted_cases(rng):
+            got, want = cls._trusted(*fields), cls(*fields)
+            assert type(got) is cls and got == want and not (got != want)
+            assert repr(got) == repr(want)
+            assert [repr(f) for f in got._astuple()] == [repr(f) for f in want._astuple()]
+            if cls is TreeVec:
+                with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                    hash(got)
+            else:
+                assert hash(got) == hash(want)
 
 
 def test_interlaced_tuples_order_by_their_entries():

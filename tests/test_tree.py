@@ -488,6 +488,21 @@ class TestGEmbedding:
         assert vec == TreeVec({"0": 0.5, "00": 0.5})
         assert abs(jt_norm_exact(vec)[0] - 1.0) < 1e-12
 
+    def test_image_equals_the_checked_build_and_checks_no_key_again(self, monkeypatch):
+        # every key is a prefix of the checked branch, so none is checked again
+        checks = []
+        check = tree._check_bits
+        monkeypatch.setattr(tree, "_check_bits", lambda s: checks.append(s) or check(s))
+        sigma, n = Branch("0" * 4000), itup(*range(1, 4001))
+        checks.clear()
+        got = g_embed(sigma, n)
+        assert len(checks) <= 1
+        c = 1.0 / math.sqrt(2 * n.arity)
+        want = TreeVec({sigma.prefix(j): c for j in n.entries})
+        assert [(key, v.hex()) for key, v in got.entries.items()] == [
+            (key, v.hex()) for key, v in want.entries.items()
+        ]
+
     def test_singleton_norm(self):
         vec = g_embed(Branch("0000"), itup(3))
         assert abs(jt_norm_exact(vec)[0] - 1 / SQ2) < 1e-12
@@ -624,10 +639,14 @@ class TestSeparations:
 
 
 def test_random_spider_instances_match_bruteforce_families():
-    """Independent third check: enumerate disjoint families over raw segments."""
+    """Independent third check: enumerate disjoint families over raw segments.
 
-    def brute(x: TreeVec) -> float:
-        nodes = [""] + ["".join(p) for d in (1, 2, 3) for p in itertools.product("01", repeat=d)]
+    The segments run over the instance's own node closure, zero nodes
+    included; it is closed under prefixes, so a segment through a node outside
+    it may be trimmed to the closure without changing any sum or disjointness.
+    """
+
+    def brute(x: TreeVec, nodes: list[str]) -> float:
         bit = {v: 1 << i for i, v in enumerate(nodes)}
         seg_list = []
         for hi in nodes:
@@ -660,4 +679,4 @@ def test_random_spider_instances_match_bruteforce_families():
         }
         x = TreeVec(entries)
         got, _ = jt_norm_exact(x)
-        assert abs(got - brute(x)) < 1e-12
+        assert abs(got - brute(x, sorted(entries))) < 1e-12
