@@ -15,12 +15,14 @@ tuples are sorted, so one two-pointer merge of their entries walks F: each
 entry of n is a climb unless m shares it, the entries of m below it are falls,
 and what m has left after the last entry of n is one pure fall back to 0.
 `dist` is that merge keeping only the running max and min, O(k) with no
-profile built; `walk_profile` is the same merge recording the steps, the pairs
-(j, F(j)) for j in n △ m, from which each geodesic step costs O(k log k).
-Neither depends on the size of the entries.  This module computes the metric
-three ways (profile formula, breadth-first oracle, explicit geodesics) so each
-can certify the others.  The geodesics have one rule, `geodesic_step`;
-`geodesic_path` is its walk.
+profile built.  `_walk` is the same merge recording the steps in two flat
+lists, the elements j of n △ m and the heights F(0) = 0, F(j): the pair
+table of `moduli` reads the heights alone, each geodesic step reads both in
+O(k log k), and `walk_profile` pairs them into the public (j, F(j)) steps.
+None of these depends on the size of the entries.  This module computes the
+metric three ways (profile formula, breadth-first oracle, explicit
+geodesics) so each can certify the others.  The geodesics have one rule,
+`geodesic_step`; `geodesic_path` is its walk.
 """
 
 from __future__ import annotations
@@ -160,33 +162,42 @@ def walk_profile(n: InterlacedTuple, m: InterlacedTuple) -> tuple[tuple[int, int
 
     F is constant from one step to the next, 0 before the first step, and
     every height differs by one from the height before it; the last is 0.
-    The steps come from the merge `dist` walks, recorded: O(k) whatever the
-    size of the entries.
+    The steps are those `_walk` records, paired: O(k) whatever the size of
+    the entries.
+    """
+    positions, heights = _walk(n, m)
+    return tuple(zip(positions, heights[1:]))
+
+
+def _walk(n: InterlacedTuple, m: InterlacedTuple) -> tuple[list[int], list[int]]:
+    """(positions, heights): the elements of n △ m in increasing order, and the
+    heights of F with F(0) = 0 first, then F(j) at each position j.
+
+    The merge `dist` walks, recorded in two flat lists, so a reader of the
+    heights alone builds no (j, F(j)) pair.
     """
     _check_same_arity(n, m)
     a, b = n.entries, m.entries
     k = len(a)
-    steps = []
+    positions: list[int] = []
+    heights = [0]
     j = h = 0
     for x in a:
         while j < k and b[j] < x:  # the entries of m below x: F falls
             h -= 1
-            steps.append((b[j], h))
+            positions.append(b[j])
+            heights.append(h)
             j += 1
         if j < k and b[j] == x:  # a shared entry is no step
             j += 1
         else:
             h += 1
-            steps.append((x, h))
+            positions.append(x)
+            heights.append(h)
     # what m has left over is one run: a pure fall back to 0
-    steps.extend(zip(b[j:], range(h - 1, -1, -1)))
-    return tuple(steps)
-
-
-def _extremes(steps: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-    """(max F, min F) from the steps; F(0) = 0 counts."""
-    heights = [0] + [h for _, h in steps]
-    return max(heights), min(heights)
+    positions.extend(b[j:])
+    heights.extend(range(h - 1, -1, -1))
+    return positions, heights
 
 
 def dist(n: InterlacedTuple, m: InterlacedTuple) -> int:
@@ -279,8 +290,8 @@ def geodesic_step(n: InterlacedTuple, m: InterlacedTuple) -> InterlacedTuple:
     re-attains its old maximum beyond r and the distance does not decrease
     (e.g. n=(2,3,5), m=(1,4,6)).
     """
-    steps = walk_profile(n, m)
-    mx, mn = _extremes(steps)
+    positions, heights = _walk(n, m)
+    mx, mn = max(heights), min(heights)
     if mx - mn < 2:
         raise InvalidInput("geodesic_step requires dist(n, m) >= 2")
     if mx <= 0:
@@ -293,14 +304,14 @@ def geodesic_step(n: InterlacedTuple, m: InterlacedTuple) -> InterlacedTuple:
         return reflect(geodesic_step(reflect(n), reflect(m)))
     a: list[int] = []
     b: list[int] = []
-    for j, h in steps:
+    for j, h in zip(positions, heights[1:]):
         if len(a) == len(b) and h == mx:
             a.append(j)
         elif len(a) > len(b) and h == mn:
             b.append(j)
     if len(a) == len(b) + 1:
-        last_max = max(t for t, (_, h) in enumerate(steps) if h == mx)
-        b.append(steps[last_max + 1][0])
+        # the step after the last argmax: heights[i] is F at positions[i - 1]
+        b.append(positions[len(heights) - 1 - heights[::-1].index(mx)])
     # the b's are entries of m: positive ints, like the entries of n
     return InterlacedTuple._trusted(tuple(sorted((set(n.entries) - set(a)) | set(b))))
 

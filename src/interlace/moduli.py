@@ -16,7 +16,8 @@ phenomenon, so its verdict is observational.
 A sample reads its map through the target metric alone: `d_target(n, m)`
 is the distance between the images of the points n and m, and no image is
 held.  The canonical samples below score a pair of tuples from the heights
-h = (0, h_1, ..., h_r) of `walk_profile(n, m)` alone:
+h = (0, h_1, ..., h_r) of its walk profile alone, F(0) and then F at each
+element of n △ m, as one merge lists them flat (`graphs._walk`):
 
     summing   ||s(n) - s(m)||_inf = max |h|      (the difference at j is -F(j-1))
     g         ||g(n) - g(m)||_JT  = (2k)^(-1/2) var_2(h)
@@ -79,7 +80,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from ._record import Record
 from .errors import InvalidInput, ResourceLimit, _number, _short_repr
-from .graphs import InterlacedTuple, TupleBox, _check_arity, _universe, dist, walk_profile
+from .graphs import InterlacedTuple, TupleBox, _check_arity, _universe, _walk, dist
 from .sequences import FinSeq, james_norm
 
 __all__ = [
@@ -138,7 +139,7 @@ class MapSample(Record):
         """
         points, score = self.points, self.d_target
         if self._scored_by_heights():
-            # walk_profile rejects mixed arities, so a returned table has one k
+            # _walk rejects mixed arities, so a returned table has one k
             table: dict[tuple[int, ...], tuple[float, float]] = {}
             out = []
             for n, m in itertools.combinations(points, 2):
@@ -466,8 +467,8 @@ def _balanced(t: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _heights(n: InterlacedTuple, m: InterlacedTuple) -> tuple[int, ...]:
-    """h = (0, h_1, ..., h_r): F(0), then the step heights of `walk_profile(n, m)`."""
-    return (0, *[h for _, h in walk_profile(n, m)])
+    """h = (0, h_1, ..., h_r): F(0), then the step heights of the walk profile."""
+    return tuple(_walk(n, m)[1])
 
 
 class _HeightScore:

@@ -39,7 +39,7 @@ __all__ = [
     "successive_block_ratio",
 ]
 
-BRUTE_FORCE_CAP = 16
+BRUTE_FORCE_CAP = 4096  # L (L - 1) / 2 <= 2^23 oracle pairs, about 1 s
 _VALUES = "sequence values"
 
 
@@ -346,7 +346,9 @@ def james_norm_bruteforce(x: FinSeq, p: float = 2.0) -> float:
     It shares no reduction with `james_norm`: every canonical index is a
     state (no turning points) and every earlier index is scanned (no
     running-extremum break).  Cost for L canonical values: L (L - 1) / 2
-    powers and additions and O(L) memory.
+    powers and additions and O(L) memory.  The cap is set by that time:
+    L <= BRUTE_FORCE_CAP = 4096 keeps the pairs within 2^23, about a second;
+    a longer sequence is `ResourceLimit`.
     """
     p = _check_p(p)
     vals = _canonical_values(x)

@@ -62,6 +62,7 @@ __all__ = [
 JT_SUPPORT_CAP = 4096  # f_embed images only: top + 1 keys of length up to top
 BRUTE_FORCE_SUPPORT_CAP = 12
 _ENTRIES = "tree vector entries"
+_NOT_BITS = str.maketrans("", "", "01")  # a 0/1 string translates to ""
 
 
 def _node(key: str) -> str:
@@ -69,7 +70,7 @@ def _node(key: str) -> str:
 
 
 def _check_bits(s: str) -> str:
-    if not isinstance(s, str) or s.strip("01"):
+    if not isinstance(s, str) or s.translate(_NOT_BITS):
         raise InvalidInput(f"tree nodes are 0/1 strings, got {_short_repr(s)}")
     return s
 

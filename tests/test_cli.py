@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -64,6 +65,25 @@ def test_james_norm_with_oracle(capsys):
     assert code == 0
     assert abs(doc["norm"] - math.sqrt(3)) < 1e-9
     assert doc["norm"] == doc["oracle"]
+
+
+def test_james_norm_oracle_at_its_cap(tmp_path, capsys):
+    # 4,095 coefficients and the tail are BRUTE_FORCE_CAP = 4096 canonical values;
+    # one coefficient more is exit 3, before any pair is summed
+    r = random.Random(4096)
+    coeffs = [r.uniform(-1.0, 1.0) for _ in range(4095)]
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"coeffs": coeffs, "tail": 0.0}))
+    code, out = run_cli(capsys, "james-norm", "--input", str(path), "--brute")
+    doc = json.loads(out)
+    assert code == 0 and doc["norm"] == doc["oracle"]
+    path.write_text(json.dumps({"coeffs": coeffs + [0.5], "tail": 0.0}))
+    code, out = run_cli(capsys, "james-norm", "--input", str(path), "--brute")
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "kind": "resource",
+        "message": "canonical index set of size 4097 exceeds the cap BRUTE_FORCE_CAP = 4096",
+    }
 
 
 def test_james_norm_from_file(tmp_path, capsys):
@@ -466,20 +486,20 @@ def test_embed_c0_reads_each_profile_once(tmp_path, capsys, monkeypatch):
     import interlace.sequences as sequences
 
     profiles = dists = 0
-    real_profile, real_dist = graphs.walk_profile, graphs.dist
+    real_walk, real_dist = graphs._walk, graphs.dist
 
-    def counting_profile(n, m):
+    def counting_walk(n, m):
         nonlocal profiles
         profiles += 1
-        return real_profile(n, m)
+        return real_walk(n, m)
 
     def counting_dist(n, m):
         nonlocal dists
         dists += 1
         return real_dist(n, m)
 
-    monkeypatch.setattr(graphs, "walk_profile", counting_profile)
-    monkeypatch.setattr(moduli, "walk_profile", counting_profile)
+    monkeypatch.setattr(graphs, "_walk", counting_walk)
+    monkeypatch.setattr(moduli, "_walk", counting_walk)
     # the sample's source metric and the table's `is dist` test both see the counter
     monkeypatch.setattr(moduli, "dist", counting_dist)
     monkeypatch.setattr(sequences, "dist", counting_dist)

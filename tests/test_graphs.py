@@ -271,7 +271,7 @@ def sharing_pairs(draw):
 
 
 class TestMerge:
-    """`dist` and `walk_profile` walk the two sorted tuples in one merge."""
+    """`dist` and `_walk` walk the two sorted tuples in one merge."""
 
     @settings(max_examples=300, deadline=None)
     @given(sharing_pairs())
@@ -288,6 +288,32 @@ class TestMerge:
                 assert walk_profile(n, m) == set_profile(n, m), (n, m)
                 pairs += 1
         assert pairs == 8**2 + 28**2 + 56**2
+
+    def test_walk_lists_the_profile_flat(self):
+        # `_walk` is the merge every profile reader takes: `walk_profile` pairs its
+        # lists up, and the pair table reads its heights alone
+        def check(n, m):
+            positions, heights = graphs._walk(n, m)
+            steps = walk_profile(n, m)
+            assert tuple(zip(positions, heights[1:])) == steps == set_profile(n, m), (n, m)
+            assert tuple(heights) == (0, *[h for _, h in steps]), (n, m)
+
+        pairs = 0
+        for k in (1, 2, 3):
+            tuples = enumerate_tuples(range(1, 9), k)
+            for n, m in itertools.product(tuples, repeat=2):
+                check(n, m)
+                pairs += 1
+        assert pairs == 8**2 + 28**2 + 56**2
+        rng = random.Random(41)
+        for _ in range(500):
+            k = rng.randint(1, 50)
+            # a pool of k to 2k values, so the two tuples share some entries
+            pool = rng.sample(range(1, 10**9 + 1), rng.randint(k, 2 * k))
+            n = InterlacedTuple(tuple(sorted(rng.sample(pool, k))))
+            m = InterlacedTuple(tuple(sorted(rng.sample(pool, k))))
+            check(n, m)
+            check(m, n)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("gap", [0, 1, 10**12])

@@ -31,7 +31,7 @@ from interlace import (
 )
 from interlace.cli import main
 from interlace.errors import ResourceLimit
-from interlace.graphs import TupleBox, _short_repr
+from interlace.graphs import TupleBox, _short_repr, _walk
 from interlace.moduli import (
     _balanced,
     _HeightScore,
@@ -385,6 +385,9 @@ def _wrapped(sample):
 def _count_metric_calls(monkeypatch):
     """Count every profile read, every `dist` call and every `james_norm`.
 
+    A profile read is a call of `graphs._walk`, the one merge that
+    `walk_profile`, `geodesic_step` and the pair table read.
+
     `dist` walks its own merge and reads no profile, so its calls are counted
     apart: those of the c0 certificate through `sequences.dist`, and those of
     a sample that takes the returned `dist` as its source metric.
@@ -395,10 +398,10 @@ def _count_metric_calls(monkeypatch):
 
     calls = SimpleNamespace(heights=[], dists=[], norms=[])
 
-    def counted_profile(n, m):
-        steps = walk_profile(n, m)
-        calls.heights.append(tuple(h for _, h in steps))
-        return steps
+    def counted_walk(n, m):
+        positions, heights = _walk(n, m)
+        calls.heights.append(tuple(heights[1:]))
+        return positions, heights
 
     def counted_dist(n, m):
         calls.dists.append((n, m))
@@ -409,8 +412,8 @@ def _count_metric_calls(monkeypatch):
         return james_norm(x, p)
 
     calls.dist = counted_dist
-    monkeypatch.setattr(graphs, "walk_profile", counted_profile)
-    monkeypatch.setattr(moduli, "walk_profile", counted_profile)
+    monkeypatch.setattr(graphs, "_walk", counted_walk)
+    monkeypatch.setattr(moduli, "_walk", counted_walk)
     monkeypatch.setattr(sequences, "dist", counted_dist)
     monkeypatch.setattr(moduli, "james_norm", counted_norm)
     return calls

@@ -633,8 +633,9 @@ class TestJamesNorm:
         assert james_norm(x, 2) == james_norm(x, 2.0)
 
     def test_bruteforce_cap(self):
+        # the last 0.0 is the tail, so 4,097 coefficients and the tail: 4,098 canonical values
         with pytest.raises(ResourceLimit, match="BRUTE_FORCE_CAP"):
-            james_norm_bruteforce(FinSeq((1.0, 0.0) * 10), 2.0)
+            james_norm_bruteforce(FinSeq((1.0, 0.0) * 2049), 2.0)
 
     @settings(max_examples=150, deadline=None)
     @given(_with_tails(TIE_HEAVY, 9) | _with_tails(WIDE, 9), EXPONENTS)
@@ -643,16 +644,36 @@ class TestJamesNorm:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_bruteforce_at_the_cap(self, p):
+        # BRUTE_FORCE_CAP = 4096: L (L - 1) / 2 <= 2^23 pair sums, about a second
         r = random.Random(13)
-        x = FinSeq(tuple(r.uniform(-1.0, 1.0) for _ in range(15)))  # 16 canonical values
+        x = FinSeq(tuple(r.uniform(-1.0, 1.0) for _ in range(4095)))  # 4,096 canonical values
         assert james_norm_bruteforce(x, p) == james_norm(x, p)
-        with pytest.raises(ResourceLimit, match="size 17 exceeds the cap BRUTE_FORCE_CAP = 16$"):
+        with pytest.raises(ResourceLimit, match="size 4097 exceeds the cap BRUTE_FORCE_CAP = 4096$"):
             james_norm_bruteforce(FinSeq(x.coeffs + (0.5,)), p)
 
     def test_bruteforce_at_the_cap_equals_the_chain_definition(self):
+        # 16 canonical values, 2^16 - 17 chains: as far as the enumeration goes
         r = random.Random(16)
         x = FinSeq(tuple(r.uniform(-1.0, 1.0) for _ in range(15)), r.uniform(-1.0, 1.0))
-        assert james_norm_bruteforce(x, 2.0) == _every_chain(x, 2.0)  # 2^16 - 17 chains
+        assert james_norm_bruteforce(x, 2.0) == _every_chain(x, 2.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bruteforce_certifies_the_long_inputs_bit_for_bit(self, seed):
+        # 2,000 values built as the benchmark's wide sequences are: a sine at p = 2
+        # and uniform noise at p = 1.5
+        rng = random.Random(seed)
+        size = 2000
+        freq, phase = rng.uniform(2.0, 8.0), rng.uniform(0.0, 2 * math.pi)
+        sine = FinSeq(tuple(math.sin(2 * math.pi * freq * i / size + phase) for i in range(size)))
+        noise = FinSeq(tuple(rng.uniform(-1.0, 1.0) for _ in range(size)))
+        assert james_norm_bruteforce(sine, 2.0) == james_norm(sine, 2.0)
+        assert james_norm_bruteforce(noise, 1.5) == james_norm(noise, 1.5)
+
+    def test_bruteforce_certifies_the_quadratic_case_bit_for_bit(self):
+        # lows and highs both rise, so no running extremum cuts the DP's scan short
+        x = FinSeq(tuple(-(10.0**6) + i if i % 2 == 0 else float(i) for i in range(2000)))
+        for p in (1.5, 2.0):
+            assert james_norm_bruteforce(x, p) == james_norm(x, p)
 
     @settings(max_examples=80, deadline=None)
     @given(finseqs, st.sampled_from([1.5, 2.0, 3.0]))

@@ -33,6 +33,7 @@ from interlace import (
     segment_functional,
 )
 from interlace import tree
+from interlace.errors import _short_repr
 from interlace.tree import JT_SUPPORT_CAP
 
 SQ2 = math.sqrt(2)
@@ -258,9 +259,16 @@ class TestTreeVec:
         assert sorted(seg.lo for seg in witness) == sorted(leaves)
 
     def test_rejects_bad_keys(self):
-        for key in ("ab", "012", " ", "0\n", b"01", 5):
+        for key in ("ab", "012", " ", "0\n", "\u0660", "0\u200b1", "1" * 500 + "x", b"01", 5):
             with pytest.raises(InvalidInput):
                 TreeVec({key: 1.0})
+
+    def test_a_long_key_with_one_bad_last_character_is_named(self):
+        key = "0" * 999 + "2"
+        with pytest.raises(InvalidInput) as info:
+            TreeVec({"0": 1.0, key: 1.0})
+        assert str(info.value) == f"tree nodes are 0/1 strings, got {_short_repr(key)}"
+        assert str(info.value).endswith("0002'") and len(str(info.value)) < 100
 
     def test_entry_beyond_the_float_range_is_invalid_input(self):
         with pytest.raises(
